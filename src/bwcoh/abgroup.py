@@ -88,6 +88,14 @@ class PresentedGroup:
         return LatticeSolver(self.relations)
 
     @cached_property
+    def injective(self) -> "PresentedGroup":
+        """The same group with linearly independent relations: itself when
+        its relation matrix is injective, else its relation lattice basis."""
+        if self.solver.rank == self.relations.cols:
+            return self
+        return PresentedGroup(self.generators, self.solver.basis())
+
+    @cached_property
     def invariants(self) -> GroupInvariants:
         _, s, _ = smith_normal_form(self.relations)
         diag = [s.at(i, i) for i in range(min(s.rows, s.cols))]

@@ -9,6 +9,17 @@ alternating signs, and postcompose the tail morphism with sign (-1)^(n+1).
 Degenerate sequences (those containing identities) are genuine basis
 elements; nothing is normalized away.
 
+Cohomology comes two ways.  ``CochainComplex.cohomology`` reads the
+invariants of every degree at once off the free cone of ``bwcoh.reduction``:
+each factor is resolved by ``0 -> Z^r -R-> Z^g`` with ``R`` made injective,
+and the cone ``T^n = Z^{g_n} ⊕ Z^{r_{n+1}}`` has differential
+``(x, y) -> (D_n x + R_{n+1} y, -S_n x - Q_{n+1} y)``.  Its ``S_n``, with
+``D_{n+1} D_n = R_{n+2} S_n``, is exactly what the ``d∘d`` check of
+``build_complex`` solves for block by block, so the check keeps those
+solutions in ``dd_witness`` instead of composing the differentials again
+later.  ``cohomology_data`` stays on the dense ``subquotient`` route because
+induced maps need its kernel basis.
+
 Index bookkeeping for the homotopies, fixed once here because the defining
 sums leave the intermediate groups implicit:
 
@@ -172,14 +183,23 @@ class BlockHom:
                     blocks[(t, s)] = (mm, qq)
         return BlockHom(first.src, self.dst, blocks)
 
-    def first_nonzero_coordinate(self) -> tuple[int, int] | None:
-        """(target block, source block) of the first block not zero mod relations."""
+    def first_nonzero_coordinate(self, solutions: dict | None = None
+                                 ) -> tuple[int, int] | None:
+        """(target block, source block) of the first block not zero mod relations.
+
+        Each block M is solved as M = R X against the independent relations
+        R of its target factor (``PresentedGroup.injective``); when
+        ``solutions`` is given, the X of every nonzero block is stored there.
+        """
         for (t, s) in sorted(self.blocks):
             m, _ = self.blocks[(t, s)]
             if m.is_zero():
                 continue
-            if not self.dst.factors[t].solver.contains_matrix(m):
+            x = self.dst.factors[t].injective.solver.solve_matrix(m)
+            if x is None:
                 return (t, s)
+            if solutions is not None:
+                solutions[(t, s)] = x
         return None
 
     def is_zero_mod(self) -> bool:
@@ -252,7 +272,12 @@ class CochainComplex:
         self.groups = groups
         self.diffs = diffs            # diffs[n]: degree n -> n+1, n < max_degree
         self.index = [sequence_index(b) for b in bases]
+        # dd_witness[n]: blocks of S_n with D_{n+1} D_n = R_{n+2} S_n, in the
+        # independent relations of each degree n+2 factor; filled by the
+        # d∘d check of build_complex, read by the reduction engine
+        self.dd_witness: list[dict[tuple[int, int], IntMatrix]] = []
         self._cohom: dict[int, Subquotient] = {}
+        self._invariants: list[GroupInvariants] | None = None
 
     def coordinate_name(self, n: int, i: int) -> str:
         seq = self.bases[n][i]
@@ -261,10 +286,13 @@ class CochainComplex:
             return f"({c.object_name(seq.objects[0])})"
         return "(" + ",".join(c.morphism_name(m) for m in seq.mors) + ")"
 
-    def cohomology_data(self, n: int) -> Subquotient:
+    def _check_degree(self, n: int) -> None:
         if not (0 <= n <= self.max_degree - 1):
             raise DegreeOutOfRange(
                 f"degree {n} not computable with max degree {self.max_degree}")
+
+    def cohomology_data(self, n: int) -> Subquotient:
+        self._check_degree(n)
         if n not in self._cohom:
             d_out = self.diffs[n].to_hom()
             if n == 0:
@@ -276,7 +304,11 @@ class CochainComplex:
         return self._cohom[n]
 
     def cohomology(self, n: int) -> GroupInvariants:
-        return self.cohomology_data(n).group.invariants
+        self._check_degree(n)
+        if self._invariants is None:
+            from .reduction import cohomology_invariants
+            self._invariants = cohomology_invariants(self)
+        return self._invariants[n]
 
 
 def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
@@ -330,7 +362,9 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
 
     cx = CochainComplex(d, max_degree, bases, groups, diffs)
     for n in range(max_degree - 1):
-        bad = diffs[n + 1].compose(diffs[n]).first_nonzero_coordinate()
+        witness: dict[tuple[int, int], IntMatrix] = {}
+        bad = diffs[n + 1].compose(diffs[n]).first_nonzero_coordinate(witness)
+        cx.dd_witness.append(witness)
         if bad is not None:
             raise HomotopyIdentityError(
                 f"d∘d != 0 from degree {n}: target {cx.coordinate_name(n + 2, bad[0])}, "
@@ -709,12 +743,6 @@ def cohomology_map(cmap: CochainMap, n: int) -> GroupHom:
     mapped = cmap.maps[n].to_matrix() @ sq_a.basis
     w = sq_b.express(mapped)
     return GroupHom.create(sq_a.group, sq_b.group, w)
-
-
-def induces_identity(cmap: CochainMap, n: int) -> bool:
-    """For an endomorphism of a complex: does it induce the identity on H^n?"""
-    h = cohomology_map(cmap, n)
-    return h.equal_mod(GroupHom.identity(h.source))
 
 
 def is_cohomology_iso(cmap: CochainMap, n: int) -> bool:

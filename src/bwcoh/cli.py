@@ -20,7 +20,8 @@ from .localization import (
 )
 from .nerve import nerve_cells
 from .workspace import (
-    ParseError, Workspace, category_text, group_text, load_workspace_file,
+    InvalidWorkspace, ParseError, Workspace, category_text, group_text,
+    load_workspace_file,
 )
 
 EXIT_OK = 0
@@ -38,6 +39,9 @@ def _load(path: str) -> Workspace:
     except ParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    except InvalidWorkspace as exc:
+        print(exc.report)
+        raise SystemExit(EXIT_INVALID)
 
 
 def cmd_validate(args) -> int:

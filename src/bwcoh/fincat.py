@@ -188,12 +188,6 @@ class Functor:
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
 
-    def on_obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def on_mor(self, f: int) -> int:
-        return self.mor_map[f]
-
     def validate(self) -> Report:
         rep = Report("functor")
         c, d = self.source, self.target

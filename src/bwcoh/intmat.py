@@ -77,15 +77,6 @@ class IntMatrix:
         c = self.cols
         return [self.entries[i * c + j] for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        r, c, e = self.rows, self.cols, self.entries
-        out = [0] * (r * c)
-        for i in range(r):
-            base = i * c
-            for j in range(c):
-                out[j * r + i] = e[base + j]
-        return IntMatrix(c, r, tuple(out))
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 

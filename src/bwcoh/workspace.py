@@ -84,6 +84,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+class InvalidWorkspace(ValueError):
+    """A category fails validation before anything is derived from it."""
+
+    def __init__(self, report: Report):
+        super().__init__(str(report))
+        self.report = report
+
+
 @dataclass
 class Task:
     name: str
@@ -631,6 +639,12 @@ def load_workspace(text: str) -> Workspace:
             name, cat = _parse_category(block)
             if name in ws.categories:
                 raise ParseError(block.line_no, f"duplicate category {name!r}")
+            # systems, functors and (co)localizations build on the
+            # composition table, so it must be complete before they parse
+            rep = validate_category(cat)
+            if not rep.ok:
+                rep.subject = f"category {name}"
+                raise InvalidWorkspace(rep)
             ws.categories[name] = cat
         elif block.kind == "functor":
             name, f = _parse_functor(block, ws)

@@ -1,0 +1,137 @@
+"""Differential tests of the sparse cone-reduction engine.
+
+``CochainComplex.cohomology`` answers from ``bwcoh.reduction``; the dense
+``cohomology_data`` route (``subquotient``) and the bar-complex oracle are
+the references it must agree with.
+"""
+
+import random
+
+import pytest
+
+import bwcoh.reduction as reduction
+from bwcoh.abgroup import PresentedGroup, Z, cyclic
+from bwcoh.bwcomplex import HomotopyIdentityError, build_complex
+from bwcoh.fincat import arrow_category, cyclic_group_category
+from bwcoh.intmat import IntMatrix, smith_normal_form
+from bwcoh.natsys import constant_system
+from bwcoh.randgen import InstanceGen
+from bwcoh.workspace import HEADER, category_text, load_workspace
+from oracles import bar_cohomology
+
+# relation matrices that are not injective: Z/2, and Z/2 ⊕ Z
+NON_INJECTIVE = [
+    PresentedGroup(1, IntMatrix(1, 2, (2, 4))),
+    PresentedGroup(2, IntMatrix(2, 3, (2, 0, 6, 0, 0, 0))),
+]
+
+
+def assert_matches_dense(d, max_degree):
+    cx = build_complex(d, max_degree)
+    for n in range(max_degree):
+        assert cx.cohomology(n) == cx.cohomology_data(n).group.invariants, n
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_systems_match_dense(seed):
+    gen = InstanceGen(seed)
+    c = gen.category(6)
+    assert_matches_dense(gen.system(c), 3 + seed % 2)
+
+
+@pytest.mark.parametrize("kind", ["torsion", "hom", "representable",
+                                  "indicator", "product"])
+def test_each_system_kind_matches_dense(kind):
+    gen = InstanceGen(f"reduction-{kind}")
+    c = gen.category(6)
+    d = {
+        "torsion": lambda: constant_system(c, cyclic(6)),
+        "hom": lambda: gen.hom_system(c, 2),
+        "representable": lambda: gen.representable_system(c, True),
+        "indicator": lambda: gen.indicator_system(c),
+        "product": lambda: gen.system_product(
+            constant_system(c, cyclic(4)), gen.hom_system(c, 0)),
+    }[kind]()
+    assert_matches_dense(d, 4)
+
+
+def twisted_z8(k):
+    """Z/8 on Z/k (k even), g_i acting by 3^(i mod 2) on the left and
+    5^(i mod 2) on the right: functorial only modulo 8 (9 and 25 stand for
+    1), so d∘d vanishes only modulo relations and the cone needs its S_n."""
+    c = cyclic_group_category(k)
+    o = c.object_name(0)
+    lines = ["system d on c", "  bifunctor:", f"  value {o} {o}: Z/8"]
+    for h in range(k):
+        for kk in range(k):
+            i, j = (int(c.morphism_name(m)[1:]) for m in (h, kk))
+            lines.append(f"  act {c.morphism_name(h)} {c.morphism_name(kk)}: "
+                         f"[[{3 ** (i % 2) * 5 ** (j % 2)}]]")
+    text = HEADER + "\n" + category_text("c", c) + "\n".join(lines) + "\nend\n"
+    return load_workspace(text).systems["d"]
+
+
+@pytest.mark.parametrize("k, max_degree", [(2, 4), (4, 3)])
+def test_twisted_system_needs_dd_witness(k, max_degree):
+    d = twisted_z8(k)
+    cx = build_complex(d, max_degree)
+    assert any(not x.is_zero() for w in cx.dd_witness for x in w.values())
+    assert_matches_dense(d, max_degree)
+
+
+# the dense oracle on Z/4 at max-degree 4 takes seconds, so Z/4 stops at 3
+@pytest.mark.parametrize("group", NON_INJECTIVE, ids=["z2", "z2+z"])
+@pytest.mark.parametrize("cat, max_degree",
+                         [(cyclic_group_category(2), 4),
+                          (cyclic_group_category(4), 3),
+                          (arrow_category(), 4)],
+                         ids=["z2", "z4", "arrow"])
+def test_non_injective_relations_match_dense(cat, max_degree, group):
+    assert group.injective is not group
+    assert group.injective.invariants == group.invariants
+    assert_matches_dense(constant_system(cat, group), max_degree)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("coeff", [Z, cyclic(2), cyclic(3)],
+                         ids=["Z", "Z/2", "Z/3"])
+def test_cyclic_groups_match_bar_oracle(k, coeff):
+    degrees = 4 if k < 4 else 3
+    cx = build_complex(constant_system(cyclic_group_category(k), coeff),
+                       degrees)
+    assert [cx.cohomology(n) for n in range(degrees)] == \
+        bar_cohomology(k, coeff, degrees)
+
+
+def test_corrupted_cone_entry_is_caught(monkeypatch):
+    # free coefficients leave T^{-1} empty, so only ∂_1∘∂_0 can see the change
+    cx = build_complex(constant_system(cyclic_group_category(3), Z), 3)
+    cone = reduction._cone
+
+    def corrupted(complex_):
+        diffs = cone(complex_)
+        # one entry of ∂_0 into a basis element whose ∂_1 column is nonzero
+        row = next(i for i, col in diffs[2].items() if col)
+        diffs[1][0][row] = diffs[1][0].get(row, 0) + 1
+        return diffs
+
+    monkeypatch.setattr(reduction, "_cone", corrupted)
+    with pytest.raises(HomotopyIdentityError, match="from degree 0"):
+        cx.cohomology(0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_matches_smith(seed):
+    # a product through a narrow middle, so the rank is often deficient
+    rng = random.Random(seed)
+    rows, mid, cols = (rng.randint(1, 9) for _ in range(3))
+
+    def sparse_random(r, c):
+        return IntMatrix(r, c, tuple(rng.choice([0, 0, 0, 1, -1, 2, -3])
+                                     for _ in range(r * c)))
+    m = sparse_random(rows, mid) @ sparse_random(mid, cols)
+    _, s, _ = smith_normal_form(m)
+    rank = sum(1 for i in range(min(rows, cols)) if s.at(i, i))
+    sparse = {j: {i: m.at(i, j) for i in range(rows) if m.at(i, j)}
+              for j in range(cols)}
+    assert reduction._rank(sparse) == rank

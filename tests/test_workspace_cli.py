@@ -141,6 +141,30 @@ end
     assert code == 3
 
 
+def test_incomplete_composition_table_exits_2_on_every_command(tmp_path):
+    # without this line the arrow's systems used to crash the loader with a
+    # KeyError while building the factorization category
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    assert "  compose id_y id_y = id_y\n" in text
+    mutated = tmp_path / "arrow.bwcoh"
+    mutated.write_text(text.replace("  compose id_y id_y = id_y\n", ""),
+                       encoding="utf-8")
+    path = str(mutated)
+    for argv in (
+        ("validate", path),
+        ("cohomology", path, "arrow", "const_z"),
+        ("localization-check", path, "loc_y", "const_z"),
+        ("export", path, str(tmp_path / "out.txt"), "--what", "nerve",
+         "--category", "arrow"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert "category arrow: 1 violation(s)" in out
+        assert "missing composite for (1,1)" in out
+        assert "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_cli_cohomology_formats_and_values():
     ws = str(WORKSPACES / "cyclic.bwcoh")
     code, out, _ = run_cli("cohomology", ws, "z2", "z2_const_z",
