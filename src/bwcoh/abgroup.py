@@ -2,8 +2,8 @@
 
 A group is ``Z^g`` modulo the column span of an integer relations matrix with
 ``g`` rows (each column is one relation).  A homomorphism is an integer matrix
-together with a witness matrix certifying well-definedness on the quotients:
-``M @ R_source == R_target @ Q`` holds exactly.
+``M`` that descends to the quotients: ``M @ R_source`` lies in the column span
+of ``R_target``, checked exactly when the hom is created.
 
 Isomorphism classes are canonicalised by ``GroupInvariants``: free rank plus
 torsion coefficients in a divisibility chain, with trivial coefficients
@@ -144,7 +144,6 @@ class GroupHom:
     source: PresentedGroup
     target: PresentedGroup
     matrix: IntMatrix          # target.generators x source.generators
-    witness: IntMatrix         # matrix @ R_src == R_tgt @ witness
 
     def __post_init__(self):
         if self.matrix.rows != self.target.generators or \
@@ -154,23 +153,20 @@ class GroupHom:
     @staticmethod
     def create(source: PresentedGroup, target: PresentedGroup,
                matrix: IntMatrix) -> "GroupHom":
-        """Build a hom, solving for the well-definedness witness."""
-        w = target.solver.solve_matrix(matrix @ source.relations)
-        if w is None:
+        """Build a hom, checking that the matrix maps relations into the
+        target's relation lattice."""
+        if not target.solver.contains_matrix(matrix @ source.relations):
             raise IllDefinedHom("matrix does not preserve relations")
-        return GroupHom(source, target, matrix, w)
+        return GroupHom(source, target, matrix)
 
     @staticmethod
     def identity(g: PresentedGroup) -> "GroupHom":
-        return GroupHom(g, g, IntMatrix.identity(g.generators),
-                        IntMatrix.identity(g.relations.cols))
+        return GroupHom(g, g, IntMatrix.identity(g.generators))
 
     @staticmethod
     def zero(source: PresentedGroup, target: PresentedGroup) -> "GroupHom":
         return GroupHom(source, target,
-                        IntMatrix.zeros(target.generators, source.generators),
-                        IntMatrix.zeros(target.relations.cols,
-                                        source.relations.cols))
+                        IntMatrix.zeros(target.generators, source.generators))
 
     def is_zero_mod(self) -> bool:
         return self.target.solver.contains_matrix(self.matrix)
@@ -187,19 +183,17 @@ def hom_compose(g: GroupHom, f: GroupHom) -> GroupHom:
     """The composite g∘f (f applied first)."""
     if f.target != g.source:
         raise IllDefinedHom("hom composition middle groups differ")
-    return GroupHom(f.source, g.target, g.matrix @ f.matrix,
-                    g.witness @ f.witness)
+    return GroupHom(f.source, g.target, g.matrix @ f.matrix)
 
 
 def hom_add(a: GroupHom, b: GroupHom) -> GroupHom:
     if a.source != b.source or a.target != b.target:
         raise IllDefinedHom("hom addition shape mismatch")
-    return GroupHom(a.source, a.target, a.matrix + b.matrix,
-                    a.witness + b.witness)
+    return GroupHom(a.source, a.target, a.matrix + b.matrix)
 
 
 def hom_negate(a: GroupHom) -> GroupHom:
-    return GroupHom(a.source, a.target, -a.matrix, -a.witness)
+    return GroupHom(a.source, a.target, -a.matrix)
 
 
 def preimage_lattice_basis(m: IntMatrix, target_rels: IntMatrix) -> IntMatrix:

@@ -110,10 +110,6 @@ class ProductGroup:
     def total_gens(self) -> int:
         return self.gen_offsets[-1]
 
-    @property
-    def total_rels(self) -> int:
-        return self.rel_offsets[-1]
-
     @cached_property
     def group(self) -> PresentedGroup:
         return direct_product(list(self.factors))
@@ -122,13 +118,12 @@ class ProductGroup:
 class BlockHom:
     """Block-sparse homomorphism between products of presented groups.
 
-    ``blocks[(ti, si)] = (M, Q)`` where M maps generators of source factor si
-    to generators of target factor ti and Q is the matching witness on
-    relations.  Absent blocks are zero.
+    ``blocks[(ti, si)] = M`` where M maps generators of source factor si to
+    generators of target factor ti.  Absent blocks are zero.
     """
 
     def __init__(self, src: ProductGroup, dst: ProductGroup,
-                 blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]]):
+                 blocks: dict[tuple[int, int], IntMatrix]):
         self.src = src
         self.dst = dst
         self.blocks = blocks
@@ -139,27 +134,20 @@ class BlockHom:
 
     @staticmethod
     def identity(pg: ProductGroup) -> "BlockHom":
-        blocks = {}
-        for i, f in enumerate(pg.factors):
-            blocks[(i, i)] = (IntMatrix.identity(f.generators),
-                              IntMatrix.identity(f.relations.cols))
-        return BlockHom(pg, pg, blocks)
+        return BlockHom(pg, pg, {(i, i): IntMatrix.identity(f.generators)
+                                 for i, f in enumerate(pg.factors)})
 
     def add(self, other: "BlockHom") -> "BlockHom":
         if self.src is not other.src and self.src != other.src:
             raise ShapeMismatch("block hom addition source mismatch")
         blocks = dict(self.blocks)
-        for key, (m, q) in other.blocks.items():
-            if key in blocks:
-                m0, q0 = blocks[key]
-                blocks[key] = (m0 + m, q0 + q)
-            else:
-                blocks[key] = (m, q)
+        for key, m in other.blocks.items():
+            blocks[key] = blocks[key] + m if key in blocks else m
         return BlockHom(self.src, self.dst, blocks)
 
     def neg(self) -> "BlockHom":
         return BlockHom(self.src, self.dst,
-                        {k: (-m, -q) for k, (m, q) in self.blocks.items()})
+                        {k: -m for k, m in self.blocks.items()})
 
     def sub(self, other: "BlockHom") -> "BlockHom":
         return self.add(other.neg())
@@ -168,19 +156,14 @@ class BlockHom:
         """self ∘ first."""
         if first.dst.factors != self.src.factors:
             raise ShapeMismatch("block hom composition middle mismatch")
-        by_row: dict[int, list[tuple[int, tuple[IntMatrix, IntMatrix]]]] = {}
-        for (m, s), mq in first.blocks.items():
-            by_row.setdefault(m, []).append((s, mq))
-        blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
-        for (t, m), (m2mat, q2) in self.blocks.items():
-            for (s, (m1mat, q1)) in by_row.get(m, ()):
-                mm = m2mat @ m1mat
-                qq = q2 @ q1
-                if (t, s) in blocks:
-                    m0, q0 = blocks[(t, s)]
-                    blocks[(t, s)] = (m0 + mm, q0 + qq)
-                else:
-                    blocks[(t, s)] = (mm, qq)
+        by_row: dict[int, list[tuple[int, IntMatrix]]] = {}
+        for (m, s), m1 in first.blocks.items():
+            by_row.setdefault(m, []).append((s, m1))
+        blocks: dict[tuple[int, int], IntMatrix] = {}
+        for (t, m), m2 in self.blocks.items():
+            for s, m1 in by_row.get(m, ()):
+                mm = m2 @ m1
+                blocks[(t, s)] = blocks[(t, s)] + mm if (t, s) in blocks else mm
         return BlockHom(first.src, self.dst, blocks)
 
     def first_nonzero_coordinate(self, solutions: dict | None = None
@@ -192,7 +175,7 @@ class BlockHom:
         ``solutions`` is given, the X of every nonzero block is stored there.
         """
         for (t, s) in sorted(self.blocks):
-            m, _ = self.blocks[(t, s)]
+            m = self.blocks[(t, s)]
             if m.is_zero():
                 continue
             x = self.dst.factors[t].injective.solver.solve_matrix(m)
@@ -214,7 +197,7 @@ class BlockHom:
         out = [0] * (rows * cols)
         go_d = self.dst.gen_offsets
         go_s = self.src.gen_offsets
-        for (t, s), (m, _) in self.blocks.items():
+        for (t, s), m in self.blocks.items():
             rbase, cbase = go_d[t], go_s[s]
             for i in range(m.rows):
                 obase = (rbase + i) * cols + cbase
@@ -225,36 +208,35 @@ class BlockHom:
                         out[obase + j] += x
         return IntMatrix(rows, cols, tuple(out))
 
-    def to_witness(self) -> IntMatrix:
-        rows = self.dst.total_rels
-        cols = self.src.total_rels
-        out = [0] * (rows * cols)
-        ro_d = self.dst.rel_offsets
-        ro_s = self.src.rel_offsets
-        for (t, s), (_, q) in self.blocks.items():
-            rbase, cbase = ro_d[t], ro_s[s]
-            for i in range(q.rows):
-                obase = (rbase + i) * cols + cbase
-                qbase = i * q.cols
-                for j in range(q.cols):
-                    x = q.entries[qbase + j]
-                    if x:
-                        out[obase + j] += x
-        return IntMatrix(rows, cols, tuple(out))
+    def to_witness(self) -> tuple[dict[tuple[int, int], IntMatrix],
+                                  tuple[int, int] | None]:
+        """Blocks Q with M R_s = R_t Q in the independent relations of each
+        factor (``PresentedGroup.injective``), and the first (target block,
+        source block) whose M does not preserve relations, or None."""
+        found: dict = {}
+        witness: dict[tuple[int, int], IntMatrix] = {}
+        for (t, s) in sorted(self.blocks):
+            m = self.blocks[(t, s)]
+            src = self.src.factors[s].injective
+            if not src.relations.cols:
+                continue
+            dst = self.dst.factors[t].injective
+            key = (id(src), id(dst), m)
+            if key not in found:
+                found[key] = dst.solver.solve_matrix(m @ src.relations)
+            q = found[key]
+            if q is None:
+                return witness, (t, s)
+            witness[(t, s)] = q
+        return witness, None
 
     def to_hom(self) -> GroupHom:
-        return GroupHom(self.src.group, self.dst.group,
-                        self.to_matrix(), self.to_witness())
+        return GroupHom(self.src.group, self.dst.group, self.to_matrix())
 
 
 def _acc_block(acc: dict, ti: int, si: int, hom: GroupHom, sign: int) -> None:
     m = hom.matrix if sign == 1 else hom.matrix.scale(sign)
-    q = hom.witness if sign == 1 else hom.witness.scale(sign)
-    if (ti, si) in acc:
-        m0, q0 = acc[(ti, si)]
-        acc[(ti, si)] = (m0 + m, q0 + q)
-    else:
-        acc[(ti, si)] = (m, q)
+    acc[(ti, si)] = acc[(ti, si)] + m if (ti, si) in acc else m
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +310,7 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
     for n in range(max_degree):
         idx = indexes[n]
         small = bases[n]
-        acc: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
+        acc: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(bases[n + 1]):
             m = tau.length
             comp = tau.composite
@@ -482,7 +464,7 @@ def induced_map_nat(m: NatSysMorphism, cx_src: CochainComplex,
     maps = []
     for n in range(min(cx_src.max_degree, cx_dst.max_degree) + 1):
         idx = cx_src.index[n]
-        blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
+        blocks: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(cx_dst.bases[n]):
             if n == 0:
                 si = idx[("obj", phi.obj_map[tau.objects[0]])]
@@ -507,7 +489,7 @@ def induced_map_2(m: NatSysMorphism, cx_src: CochainComplex,
     maps = []
     for n in range(min(cx_src.max_degree, cx_dst.max_degree) + 1):
         idx = cx_src.index[n]
-        blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
+        blocks: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(cx_dst.bases[n]):
             x, y = tau.objects[-1], tau.objects[0]
             if n == 0:
@@ -549,7 +531,7 @@ def homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
     maps: dict[int, BlockHom] = {}
     for n in range(N):     # target degree; sources have degree n+1
         idx = cx_src.index[n + 1]
-        blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
+        blocks: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(cx_dst.bases[n]):
             x, y = tau.objects[-1], tau.objects[0]
             sigma = tau.composite
@@ -625,7 +607,7 @@ def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
     maps: dict[int, BlockHom] = {}
     for n in range(N - 1):   # target degree; sources have degree n+2
         idx = cx_src.index[n + 2]
-        blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
+        blocks: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(cx_dst.bases[n]):
             y = tau.objects[0]
             sigma = tau.composite
@@ -692,7 +674,7 @@ def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
     maps: dict[int, BlockHom] = {}
     for n in range(N - 1):
         idx = cx_a.index[n + 2]
-        blocks: dict[tuple[int, int], tuple[IntMatrix, IntMatrix]] = {}
+        blocks: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(cx_b.bases[n]):
             y = tau.objects[0]
             sigma = tau.composite

@@ -30,6 +30,26 @@ EXIT_INVALID = 2
 EXIT_PARSE = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_PARSE``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _load(path: str) -> Workspace:
     try:
         return load_workspace_file(path)
@@ -179,6 +199,10 @@ def cmd_export(args) -> int:
         if not (args.category and args.system):
             print("error: --category and --system required", file=sys.stderr)
             return EXIT_PARSE
+        if args.max_degree < 1:
+            print("error: --max-degree must be at least 1 for a complex",
+                  file=sys.stderr)
+            return EXIT_PARSE
         cat = _require(ws, ws.categories, "category", args.category)
         system = _require(ws, ws.systems, "system", args.system)
         if ws.system_base[args.system] != args.category:
@@ -212,7 +236,7 @@ def cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bwcoh",
         description="Exact cohomology of finite categories with "
                     "natural-system coefficients.")
@@ -226,15 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.add_argument("category")
     c.add_argument("system")
-    c.add_argument("--max-degree", type=int, default=4)
+    c.add_argument("--max-degree", type=_at_least(1), default=4)
     c.add_argument("--format", choices=("human", "machine"), default="human")
     c.set_defaults(func=cmd_cohomology)
 
     l = sub.add_parser("check-laws", help="run randomized law suites")
     l.add_argument("--seed", type=int, default=1)
-    l.add_argument("--cases", type=int, default=50)
-    l.add_argument("--max-morphisms", type=int, default=6)
-    l.add_argument("--max-degree", type=int, default=4)
+    l.add_argument("--cases", type=_at_least(1), default=50)
+    l.add_argument("--max-morphisms", type=_at_least(1), default=6)
+    l.add_argument("--max-degree", type=_at_least(1), default=4)
     l.add_argument("--law", default="all")
     l.set_defaults(func=cmd_check_laws)
 
@@ -244,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("file")
     k.add_argument("localization")
     k.add_argument("system")
-    k.add_argument("--max-degree", type=int, default=3)
+    k.add_argument("--max-degree", type=_at_least(1), default=3)
     k.set_defaults(func=cmd_localization_check)
 
     e = sub.add_parser("export", help="export derived structures")
@@ -254,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     e.add_argument("--category")
     e.add_argument("--system")
-    e.add_argument("--max-degree", type=int, default=3)
+    e.add_argument("--max-degree", type=_at_least(0), default=3)
     e.set_defaults(func=cmd_export)
     return p
 

@@ -300,12 +300,11 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
     for n in range(max_degree + 1):
         bh = n_map.maps[n]
         blocks = {}
-        for (t, s), (m, _) in bh.blocks.items():
+        for (t, s), m in bh.blocks.items():
             src_g = bh.src.factors[s]
             dst_g = bh.dst.factors[t]
             hom = GroupHom.create(src_g, dst_g, m)
-            invh = hom_inverse(hom)
-            blocks[(s, t)] = (invh.matrix, invh.witness)
+            blocks[(s, t)] = hom_inverse(hom).matrix
         inv_blocks_per_degree.append(BlockHom(bh.dst, bh.src, blocks))
     n_inv = CochainMap(cx_dp, cx_d, tuple(inv_blocks_per_degree), label="N^-1")
     n_inv.check_chain()

@@ -211,8 +211,7 @@ class InstanceGen:
                        zip(d1.functor.values, d2.functor.values))
         homs = tuple(
             GroupHom(values[fc.pairs[i].src], values[fc.pairs[i].dst],
-                     IntMatrix.block_diag([h1.matrix, h2.matrix]),
-                     IntMatrix.block_diag([h1.witness, h2.witness]))
+                     IntMatrix.block_diag([h1.matrix, h2.matrix]))
             for i, (h1, h2) in enumerate(zip(d1.functor.homs, d2.functor.homs)))
         return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
 
@@ -338,8 +337,7 @@ class InstanceGen:
             return t_mor, s_mor
         u = self.rng.choice([2, 3, -1])
         comps = tuple(
-            GroupHom(v, v, IntMatrix.identity(v.generators).scale(u),
-                     IntMatrix.identity(v.relations.cols).scale(u))
+            GroupHom(v, v, IntMatrix.identity(v.generators).scale(u))
             for v in e_sys.functor.values)
         w = AbNat(e_sys.functor, e_sys.functor, comps)
         return (

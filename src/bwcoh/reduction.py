@@ -11,8 +11,9 @@ the resolutions of a complex truncated at degree N gives the free cone
 where ``D_n R_n = R_{n+1} Q_n`` and ``D_{n+1} D_n = R_{n+2} S_n``; the top
 differential ``∂_{N-1}`` keeps only its first component.  ``H^n(T)`` is
 ``H^n`` of the complex for every ``n < N``.  ``S_n`` comes from the ``d∘d``
-check of ``build_complex`` (``CochainComplex.dd_witness``) and ``Q_n`` is
-solved block by block with the target factor's cached solver.
+check of ``build_complex`` (``CochainComplex.dd_witness``) and ``Q_n`` from
+``BlockHom.to_witness``, which solves it block by block in the factors'
+independent relations.
 
 The cone is checked for ``∂∘∂ = 0`` exactly, then shrunk by elimination on
 ±1 pivots: each pivot splits off an acyclic ``Z -±1-> Z``, replaces its own
@@ -76,13 +77,12 @@ def _cone(cx: CochainComplex) -> list[Columns]:
     diffs: list[Columns] = []
     for n in range(-1, top):
         diffs.append({j: {} for j in range(x_size[n + 1] + y_size[n + 1])})
-    q_cache: dict = {}
 
     for n in range(-1, top):
         cols = diffs[n + 1]
         y0, below = x_size[n + 1], x_size[n + 2]   # y offset in T^n, T^{n+1}
         if n >= 0:
-            for (t, s), (m, _) in cx.diffs[n].blocks.items():     # D_n x
+            for (t, s), m in cx.diffs[n].blocks.items():          # D_n x
                 _put(cols, gens[n][s], gens[n + 1][t], m, 1)
         if 0 <= n < top - 1:
             for (t, s), x in cx.dd_witness[n].items():            # -S_n x
@@ -90,19 +90,13 @@ def _cone(cx: CochainComplex) -> list[Columns]:
         for s, f in enumerate(inj[n + 1]):                        # R_{n+1} y
             _put(cols, y0 + rels[n + 1][s], gens[n + 1][s], f.relations, 1)
         if n < top - 1:
-            for (t, s), (m, _) in cx.diffs[n + 1].blocks.items():  # -Q_{n+1} y
-                src, dst = inj[n + 1][s], inj[n + 2][t]
-                if not (src.relations.cols and dst.relations.cols):
-                    continue
-                key = (id(src), id(dst), m)
-                if key not in q_cache:
-                    q_cache[key] = dst.solver.solve_matrix(m @ src.relations)
-                q = q_cache[key]
-                if q is None:
-                    raise HomotopyIdentityError(
-                        f"differential from degree {n + 1} does not preserve "
-                        f"relations: target {cx.coordinate_name(n + 2, t)}, "
-                        f"source {cx.coordinate_name(n + 1, s)}")
+            witness, bad = cx.diffs[n + 1].to_witness()           # -Q_{n+1} y
+            if bad is not None:
+                raise HomotopyIdentityError(
+                    f"differential from degree {n + 1} does not preserve "
+                    f"relations: target {cx.coordinate_name(n + 2, bad[0])}, "
+                    f"source {cx.coordinate_name(n + 1, bad[1])}")
+            for (t, s), q in witness.items():
                 _put(cols, y0 + rels[n + 1][s], below + rels[n + 2][t], q, -1)
     return diffs
 

@@ -108,8 +108,8 @@ def test_hom_algebra_and_witnesses():
     b = GroupHom.create(cyclic(2), cyclic(2), mat([[1]]))
     comp = hom_compose(b, a)
     assert comp.matrix == mat([[1]])
-    assert (comp.matrix @ comp.source.relations) == \
-        (comp.target.relations @ comp.witness)
+    assert comp.target.solver.contains_matrix(
+        comp.matrix @ comp.source.relations)
     s = hom_add(a, hom_negate(a))
     assert s.is_zero_mod()
 

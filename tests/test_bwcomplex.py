@@ -200,7 +200,7 @@ def test_homotopy_class_equal_reflexive_and_boundary():
             for ti in range(len(cx.bases[n - 2])):
                 for si in range(len(cx.bases[n])):
                     m = IntMatrix(1, 1, (rng.randint(-2, 2),))
-                    blocks[(ti, si)] = (m, IntMatrix(0, 0, ()))
+                    blocks[(ti, si)] = m
             r0[n] = BlockHom(cx.groups[n], cx.groups[n - 2], blocks)
         maps2 = {}
         for n in (1, 2, 3):
@@ -231,7 +231,7 @@ def test_homotopy_class_equal_detects_nonhomotopic():
                                                  cx.groups[n - 1])
                                 for n in (1, 2, 3)}, zero_map, zero_map)
     zero_h.check_boundary()
-    blocks = {(0, 1): (IntMatrix(1, 1, (1,)), IntMatrix(1, 1, (0,)))}
+    blocks = {(0, 1): IntMatrix(1, 1, (1,))}
     maps = {1: BlockHom(cx.groups[1], cx.groups[0], blocks),
             2: BlockHom.zero(cx.groups[2], cx.groups[1]),
             3: BlockHom.zero(cx.groups[3], cx.groups[2])}

@@ -10,7 +10,7 @@ import random
 import pytest
 
 import bwcoh.reduction as reduction
-from bwcoh.abgroup import PresentedGroup, Z, cyclic
+from bwcoh.abgroup import PresentedGroup, Z, cyclic, from_invariants
 from bwcoh.bwcomplex import HomotopyIdentityError, build_complex
 from bwcoh.fincat import arrow_category, cyclic_group_category
 from bwcoh.intmat import IntMatrix, smith_normal_form
@@ -117,6 +117,18 @@ def test_corrupted_cone_entry_is_caught(monkeypatch):
 
     monkeypatch.setattr(reduction, "_cone", corrupted)
     with pytest.raises(HomotopyIdentityError, match="from degree 0"):
+        cx.cohomology(0)
+
+
+def test_differential_not_preserving_relations_is_caught():
+    # Z ⊕ Z/2: sending the torsion generator to the free one maps the
+    # relation 2·e1 to 2·e0, which is not a relation
+    cx = build_complex(
+        constant_system(cyclic_group_category(2), from_invariants(1, (2,))), 3)
+    cx.diffs[1].blocks[(0, 0)] = IntMatrix.from_rows([[0, 1], [0, 0]])
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"from degree 1 does not preserve relations: "
+                             r"target \(g0,g0\), source \(g0\)"):
         cx.cohomology(0)
 
 

@@ -314,3 +314,38 @@ end
              if l.startswith("degree")]
     assert lines == [f"degree {n}: 1 basis sequence(s), group Z"
                      for n in range(4)]
+
+
+
+ARROW = str(WORKSPACES / "arrow.bwcoh")
+CYCLIC = str(WORKSPACES / "cyclic.bwcoh")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("cohomology", CYCLIC, "z2", "z2_const_z", "--max-degree", "0"),
+     "--max-degree"),
+    (("cohomology", CYCLIC, "z2", "z2_const_z", "--max-degree", "-1"),
+     "--max-degree"),
+    (("localization-check", ARROW, "loc_y", "const_z", "--max-degree", "0"),
+     "--max-degree"),
+    (("localization-check", ARROW, "loc_y", "const_z", "--max-degree", "-1"),
+     "--max-degree"),
+    (("export", ARROW, "{out}", "--what", "complex", "--category", "arrow",
+      "--system", "const_z4", "--max-degree", "0"), "--max-degree"),
+    (("export", ARROW, "{out}", "--what", "complex", "--category", "arrow",
+      "--system", "const_z4", "--max-degree", "-1"), "--max-degree"),
+    (("check-laws", "--cases", "2", "--max-degree", "0"), "--max-degree"),
+    (("check-laws", "--cases", "2", "--max-morphisms", "0"),
+     "--max-morphisms"),
+    (("check-laws", "--cases", "-1"), "--cases"),
+    (("cohomology", CYCLIC, "z2", "z2_const_z", "--max-degree", "abc"),
+     "invalid int value: 'abc'"),
+    (("frobnicate",), "frobnicate"),
+])
+def test_bad_arguments_exit_3_before_any_work(tmp_path, argv, named):
+    out_file = tmp_path / "out.txt"
+    code, out, err = run_cli(*(a.format(out=out_file) for a in argv))
+    assert code == 3
+    assert out == ""
+    assert named in err and "Traceback" not in err
+    assert not out_file.exists()
