@@ -40,14 +40,18 @@ sums leave the intermediate groups implicit:
   ``s``.
 
 Every constructor asserts its defining identity exactly (integer arithmetic,
-zero tolerance) and reports the offending degree and basis coordinate on
-failure; these identities are the load-bearing content and silent tolerance
-would mask sign errors.
+zero tolerance); these identities are the load-bearing content and silent
+tolerance would mask sign errors.  Each identity (``d∘d = 0``, ``dp = pd``,
+``dh + hd = -p + q``, the two ``dr - rd`` identities and the interchange law)
+is written as one ``BlockHom.signed_sum`` of composites and checked by
+``require_vanishing``, which reports the offending degree and the target and
+source coordinates on failure.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,6 +119,10 @@ class ProductGroup:
         return direct_product(list(self.factors))
 
 
+# (sign, left, right): sign·(left∘right), or sign·left when right is None
+Term = tuple[int, "BlockHom", "BlockHom | None"]
+
+
 class BlockHom:
     """Block-sparse homomorphism between products of presented groups.
 
@@ -129,42 +137,40 @@ class BlockHom:
         self.blocks = blocks
 
     @staticmethod
-    def zero(src: ProductGroup, dst: ProductGroup) -> "BlockHom":
-        return BlockHom(src, dst, {})
-
-    @staticmethod
     def identity(pg: ProductGroup) -> "BlockHom":
         return BlockHom(pg, pg, {(i, i): IntMatrix.identity(f.generators)
                                  for i, f in enumerate(pg.factors)})
 
-    def add(self, other: "BlockHom") -> "BlockHom":
-        if self.src is not other.src and self.src != other.src:
-            raise ShapeMismatch("block hom addition source mismatch")
-        blocks = dict(self.blocks)
-        for key, m in other.blocks.items():
-            blocks[key] = blocks[key] + m if key in blocks else m
-        return BlockHom(self.src, self.dst, blocks)
+    @staticmethod
+    def signed_sum(terms: list[Term]) -> "BlockHom":
+        """Sum of ``sign·(left∘right)`` over ``(sign, left, right)`` terms,
+        ``sign·left`` when ``right`` is None, accumulated blockwise.
 
-    def neg(self) -> "BlockHom":
-        return BlockHom(self.src, self.dst,
-                        {k: -m for k, m in self.blocks.items()})
-
-    def sub(self, other: "BlockHom") -> "BlockHom":
-        return self.add(other.neg())
+        Each sign is 1 or -1, and every term must map the same source to
+        the same target."""
+        blocks: dict[tuple[int, int], IntMatrix] = {}
+        src = dst = None
+        for sign, left, right in terms:
+            if right is None:
+                term_src, products = left.src, left.blocks.items()
+            else:
+                term_src, products = right.src, _block_products(left, right)
+            if src is None:
+                src, dst = term_src, left.dst
+            elif term_src.factors != src.factors or \
+                    left.dst.factors != dst.factors:
+                raise ShapeMismatch("signed sum terms differ in shape")
+            for key, m in products:
+                if key in blocks:
+                    blocks[key] = blocks[key] + m if sign == 1 \
+                        else blocks[key] - m
+                else:
+                    blocks[key] = m if sign == 1 else -m
+        return BlockHom(src, dst, blocks)
 
     def compose(self, first: "BlockHom") -> "BlockHom":
         """self ∘ first."""
-        if first.dst.factors != self.src.factors:
-            raise ShapeMismatch("block hom composition middle mismatch")
-        by_row: dict[int, list[tuple[int, IntMatrix]]] = {}
-        for (m, s), m1 in first.blocks.items():
-            by_row.setdefault(m, []).append((s, m1))
-        blocks: dict[tuple[int, int], IntMatrix] = {}
-        for (t, m), m2 in self.blocks.items():
-            for s, m1 in by_row.get(m, ()):
-                mm = m2 @ m1
-                blocks[(t, s)] = blocks[(t, s)] + mm if (t, s) in blocks else mm
-        return BlockHom(first.src, self.dst, blocks)
+        return BlockHom.signed_sum([(1, self, first)])
 
     def first_nonzero_coordinate(self, solutions: dict | None = None
                                  ) -> tuple[int, int] | None:
@@ -184,12 +190,6 @@ class BlockHom:
             if solutions is not None:
                 solutions[(t, s)] = x
         return None
-
-    def is_zero_mod(self) -> bool:
-        return self.first_nonzero_coordinate() is None
-
-    def equal_mod(self, other: "BlockHom") -> bool:
-        return self.sub(other).is_zero_mod()
 
     def to_matrix(self) -> IntMatrix:
         rows = self.dst.total_gens
@@ -232,6 +232,18 @@ class BlockHom:
 
     def to_hom(self) -> GroupHom:
         return GroupHom(self.src.group, self.dst.group, self.to_matrix())
+
+
+def _block_products(left: BlockHom, right: BlockHom):
+    """The products ``left[t, m] @ right[m, s]``, keyed by ``(t, s)``."""
+    if right.dst.factors != left.src.factors:
+        raise ShapeMismatch("block hom composition middle mismatch")
+    by_row: dict[int, list[tuple[int, IntMatrix]]] = {}
+    for (m, s), m1 in right.blocks.items():
+        by_row.setdefault(m, []).append((s, m1))
+    for (t, m), m2 in left.blocks.items():
+        for s, m1 in by_row.get(m, ()):
+            yield (t, s), m2 @ m1
 
 
 def _acc_block(acc: dict, ti: int, si: int, hom: GroupHom, sign: int) -> None:
@@ -293,6 +305,21 @@ class CochainComplex:
         return self._invariants[n]
 
 
+def require_vanishing(total: BlockHom, label: str, cx_src: CochainComplex,
+                      n: int, cx_dst: CochainComplex, m: int,
+                      solutions: dict | None = None) -> None:
+    """Raise ``HomotopyIdentityError`` unless ``total``, a map from degree n
+    of ``cx_src`` to degree m of ``cx_dst``, is zero modulo relations; the
+    message names the degree and the first offending target and source
+    coordinates.  ``solutions`` is passed on to ``first_nonzero_coordinate``."""
+    bad = total.first_nonzero_coordinate(solutions)
+    if bad is not None:
+        raise HomotopyIdentityError(
+            f"{label} fails at degree {n}: "
+            f"target {cx_dst.coordinate_name(m, bad[0])}, "
+            f"source {cx_src.coordinate_name(n, bad[1])}")
+
+
 def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
     if max_degree < 1:
         raise DegreeOutOfRange("max degree must be at least 1")
@@ -345,12 +372,9 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
     cx = CochainComplex(d, max_degree, bases, groups, diffs)
     for n in range(max_degree - 1):
         witness: dict[tuple[int, int], IntMatrix] = {}
-        bad = diffs[n + 1].compose(diffs[n]).first_nonzero_coordinate(witness)
+        require_vanishing(BlockHom.signed_sum([(1, diffs[n + 1], diffs[n])]),
+                          "d∘d = 0", cx, n, cx, n + 2, witness)
         cx.dd_witness.append(witness)
-        if bad is not None:
-            raise HomotopyIdentityError(
-                f"d∘d != 0 from degree {n}: target {cx.coordinate_name(n + 2, bad[0])}, "
-                f"source {cx.coordinate_name(n, bad[1])}")
     return cx
 
 
@@ -374,14 +398,11 @@ class CochainMap:
 
     def check_chain(self) -> None:
         for n in range(self.max_degree):
-            lhs = self.target.diffs[n].compose(self.maps[n])
-            rhs = self.maps[n + 1].compose(self.source.diffs[n])
-            bad = lhs.sub(rhs).first_nonzero_coordinate()
-            if bad is not None:
-                raise HomotopyIdentityError(
-                    f"chain map {self.label or '?'} fails dp=pd at degree {n}: "
-                    f"target {self.target.coordinate_name(n + 1, bad[0])}, "
-                    f"source {self.source.coordinate_name(n, bad[1])}")
+            total = BlockHom.signed_sum([
+                (1, self.target.diffs[n], self.maps[n]),
+                (-1, self.maps[n + 1], self.source.diffs[n])])
+            require_vanishing(total, f"chain map {self.label or '?'} dp=pd",
+                              self.source, n, self.target, n + 1)
 
     def compose(self, first: "CochainMap") -> "CochainMap":
         if first.target is not self.source:
@@ -393,11 +414,12 @@ class CochainMap:
                           label=f"{self.label}∘{first.label}")
 
     def equal_mod(self, other: "CochainMap") -> bool:
-        return all(a.equal_mod(b) for a, b in zip(self.maps, other.maps))
+        return all(BlockHom.signed_sum([(1, a, None), (-1, b, None)])
+                   .first_nonzero_coordinate() is None
+                   for a, b in zip(self.maps, other.maps))
 
     def is_identity_mod(self) -> bool:
-        return all(m.equal_mod(BlockHom.identity(g))
-                   for m, g in zip(self.maps, self.source.groups))
+        return self.equal_mod(identity_cochain_map(self.source))
 
 
 def identity_cochain_map(cx: CochainComplex) -> CochainMap:
@@ -417,16 +439,13 @@ class Homotopy1:
     def check_boundary(self) -> None:
         N = min(self.source.max_degree, self.target.max_degree)
         for n in range(N):
-            terms = self.maps[n + 1].compose(self.source.diffs[n])
+            # hd + dh + p - q
+            terms = [(1, self.maps[n + 1], self.source.diffs[n]),
+                     (1, self.p.maps[n], None), (-1, self.q.maps[n], None)]
             if n >= 1:
-                terms = terms.add(self.target.diffs[n - 1].compose(self.maps[n]))
-            rhs = self.q.maps[n].sub(self.p.maps[n])
-            bad = terms.sub(rhs).first_nonzero_coordinate()
-            if bad is not None:
-                raise HomotopyIdentityError(
-                    f"dh+hd = -p+q fails at degree {n}: "
-                    f"target {self.target.coordinate_name(n, bad[0])}, "
-                    f"source {self.source.coordinate_name(n, bad[1])}")
+                terms.append((1, self.target.diffs[n - 1], self.maps[n]))
+            require_vanishing(BlockHom.signed_sum(terms), "dh+hd = -p+q",
+                              self.source, n, self.target, n)
 
     def sub(self, other: "Homotopy1", p: CochainMap, q: CochainMap
             ) -> "Homotopy1":
@@ -434,7 +453,9 @@ class Homotopy1:
 
         When self.q == other.q this is a homotopy from self.p to other.p.
         """
-        maps = {n: self.maps[n].sub(other.maps[n]) for n in self.maps}
+        maps = {n: BlockHom.signed_sum([(1, self.maps[n], None),
+                                        (-1, other.maps[n], None)])
+                for n in self.maps}
         return Homotopy1(self.source, self.target, maps, p, q)
 
 
@@ -444,6 +465,20 @@ class Homotopy2:
     source: CochainComplex
     target: CochainComplex
     maps: dict[int, BlockHom]    # n -> (A^n -> B^{n-2}), n = 2..max_degree
+
+    def check_boundary(self, rhs_terms: Callable[[int], list[Term]],
+                       label: str) -> None:
+        """Verify dr - rd == Σ rhs_terms(n) in degrees 1..N-1, where
+        ``rhs_terms(n)`` lists the signed-sum terms of the degree -1 side."""
+        N = min(self.source.max_degree, self.target.max_degree)
+        for n in range(1, N):
+            terms = [(-1, self.maps[n + 1], self.source.diffs[n])]
+            if n >= 2:
+                terms.append((1, self.target.diffs[n - 2], self.maps[n]))
+            terms += [(-sign, left, right)
+                      for sign, left, right in rhs_terms(n)]
+            require_vanishing(BlockHom.signed_sum(terms), label,
+                              self.source, n, self.target, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +550,7 @@ def induced_map_2(m: NatSysMorphism, cx_src: CochainComplex,
 def homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
                cx_dst: CochainComplex, check: bool = True) -> Homotopy1:
     """The degree -1 family attached to a two-morphism (eps, gam)."""
-    rep = tm.validate()
-    if not rep.ok:
-        from .natsys import TwoMorphismInvalid
-        raise TwoMorphismInvalid(str(rep))
+    tm.require()
     alpha, beta = tm.src.alpha, tm.dst.alpha
     eps, gam = tm.eps, tm.gam
     phi = alpha.source_functor
@@ -557,39 +589,14 @@ def homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
     return h
 
 
-def _check_r_identity(r_maps: dict[int, BlockHom],
-                      cx_src: CochainComplex, cx_dst: CochainComplex,
-                      rhs_terms: list[tuple[int, dict[int, BlockHom]]],
-                      label: str) -> None:
-    """Verify d∘r - r∘d == signed sum of degree -1 families, degrees 1..N-1."""
-    N = min(cx_src.max_degree, cx_dst.max_degree)
-    for n in range(1, N):
-        lhs = r_maps[n + 1].compose(cx_src.diffs[n]).neg()
-        if n >= 2:
-            lhs = lhs.add(cx_dst.diffs[n - 2].compose(r_maps[n]))
-        rhs = BlockHom.zero(cx_src.groups[n], cx_dst.groups[n - 1])
-        for sign, fam in rhs_terms:
-            term = fam[n]
-            rhs = rhs.add(term if sign == 1 else term.neg())
-        bad = lhs.sub(rhs).first_nonzero_coordinate()
-        if bad is not None:
-            raise HomotopyIdentityError(
-                f"{label} fails at degree {n}: "
-                f"target {cx_dst.coordinate_name(n - 1, bad[0])}, "
-                f"source {cx_src.coordinate_name(n, bad[1])}")
-
-
 def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
                         cx_src: CochainComplex, cx_dst: CochainComplex
                         ) -> Homotopy2:
     """Degree -2 family for stacked two-morphisms a: (alpha,t) => (alpha',t')
     and b: (alpha',t') => (beta,s), with
     dr - rd = -h_a - h_b + h_{b∘a} checked exactly."""
-    for tm in (a, b):
-        rep = tm.validate()
-        if not rep.ok:
-            from .natsys import TwoMorphismInvalid
-            raise TwoMorphismInvalid("ladder invalid: " + str(rep))
+    a.require()
+    b.require()
     if a.dst.alpha != b.src.alpha or not a.dst.nat.equal_mod(b.src.nat):
         raise ShapeMismatch("ladder middle morphisms disagree")
     alpha = a.src.alpha
@@ -633,10 +640,12 @@ def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
     h_a = homotopy_h(a, cx_src, cx_dst)
     h_b = homotopy_h(b, cx_src, cx_dst)
     h_ab = homotopy_h(vertical_compose_two(b, a), cx_src, cx_dst)
-    _check_r_identity(maps, cx_src, cx_dst,
-                      [(-1, h_a.maps), (-1, h_b.maps), (1, h_ab.maps)],
-                      "dr-rd = -h -h' +h''")
-    return Homotopy2(cx_src, cx_dst, maps)
+    r = Homotopy2(cx_src, cx_dst, maps)
+    r.check_boundary(lambda n: [(-1, h_a.maps[n], None),
+                                (-1, h_b.maps[n], None),
+                                (1, h_ab.maps[n], None)],
+                     "dr-rd = -h -h' +h''")
+    return r
 
 
 def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
@@ -645,11 +654,8 @@ def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
     """Degree -2 family for side-by-side two-morphisms a on (C,D) -> (D',E)
     and b on (D',E) -> (E',G), with
     dr' - r'd = -h_b∘F*(alpha,t) - F*(beta',s')∘h_a + h_{b*a} checked exactly."""
-    for tm in (a, b):
-        rep = tm.validate()
-        if not rep.ok:
-            from .natsys import TwoMorphismInvalid
-            raise TwoMorphismInvalid(str(rep))
+    a.require()
+    b.require()
     alpha = a.src.alpha
     beta = a.dst.alpha
     eps, gam = a.eps, a.gam
@@ -704,15 +710,14 @@ def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
 
     h_a = homotopy_h(a, cx_a, cx_mid)
     h_b = homotopy_h(b, cx_mid, cx_b)
-    p_a = induced_map_2(a.src, cx_a, cx_mid)
-    p_b2 = induced_map_2(b.dst, cx_mid, cx_b)
     h_ab = homotopy_h(horizontal_compose_two(b, a), cx_a, cx_b)
-    term1 = {n: h_b.maps[n].compose(p_a.maps[n]) for n in h_b.maps}
-    term2 = {n: p_b2.maps[n - 1].compose(h_a.maps[n]) for n in h_a.maps}
-    _check_r_identity(maps, cx_a, cx_b,
-                      [(-1, term1), (-1, term2), (1, h_ab.maps)],
-                      "dr'-r'd = -h'p -p'h +h''")
-    return Homotopy2(cx_a, cx_b, maps)
+    r = Homotopy2(cx_a, cx_b, maps)
+    # h_a.p is F*(alpha,t) and h_b.q is F*(beta',s')
+    r.check_boundary(lambda n: [(-1, h_b.maps[n], h_a.p.maps[n]),
+                                (-1, h_b.q.maps[n - 1], h_a.maps[n]),
+                                (1, h_ab.maps[n], None)],
+                     "dr'-r'd = -h'p -p'h +h''")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +779,8 @@ def homotopy_class_equal(h1: Homotopy1, h2: Homotopy1) -> bool:
     def var_y(n, i, j):
         return offsets[("y", n)] + i * ga[n] + j
 
-    delta = {n: h2.maps[n].sub(h1.maps[n]).to_matrix()
+    delta = {n: BlockHom.signed_sum([(1, h2.maps[n], None),
+                                     (-1, h1.maps[n], None)]).to_matrix()
              for n in range(1, N + 1)}
     d_a = [bh.to_matrix() for bh in cx_a.diffs]
     d_b = [bh.to_matrix() for bh in cx_b.diffs]

@@ -158,12 +158,6 @@ class IntMatrix:
             return IntMatrix(0, self.cols + other.cols, ())
         return IntMatrix.from_rows(rows)
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack column mismatch")
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries)
-
     @staticmethod
     def block_diag(mats: list["IntMatrix"]) -> "IntMatrix":
         rtot = sum(m.rows for m in mats)

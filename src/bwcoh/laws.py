@@ -12,7 +12,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from .bwcomplex import (
-    build_complex, homotopy_h, homotopy_r_horizontal, homotopy_r_vertical,
+    BlockHom, build_complex, homotopy_h, homotopy_r_horizontal,
+    homotopy_r_vertical, require_vanishing,
 )
 from .factorization import (
     build_factorization, factor_functor, factor_nat, factor_two_morphism,
@@ -92,26 +93,20 @@ def _law_interchange(gen: InstanceGen, max_morphisms: int,
     # the boundary of the degree -2 witness h'∘h
     h_a = homotopy_h(two_a, cx_a, cx_mid)
     h_b = homotopy_h(two_b, cx_mid, cx_b)
-    p_a = h_a.p
-    q_a = h_a.q
-    p_b = h_b.p
-    q_b = h_b.q
     n_top = min(cx_a.max_degree, cx_b.max_degree)
     witness = {n: h_b.maps[n - 1].compose(h_a.maps[n])
                for n in range(2, n_top + 1)}
     for n in range(1, n_top):
-        rep1 = h_b.maps[n].compose(p_a.maps[n]).add(
-            q_b.maps[n - 1].compose(h_a.maps[n]))
-        rep2 = p_b.maps[n - 1].compose(h_a.maps[n]).add(
-            h_b.maps[n].compose(q_a.maps[n]))
-        lhs = rep1.sub(rep2)
-        rhs = witness[n + 1].compose(cx_a.diffs[n]).neg()
+        # (h_b p_a + q_b h_a) - (p_b h_a + h_b q_a) = -w d + d w
+        terms = [(1, h_b.maps[n], h_a.p.maps[n]),
+                 (1, h_b.q.maps[n - 1], h_a.maps[n]),
+                 (-1, h_b.p.maps[n - 1], h_a.maps[n]),
+                 (-1, h_b.maps[n], h_a.q.maps[n]),
+                 (1, witness[n + 1], cx_a.diffs[n])]
         if n >= 2:
-            rhs = rhs.add(cx_b.diffs[n - 2].compose(witness[n]))
-        bad = lhs.sub(rhs).first_nonzero_coordinate()
-        if bad is not None:
-            raise AssertionError(
-                f"interchange witness identity fails at degree {n}: {bad}")
+            terms.append((-1, cx_b.diffs[n - 2], witness[n]))
+        require_vanishing(BlockHom.signed_sum(terms),
+                          "interchange witness identity", cx_a, n, cx_b, n - 1)
 
 
 def _law_2functor(gen: InstanceGen, max_morphisms: int,

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 from .abgroup import GroupHom, GroupInvariants, hom_inverse, is_iso
 from .bwcomplex import (
-    BlockHom, CochainMap, build_complex, cohomology_map, homotopy_h,
-    identity_cochain_map, induced_map_nat,
+    build_complex, cohomology_map, homotopy_h, identity_cochain_map,
+    induced_map_nat,
 )
 from .factorization import factor_nat
 from .fincat import (
@@ -295,19 +295,12 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
                 f"Q'∘P' does not induce the identity on H^{n}")
     report.composites_induce_identity = True
 
-    # blockwise inverse of the conjugator (its blocks are isomorphisms)
-    inv_blocks_per_degree = []
-    for n in range(max_degree + 1):
-        bh = n_map.maps[n]
-        blocks = {}
-        for (t, s), m in bh.blocks.items():
-            src_g = bh.src.factors[s]
-            dst_g = bh.dst.factors[t]
-            hom = GroupHom.create(src_g, dst_g, m)
-            blocks[(s, t)] = hom_inverse(hom).matrix
-        inv_blocks_per_degree.append(BlockHom(bh.dst, bh.src, blocks))
-    n_inv = CochainMap(cx_dp, cx_d, tuple(inv_blocks_per_degree), label="N^-1")
-    n_inv.check_chain()
+    # inverse conjugator N^-1: F*(C, D') -> F*(C, D), induced by the inverse
+    # natural isomorphism nu^-1: D' => D
+    nu_inv = AbNat(nu.nat.target, nu.nat.source,
+                   tuple(hom_inverse(t) for t in nu.nat.components))
+    n_inv = induced_map_nat(
+        NatSysMorphism(identity_nat(one_c), d_prime, d, nu_inv), cx_dp, cx_d)
 
     q_on_d = n_inv.compose(qp_map)           # F*(small,E) -> F*(C,D)
     round_small = p_map.compose(q_on_d)      # endo of F*(small,E)

@@ -7,8 +7,9 @@ import hypothesis.strategies as st
 from bwcoh.abgroup import GroupInvariants, Z, cyclic
 from bwcoh.bwcomplex import (
     BlockHom, CochainMap, DegreeOutOfRange, DegreeTruncation, Homotopy1,
-    build_complex, cohomology, cohomology_map, homotopy_class_equal,
-    homotopy_h, induced_map_2, induced_map_nat, is_cohomology_iso,
+    HomotopyIdentityError, build_complex, cohomology, cohomology_map,
+    homotopy_class_equal, homotopy_h, homotopy_r_vertical, induced_map_2,
+    induced_map_nat, is_cohomology_iso,
 )
 from bwcoh.fincat import (
     Functor, arrow_category, cyclic_group_category, discrete_category,
@@ -204,13 +205,12 @@ def test_homotopy_class_equal_reflexive_and_boundary():
             r0[n] = BlockHom(cx.groups[n], cx.groups[n - 2], blocks)
         maps2 = {}
         for n in (1, 2, 3):
-            term = None
+            terms = [(1, h.maps[n], None)]
             if n + 1 <= 3:
-                term = r0[n + 1].compose(cx.diffs[n]).neg()
+                terms.append((-1, r0[n + 1], cx.diffs[n]))
             if n >= 2:
-                t2 = cx.diffs[n - 2].compose(r0[n])
-                term = t2 if term is None else term.add(t2)
-            maps2[n] = h.maps[n].add(term)
+                terms.append((1, cx.diffs[n - 2], r0[n]))
+            maps2[n] = BlockHom.signed_sum(terms)
         h2 = Homotopy1(cx, cx, maps2, h.p, h.q)
         h2.check_boundary()
         assert homotopy_class_equal(h, h2)
@@ -225,16 +225,16 @@ def test_homotopy_class_equal_detects_nonhomotopic():
     # induces zero; so z cannot be relatively homotopic to the zero family.
     d = constant_system(cyclic_group_category(2), cyclic(2))
     cx = build_complex(d, 3)
-    zero_map = CochainMap(cx, cx, tuple(BlockHom.zero(g, g)
+    zero_map = CochainMap(cx, cx, tuple(BlockHom(g, g, {})
                                         for g in cx.groups))
-    zero_h = Homotopy1(cx, cx, {n: BlockHom.zero(cx.groups[n],
-                                                 cx.groups[n - 1])
+    zero_h = Homotopy1(cx, cx, {n: BlockHom(cx.groups[n], cx.groups[n - 1],
+                                            {})
                                 for n in (1, 2, 3)}, zero_map, zero_map)
     zero_h.check_boundary()
     blocks = {(0, 1): IntMatrix(1, 1, (1,))}
     maps = {1: BlockHom(cx.groups[1], cx.groups[0], blocks),
-            2: BlockHom.zero(cx.groups[2], cx.groups[1]),
-            3: BlockHom.zero(cx.groups[3], cx.groups[2])}
+            2: BlockHom(cx.groups[2], cx.groups[1], {}),
+            3: BlockHom(cx.groups[3], cx.groups[2], {})}
     z = Homotopy1(cx, cx, maps, zero_map, zero_map)
     z.check_boundary()
     # nonzero induced map on cohomology
@@ -257,7 +257,7 @@ def test_contractible_homotopies_all_equivalent():
     cx = build_complex(d, 4)
     two = identity_two_morphism(identity_morphism(d))
     h = homotopy_h(two, cx, cx)
-    zero_maps = {n: BlockHom.zero(cx.groups[n], cx.groups[n - 1])
+    zero_maps = {n: BlockHom(cx.groups[n], cx.groups[n - 1], {})
                  for n in range(1, 5)}
     hz = Homotopy1(cx, cx, zero_maps, h.p, h.q)
     hz.check_boundary()
@@ -308,3 +308,47 @@ def test_fullness_witness_induces_equal_cohomology_maps():
             m1 = cohomology_map(p1, n)
             m2 = cohomology_map(p2, n)
             assert m1.equal_mod(m2)
+
+
+# ---------------------------------------------------------------------------
+# a corrupted block makes the defining identity fail, naming degree and
+# both coordinates
+
+def _arrow_identity_square():
+    d = constant_system(arrow_category(), Z)
+    cx = build_complex(d, 3)
+    return cx, identity_two_morphism(identity_morphism(d))
+
+
+def test_corrupted_chain_map_is_caught():
+    cx, two = _arrow_identity_square()
+    p = induced_map_nat(two.src, cx, cx)
+    p.maps[1].blocks[(2, 2)] = IntMatrix(1, 1, (2,))   # (f) -> (f) doubled
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"dp=pd fails at degree 0: "
+                             r"target \(f\), source \(x\)$"):
+        p.check_chain()
+
+
+def test_corrupted_homotopy_is_caught():
+    cx, two = _arrow_identity_square()
+    h = homotopy_h(two, cx, cx)
+    h.maps[2].blocks[(2, 2)] = IntMatrix(1, 1, (0,))   # was 1
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"dh\+hd = -p\+q fails at degree 1: "
+                             r"target \(f\), source \(id_y\)$"):
+        h.check_boundary()
+
+
+def test_corrupted_degree_minus_two_family_is_caught():
+    cx, two = _arrow_identity_square()
+    r = homotopy_r_vertical(two, two, cx, cx)
+    h = homotopy_h(two, cx, cx)
+    r.maps[2].blocks[(0, 0)] = IntMatrix(1, 1, (2,))   # was 1
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"dr-rd fails at degree 1: "
+                             r"target \(x\), source \(id_x\)$"):
+        # vertical composite of two identity squares is the identity square
+        r.check_boundary(lambda n: [(-1, h.maps[n], None),
+                                    (-1, h.maps[n], None),
+                                    (1, h.maps[n], None)], "dr-rd")
