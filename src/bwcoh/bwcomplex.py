@@ -9,16 +9,22 @@ alternating signs, and postcompose the tail morphism with sign (-1)^(n+1).
 Degenerate sequences (those containing identities) are genuine basis
 elements; nothing is normalized away.
 
-Cohomology comes two ways.  ``CochainComplex.cohomology`` reads the
-invariants of every degree at once off the free cone of ``bwcoh.reduction``:
+Cohomology, groups and maps alike, comes from the free cone of
+``bwcoh.reduction``, reduced once per complex (``CochainComplex.reduced``):
 each factor is resolved by ``0 -> Z^r -R-> Z^g`` with ``R`` made injective,
 and the cone ``T^n = Z^{g_n} ⊕ Z^{r_{n+1}}`` has differential
 ``(x, y) -> (D_n x + R_{n+1} y, -S_n x - Q_{n+1} y)``.  Its ``S_n``, with
 ``D_{n+1} D_n = R_{n+2} S_n``, is exactly what the ``d∘d`` check of
 ``build_complex`` solves for block by block, so the check keeps those
 solutions in ``dd_witness`` instead of composing the differentials again
-later.  ``cohomology_data`` stays on the dense ``subquotient`` route because
-induced maps need its kernel basis.
+later.  ``CochainComplex.cohomology`` reads the invariants of every degree
+off the reduced cone.  ``cohomology_map`` works on the small residue: the
+pivot log of the reduction lifts each generator of ``H^n`` of the source
+residue to a cone cocycle, its x part goes through the chain map sparsely
+(``BlockHom.apply``), the image is completed to a cone cocycle of the target
+and projected to the target residue, and the residue subquotient expresses
+it there.  ``cohomology_data``, the dense ``subquotient`` of the full
+differentials, is kept only as the test oracle.
 
 Index bookkeeping for the homotopies, fixed once here because the defining
 sums leave the intermediate groups implicit:
@@ -51,9 +57,12 @@ source coordinates on failure.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .abgroup import (
     GroupHom, GroupInvariants, PresentedGroup, Subquotient, direct_product,
@@ -68,6 +77,9 @@ from .natsys import (
     NatFTwoMorphism, NatSysMorphism, NaturalSystem, horizontal_compose_two,
     vertical_compose_two,
 )
+
+if TYPE_CHECKING:
+    from .reduction import ReducedCone
 
 
 class DegreeOutOfRange(ValueError):
@@ -110,6 +122,15 @@ class ProductGroup:
             offs.append(offs[-1] + f.relations.cols)
         return tuple(offs)
 
+    @cached_property
+    def injective_rel_offsets(self) -> tuple[int, ...]:
+        """Offsets of the factors' independent relations
+        (``PresentedGroup.injective``)."""
+        offs = [0]
+        for f in self.factors:
+            offs.append(offs[-1] + f.injective.relations.cols)
+        return tuple(offs)
+
     @property
     def total_gens(self) -> int:
         return self.gen_offsets[-1]
@@ -118,20 +139,43 @@ class ProductGroup:
     def group(self) -> PresentedGroup:
         return direct_product(list(self.factors))
 
+    def by_factor(self, x: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
+        """A sparse vector {generator coordinate: value} split by factor,
+        as {factor: [(coordinate within the factor, value), ...]}."""
+        offs = self.gen_offsets
+        out: dict[int, list[tuple[int, int]]] = {}
+        for c, v in x.items():
+            f = bisect_right(offs, c) - 1
+            out.setdefault(f, []).append((c - offs[f], v))
+        return out
+
 
 # (sign, left, right): sign·(left∘right), or sign·left when right is None
 Term = tuple[int, "BlockHom", "BlockHom | None"]
+_source_key = itemgetter(1)
 
 
 class BlockHom:
     """Block-sparse homomorphism between products of presented groups.
 
     ``blocks[(ti, si)] = M`` where M maps generators of source factor si to
-    generators of target factor ti.  Absent blocks are zero.
+    generators of target factor ti.  Absent blocks are zero.  A key outside
+    the factor counts raises ``ShapeMismatch``.
     """
 
     def __init__(self, src: ProductGroup, dst: ProductGroup,
                  blocks: dict[tuple[int, int], IntMatrix]):
+        # min/max scans, so no list of keys is built for a large hom
+        if blocks and not (
+                0 <= min(blocks)[0] and max(blocks)[0] < len(dst.factors)
+                and 0 <= min(blocks, key=_source_key)[1]
+                and max(blocks, key=_source_key)[1] < len(src.factors)):
+            bad = next(k for k in sorted(blocks)
+                       if not (0 <= k[0] < len(dst.factors)
+                               and 0 <= k[1] < len(src.factors)))
+            raise ShapeMismatch(
+                f"block {bad} outside {len(dst.factors)} target and "
+                f"{len(src.factors)} source factors")
         self.src = src
         self.dst = dst
         self.blocks = blocks
@@ -171,6 +215,23 @@ class BlockHom:
     def compose(self, first: "BlockHom") -> "BlockHom":
         """self ∘ first."""
         return BlockHom.signed_sum([(1, self, first)])
+
+    def apply(self, x: dict[int, int]) -> dict[int, int]:
+        """self applied to a sparse vector {generator coordinate: value};
+        zero entries of the result are dropped."""
+        parts = self.src.by_factor(x)
+        offs = self.dst.gen_offsets
+        out: dict[int, int] = {}
+        for (t, s), m in self.blocks.items():
+            xs = parts.get(s)
+            if xs is None:
+                continue
+            e, w, base = m.entries, m.cols, offs[t]
+            for i in range(m.rows):
+                a = sum(e[i * w + j] * v for j, v in xs)
+                if a:
+                    out[base + i] = out.get(base + i, 0) + a
+        return {c: v for c, v in out.items() if v}
 
     def first_nonzero_coordinate(self, solutions: dict | None = None
                                  ) -> tuple[int, int] | None:
@@ -271,7 +332,7 @@ class CochainComplex:
         # d∘d check of build_complex, read by the reduction engine
         self.dd_witness: list[dict[tuple[int, int], IntMatrix]] = []
         self._cohom: dict[int, Subquotient] = {}
-        self._invariants: list[GroupInvariants] | None = None
+        self._reduced: ReducedCone | None = None
 
     def coordinate_name(self, n: int, i: int) -> str:
         seq = self.bases[n][i]
@@ -286,6 +347,9 @@ class CochainComplex:
                 f"degree {n} not computable with max degree {self.max_degree}")
 
     def cohomology_data(self, n: int) -> Subquotient:
+        """H^n as the dense subquotient of the full differentials: the test
+        oracle for ``cohomology`` and ``cohomology_map``, which answer from
+        the reduced cone."""
         self._check_degree(n)
         if n not in self._cohom:
             d_out = self.diffs[n].to_hom()
@@ -297,12 +361,16 @@ class CochainComplex:
             self._cohom[n] = subquotient(d_in, d_out)
         return self._cohom[n]
 
+    def reduced(self) -> ReducedCone:
+        """The reduced free cone with its pivot log, built on first use."""
+        if self._reduced is None:
+            from .reduction import ReducedCone
+            self._reduced = ReducedCone(self)
+        return self._reduced
+
     def cohomology(self, n: int) -> GroupInvariants:
         self._check_degree(n)
-        if self._invariants is None:
-            from .reduction import cohomology_invariants
-            self._invariants = cohomology_invariants(self)
-        return self._invariants[n]
+        return self.reduced().invariants[n]
 
 
 def require_vanishing(total: BlockHom, label: str, cx_src: CochainComplex,
@@ -650,10 +718,14 @@ def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
 
 def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
                           cx_a: CochainComplex, cx_mid: CochainComplex,
-                          cx_b: CochainComplex) -> Homotopy2:
+                          cx_b: CochainComplex
+                          ) -> tuple[Homotopy2, Homotopy1, Homotopy1]:
     """Degree -2 family for side-by-side two-morphisms a on (C,D) -> (D',E)
     and b on (D',E) -> (E',G), with
-    dr' - r'd = -h_b∘F*(alpha,t) - F*(beta',s')∘h_a + h_{b*a} checked exactly."""
+    dr' - r'd = -h_b∘F*(alpha,t) - F*(beta',s')∘h_a + h_{b*a} checked exactly.
+
+    Returns ``(r', h_a, h_b)``: the family and the two checked degree -1
+    families it was verified against."""
     a.require()
     b.require()
     alpha = a.src.alpha
@@ -717,17 +789,30 @@ def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
                                 (-1, h_b.q.maps[n - 1], h_a.maps[n]),
                                 (1, h_ab.maps[n], None)],
                      "dr'-r'd = -h'p -p'h +h''")
-    return r
+    return r, h_a, h_b
 
 
 # ---------------------------------------------------------------------------
 # maps on cohomology and relative homotopy classes
 
 def cohomology_map(cmap: CochainMap, n: int) -> GroupHom:
-    """The induced homomorphism H^n(source) -> H^n(target)."""
-    sq_a = cmap.source.cohomology_data(n)
-    sq_b = cmap.target.cohomology_data(n)
-    mapped = cmap.maps[n].to_matrix() @ sq_a.basis
+    """The induced homomorphism H^n(source) -> H^n(target), between the
+    residue presentations of ``ReducedCone.subquotient``.
+
+    Each generator of the source H^n is lifted to a cone cocycle, its x part
+    is mapped by ``maps[n]``, and the image is projected to the target
+    residue and expressed in its kernel basis.  An image that is not a
+    cocycle raises ``HomotopyIdentityError`` naming the coordinate."""
+    cmap.source._check_degree(n)
+    cmap.target._check_degree(n)
+    src, dst = cmap.source.reduced(), cmap.target.reduced()
+    sq_a, sq_b = src.subquotient(n), dst.subquotient(n)
+    m = cmap.maps[n]
+    images = [dst.project(n, m.apply(src.lift(n, sq_a.basis.column(j))))
+              for j in range(sq_a.basis.cols)]
+    rows = sq_b.ambient.generators
+    mapped = IntMatrix(rows, len(images),
+                       tuple(v[i] for i in range(rows) for v in images))
     w = sq_b.express(mapped)
     return GroupHom.create(sq_a.group, sq_b.group, w)
 

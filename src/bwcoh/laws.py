@@ -88,11 +88,9 @@ def _law_interchange(gen: InstanceGen, max_morphisms: int,
     cx_a = build_complex(d, max_degree)
     cx_mid = build_complex(e, max_degree)
     cx_b = build_complex(g, max_degree)
-    homotopy_r_horizontal(two_a, two_b, cx_a, cx_mid, cx_b)
+    _, h_a, h_b = homotopy_r_horizontal(two_a, two_b, cx_a, cx_mid, cx_b)
     # the two representatives of the horizontal composite differ exactly by
     # the boundary of the degree -2 witness h'∘h
-    h_a = homotopy_h(two_a, cx_a, cx_mid)
-    h_b = homotopy_h(two_b, cx_mid, cx_b)
     n_top = min(cx_a.max_degree, cx_b.max_degree)
     witness = {n: h_b.maps[n - 1].compose(h_a.maps[n])
                for n in range(2, n_top + 1)}

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 from .abgroup import GroupHom, GroupInvariants, hom_inverse, is_iso
 from .bwcomplex import (
-    build_complex, cohomology_map, homotopy_h, identity_cochain_map,
-    induced_map_nat,
+    CochainMap, build_complex, cohomology_map, homotopy_h,
+    identity_cochain_map, induced_map_nat,
 )
 from .factorization import factor_nat
 from .fincat import (
@@ -289,8 +289,7 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
 
     big_composite = qp_map.compose(pp_map)   # endomorphism of F*(C, D')
     for n in range(max_degree):
-        if not cohomology_map(big_composite, n).equal_mod(
-                GroupHom.identity(cx_dp.cohomology_data(n).group)):
+        if not _induces_identity(big_composite, n):
             raise CertificateError(
                 f"Q'∘P' does not induce the identity on H^{n}")
     report.composites_induce_identity = True
@@ -309,10 +308,8 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
         big_inv = cx_d.cohomology(n)
         small_inv = cx_e.cohomology(n)
         iso = is_iso(cohomology_map(p_map, n)) and \
-            cohomology_map(round_big, n).equal_mod(
-                GroupHom.identity(cx_d.cohomology_data(n).group)) and \
-            cohomology_map(round_small, n).equal_mod(
-                GroupHom.identity(cx_e.cohomology_data(n).group))
+            _induces_identity(round_big, n) and \
+            _induces_identity(round_small, n)
         report.degrees.append(DegreeVerdict(n, big_inv, small_inv, iso))
         if big_inv != small_inv:
             raise CertificateError(
@@ -347,6 +344,12 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
     report.homotopy_certificate = True
     report.homotopy_note = note
     return report
+
+
+def _induces_identity(endo: CochainMap, n: int) -> bool:
+    """Whether a chain endomorphism induces the identity on H^n."""
+    h = cohomology_map(endo, n)
+    return h.equal_mod(GroupHom.identity(h.source))
 
 
 def _unit_one_morphism(d_prime: NaturalSystem, alpha: NaturalTransformation,

@@ -1,4 +1,4 @@
-"""Cohomology invariants of a built complex by sparse unit-pivot reduction.
+"""Cohomology of a built complex by sparse unit-pivot reduction.
 
 A factor ``A = Z^g / R Z^r`` of a degree is resolved freely by
 ``0 -> Z^r -R-> Z^g -> A -> 0`` once ``R`` is injective, so each factor is
@@ -10,56 +10,188 @@ the resolutions of a complex truncated at degree N gives the free cone
 
 where ``D_n R_n = R_{n+1} Q_n`` and ``D_{n+1} D_n = R_{n+2} S_n``; the top
 differential ``∂_{N-1}`` keeps only its first component.  ``H^n(T)`` is
-``H^n`` of the complex for every ``n < N``.  ``S_n`` comes from the ``d∘d``
-check of ``build_complex`` (``CochainComplex.dd_witness``) and ``Q_n`` from
+``H^n`` of the complex for every ``n < N``: a cocycle ``x`` of the complex
+(``D_n x`` a relation) is the ``x`` part of exactly one cone cocycle, whose
+``y`` solves ``R_{n+1} y = -D_n x``.  ``S_n`` comes from the ``d∘d`` check of
+``build_complex`` (``CochainComplex.dd_witness``) and ``Q_n`` from
 ``BlockHom.to_witness``, which solves it block by block in the factors'
 independent relations.
 
 The cone is checked for ``∂∘∂ = 0`` exactly, then shrunk by elimination on
-±1 pivots: each pivot splits off an acyclic ``Z -±1-> Z``, replaces its own
-differential by the Schur complement, drops its column's basis element as a
-row of the differential below and its row's basis element as a column of the
-differential above (Kaczynski–Mischaikow–Mrozek, *Computational Homology*,
-ch. 4).  The small residue is finished by ``smith_normal_form``; the top
-differential needs only its rank over Q, found by fraction-free elimination.
-The free rank of ``H^n`` is ``dim T^n - rk ∂_n - rk ∂_{n-1}`` and its torsion
-is the elementary divisors of ``∂_{n-1}`` above 1.
+±1 pivots: a pivot ``p`` at row ``i``, column ``j`` of ``∂_{n-1}`` splits off
+the acyclic ``Z e_j -> Z ∂e_j``, replaces ``∂_{n-1}`` by its Schur complement
+(each other column ``jj`` through row ``i`` loses ``p·c_jj[i]·col_j``), drops
+``j`` as a row of ``∂_{n-2}`` and ``i`` as a column of ``∂_n``
+(Kaczynski–Mischaikow–Mrozek, *Computational Homology*, ch. 4).  Each pivot
+is a chain homotopy equivalence between the cone before and after it, and
+the pivot log (per differential, in order: ``i``, ``j``, ``p``, the popped
+``col_j`` without its pivot entry and the row coefficients ``(jj, c_jj[i])``)
+composes them into two chain maps between the cone and its residue:
+
+* projection to the residue, on ``T^n``: replay the pivots of ``∂_{n-1}`` in
+  order, each setting ``z <- z - p·z_i·col_j`` and dropping ``z_i``, and
+  drop the column ``z_j`` of every pivot of ``∂_n``;
+* lift from the residue, on ``T^n``: replay the pivots of ``∂_n`` in reverse,
+  each restoring ``z_j = -p·Σ c_jj[i]·z_jj``, and leave the row ``z_i`` of
+  every pivot of ``∂_{n-1}`` at zero.
+
+A pivot of ``∂_n`` drops its column ``j`` from every later ``col_j`` of
+``∂_{n-1}``, so the two kinds of steps on ``T^n`` commute and each replay
+needs only one differential's log.
+
+Projection after lift is the identity on the residue, and both maps take
+cocycles to cocycles.  Invariants are read off the residue directly:
+``smith_normal_form`` below the top, and for the top differential only its
+rank over Q, found by fraction-free elimination.  The free rank of ``H^n`` is
+``dim T^n - rk ∂_n - rk ∂_{n-1}`` and its torsion is the elementary divisors
+of ``∂_{n-1}`` above 1.  Induced maps use ``ReducedCone.subquotient``,
+H^n as the subquotient of the two residue differentials around ``T^n``,
+whose kernel basis ``bwcomplex.cohomology_map`` lifts, maps and projects.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from math import gcd
 
-from .abgroup import GroupInvariants
-from .bwcomplex import CochainComplex, HomotopyIdentityError, ProductGroup
+from .abgroup import (
+    GroupHom, GroupInvariants, PresentedGroup, Subquotient, subquotient,
+)
+from .bwcomplex import CochainComplex, HomotopyIdentityError
 from .intmat import IntMatrix, smith_normal_form
 
 # A sparse differential: columns {col: {row: value}} and, once reduction
 # starts, rows {row: {col, ...}}.  Zero entries are never stored.
 Columns = dict[int, dict[int, int]]
 Rows = dict[int, set[int]]
+# One unit pivot: i, j, p, col_j without row i, [(jj, c_jj[i]), ...]
+Pivot = tuple[int, int, int, dict[int, int], list[tuple[int, int]]]
 
 
-def cohomology_invariants(cx: CochainComplex) -> list[GroupInvariants]:
-    """``GroupInvariants`` of H^0..H^{N-1} of a built ``CochainComplex``."""
-    diffs = _cone(cx)
-    _check_square_zero(diffs)
-    dims = [len(c) for c in diffs] + [cx.groups[-1].total_gens]
-    pivots = _reduce(diffs)
-    top = len(diffs) - 1
-    ranks, divisors = [], []
-    for k, cols in enumerate(diffs):
-        if k < top:
-            diag = _elementary_divisors(cols)
-            ranks.append(pivots[k] + len(diag))
-            divisors.append(tuple(d for d in diag if d > 1))
-        else:
-            ranks.append(pivots[k] + _rank(cols))
-    # T-index k + 1 holds T^k; ∂ index k is ∂_{k-1}: T^{k-1} -> T^k
-    return [GroupInvariants(dims[n + 1] - ranks[n + 1] - ranks[n],
-                            divisors[n])
-            for n in range(cx.max_degree)]
+class ReducedCone:
+    """The free cone of a built complex after unit-pivot reduction.
+
+    ``diffs[k]`` is the residue of ``∂_{k-1}: T^{k-1} -> T^k`` and
+    ``log[k]`` its pivots in the order they were taken.
+    """
+
+    def __init__(self, cx: CochainComplex):
+        self.cx = cx
+        self.diffs = _cone(cx)
+        _check_square_zero(self.diffs)
+        self.dims = [len(c) for c in self.diffs] + [cx.groups[-1].total_gens]
+        self.log = _reduce(self.diffs)
+        self._subquotients: dict[int, tuple[list[int], Subquotient]] = {}
+
+    @cached_property
+    def invariants(self) -> list[GroupInvariants]:
+        """``GroupInvariants`` of H^0..H^{N-1}."""
+        top = len(self.diffs) - 1
+        ranks, divisors = [], []
+        for k, cols in enumerate(self.diffs):
+            if k < top:
+                diag = _elementary_divisors(cols)
+                ranks.append(len(self.log[k]) + len(diag))
+                divisors.append(tuple(d for d in diag if d > 1))
+            else:
+                ranks.append(len(self.log[k]) + _rank(cols))
+        # T-index k + 1 holds T^k; ∂ index k is ∂_{k-1}: T^{k-1} -> T^k
+        return [GroupInvariants(self.dims[n + 1] - ranks[n + 1] - ranks[n],
+                                divisors[n])
+                for n in range(self.cx.max_degree)]
+
+    def subquotient(self, n: int) -> Subquotient:
+        """H^n as ker ∂_n / im ∂_{n-1} of the residue, whose ambient
+        coordinates are the residue basis of T^n in increasing order."""
+        return self._residue(n)[1]
+
+    def _residue(self, n: int) -> tuple[list[int], Subquotient]:
+        if n not in self._subquotients:
+            d_in, d_out = self.diffs[n], self.diffs[n + 1]
+            basis = sorted(d_out)
+            sources = sorted(j for j, c in d_in.items() if c)
+            targets = sorted({i for c in d_out.values() for i in c})
+            mid = _free(len(basis))
+            sq = subquotient(
+                GroupHom(_free(len(sources)), mid,
+                         _dense(d_in, sources, basis)),
+                GroupHom(mid, _free(len(targets)),
+                         _dense(d_out, basis, targets)))
+            self._subquotients[n] = (basis, sq)
+        return self._subquotients[n]
+
+    def lift(self, n: int, z: list[int]) -> dict[int, int]:
+        """The x part of the cone cocycle lifted from the residue cocycle
+        ``z`` of degree n, as {generator coordinate: value}."""
+        basis = self._residue(n)[0]
+        v = {c: a for c, a in zip(basis, z) if a}
+        for i, j, p, col, coeffs in reversed(self.log[n + 1]):
+            s = 0
+            for jj, c in coeffs:
+                a = v.get(jj)
+                if a:
+                    s += c * a
+            if s:
+                v[j] = -p * s
+        gens = self.cx.groups[n].total_gens
+        return {c: a for c, a in v.items() if c < gens}
+
+    def project(self, n: int, x: dict[int, int]) -> list[int]:
+        """Residue coordinates of the cone cocycle whose x part is the
+        cocycle ``x`` of degree n.
+
+        Its y part solves ``R_{n+1} y = -D_n x`` in each factor's
+        independent relations; ``HomotopyIdentityError`` names the first
+        degree n+1 coordinate where ``D_n x`` is not a relation."""
+        cx = self.cx
+        v = dict(x)
+        y0 = cx.groups[n].total_gens
+        group = cx.groups[n + 1]
+        rel_offsets = group.injective_rel_offsets
+        for t, entries in sorted(group.by_factor(
+                cx.diffs[n].apply(x)).items()):
+            f = group.factors[t].injective
+            rhs = [0] * f.generators
+            for c, a in entries:
+                rhs[c] = -a
+            y = f.solver.solve(rhs) if f.relations.cols else None
+            if y is None:
+                raise HomotopyIdentityError(
+                    f"cocycle condition fails at degree {n}: "
+                    f"target {cx.coordinate_name(n + 1, t)}")
+            base = y0 + rel_offsets[t]
+            for k, a in enumerate(y):
+                if a:
+                    v[base + k] = a
+        for i, j, p, col, coeffs in self.log[n]:
+            a = v.pop(i, 0)
+            if a:
+                f = p * a
+                for r, b in col.items():
+                    w = v.get(r, 0) - b * f
+                    if w:
+                        v[r] = w
+                    else:
+                        v.pop(r, None)
+        return [v.get(c, 0) for c in self._residue(n)[0]]
+
+
+def _free(rank: int) -> PresentedGroup:
+    return PresentedGroup(rank, IntMatrix(rank, 0, ()))
+
+
+def _dense(cols: Columns, col_ids: list[int], row_ids: list[int]
+           ) -> IntMatrix:
+    """The submatrix of ``cols`` on the given rows and columns, which hold
+    every nonzero entry of those columns."""
+    where = {i: n for n, i in enumerate(row_ids)}
+    width = len(col_ids)
+    flat = [0] * (len(row_ids) * width)
+    for n, j in enumerate(col_ids):
+        for i, v in cols[j].items():
+            flat[where[i] * width + n] = v
+    return IntMatrix(len(row_ids), width, tuple(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +202,7 @@ def _cone(cx: CochainComplex) -> list[Columns]:
     top = cx.max_degree
     inj = [tuple(f.injective for f in g.factors) for g in cx.groups]
     gens = [g.gen_offsets for g in cx.groups]
-    rels = [ProductGroup(fs).rel_offsets for fs in inj]
+    rels = [g.injective_rel_offsets for g in cx.groups]
     # T^n for n = -1..N: x part at 0, y part (relations of degree n+1) after it
     x_size = [0] + [g[-1] for g in gens]
     y_size = [r[-1] for r in rels] + [0]
@@ -128,8 +260,8 @@ def _check_square_zero(diffs: list[Columns]) -> None:
 # ---------------------------------------------------------------------------
 # unit-pivot elimination
 
-def _reduce(diffs: list[Columns]) -> list[int]:
-    """Eliminate ±1 pivots in place; the number of pivots per differential."""
+def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
+    """Eliminate ±1 pivots in place; the pivot log of each differential."""
     rows: list[Rows] = []
     for cols in diffs:
         r: Rows = {}
@@ -137,7 +269,7 @@ def _reduce(diffs: list[Columns]) -> list[int]:
             for i in col:
                 r.setdefault(i, set()).add(j)
         rows.append(r)
-    pivots = [0] * len(diffs)
+    log: list[list[Pivot]] = [[] for _ in diffs]
     queue: list[tuple[int, int, int]] = []     # (kind, k, index); 0 col, 1 row
 
     def pivot(k: int, i: int, j: int) -> None:
@@ -148,9 +280,12 @@ def _reduce(diffs: list[Columns]) -> list[int]:
         row.discard(j)
         for r in col:
             rk[r].discard(j)
+        coeffs = []
         for jj in row:
             c = cols[jj]
-            f = c.pop(i) * p
+            ci = c.pop(i)
+            coeffs.append((jj, ci))
+            f = ci * p
             for r, a in col.items():
                 v = c.get(r, 0) - a * f
                 if v:
@@ -177,7 +312,7 @@ def _reduce(diffs: list[Columns]) -> list[int]:
                 rr.discard(i)
                 if len(rr) == 1:
                     queue.append((1, k + 1, r))
-        pivots[k] += 1
+        log[k].append((i, j, p, col, coeffs))
 
     def drain() -> None:
         while queue:
@@ -210,7 +345,7 @@ def _reduce(diffs: list[Columns]) -> list[int]:
             for j, col in cols.items()
             for i, v in col.items() if v == 1 or v == -1)
         if not cands:
-            return pivots
+            return log
         for cost, k, i, j in cands:
             col = diffs[k].get(j)
             if col is None or col.get(i) not in (1, -1):
@@ -226,25 +361,20 @@ def _reduce(diffs: list[Columns]) -> list[int]:
 
 def _elementary_divisors(cols: Columns) -> list[int]:
     """Nonzero Smith diagonal of the nonzero part of a residue."""
-    cols = {j: c for j, c in cols.items() if c}
-    if not cols:
+    col_ids = sorted(j for j, c in cols.items() if c)
+    if not col_ids:
         return []
-    row_ids = sorted({i for c in cols.values() for i in c})
-    where = {i: n for n, i in enumerate(row_ids)}
-    width = len(cols)
-    flat = [0] * (len(row_ids) * width)
-    for n, j in enumerate(sorted(cols)):
-        for i, v in cols[j].items():
-            flat[where[i] * width + n] = v
-    _, s, _ = smith_normal_form(IntMatrix(len(row_ids), width, tuple(flat)))
+    row_ids = sorted({i for j in col_ids for i in cols[j]})
+    _, s, _ = smith_normal_form(_dense(cols, col_ids, row_ids))
     return [d for d in (s.at(i, i) for i in range(min(s.rows, s.cols))) if d]
 
 
 def _rank(cols: Columns) -> int:
     """Rank over Q by sparse fraction-free elimination, shortest column
     first: a pivot p at (i, j) replaces each other column c through row i by
-    p*c - c[i]*col_j (by c - p*c[i]*col_j when p is ±1)."""
-    cols = {j: _primitive(c) for j, c in cols.items() if c}
+    p*c - c[i]*col_j (by c - p*c[i]*col_j when p is ±1).  Works on a copy,
+    so ``cols`` is left as it was."""
+    cols = {j: _primitive(dict(c)) for j, c in cols.items() if c}
     rows: Rows = {}
     for j, col in cols.items():
         for i in col:

@@ -3,7 +3,10 @@
 These deliberately avoid the library's own reduction routines: determinants
 are cofactor expansions, lattice membership is a row-style basis kept in the
 style of hand-rolled lattice code, group structure is recovered from element
-order statistics, and the bar complex is written directly from tuples.
+order statistics, and the bar complex is written directly from tuples.  The
+one exception is ``dense_cohomology_map``, the induced map on cohomology
+through the dense subquotients of the full differentials, which is the
+reference the reduced-cone ``cohomology_map`` is compared against.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import itertools
 from math import gcd
 
 from bwcoh.abgroup import (
-    GroupHom, GroupInvariants, PresentedGroup, direct_product, trivial_group,
+    GroupHom, GroupInvariants, PresentedGroup, direct_product, subquotient,
+    trivial_group,
 )
 from bwcoh.intmat import IntMatrix
 
@@ -238,6 +242,29 @@ def subquotient_by_enumeration(d_in: GroupHom, d_out: GroupHom
 
     zero = image_lat.reduce([0] * mid.generators)
     return invariants_from_orders(cosets, add, zero)
+
+
+# ---------------------------------------------------------------------------
+# induced maps on cohomology, the dense way
+
+def dense_cohomology_map(cmap, n: int) -> GroupHom:
+    """H^n(source) -> H^n(target) of a ``CochainMap`` between the dense
+    subquotients of ``CochainComplex.cohomology_data``: the kernel basis of
+    the source is mapped by the densified ``maps[n]`` and expressed in the
+    kernel basis of the target."""
+    sq_a = cmap.source.cohomology_data(n)
+    sq_b = cmap.target.cohomology_data(n)
+    w = sq_b.express(cmap.maps[n].to_matrix() @ sq_a.basis)
+    return GroupHom.create(sq_a.group, sq_b.group, w)
+
+
+def kernel_cokernel(h: GroupHom) -> tuple[GroupInvariants, GroupInvariants]:
+    """Invariants of the kernel and the cokernel of a hom of presented
+    groups, which do not depend on the presentations chosen."""
+    kernel = subquotient(GroupHom.zero(trivial_group, h.source), h)
+    coker = PresentedGroup(h.target.generators,
+                           h.matrix.hstack(h.target.relations))
+    return kernel.group.invariants, coker.invariants
 
 
 # ---------------------------------------------------------------------------

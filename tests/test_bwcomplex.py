@@ -12,8 +12,8 @@ from bwcoh.bwcomplex import (
     induced_map_nat, is_cohomology_iso,
 )
 from bwcoh.fincat import (
-    Functor, arrow_category, cyclic_group_category, discrete_category,
-    identity_nat, indiscrete_category, terminal_category,
+    Functor, ShapeMismatch, arrow_category, cyclic_group_category,
+    discrete_category, identity_nat, indiscrete_category, terminal_category,
 )
 from bwcoh.intmat import IntMatrix
 from bwcoh.natsys import (
@@ -352,3 +352,47 @@ def test_corrupted_degree_minus_two_family_is_caught():
         r.check_boundary(lambda n: [(-1, h.maps[n], None),
                                     (-1, h.maps[n], None),
                                     (1, h.maps[n], None)], "dr-rd")
+
+
+# a block key outside the factor counts is refused when the hom is built;
+# each use below went wrong silently or with an IndexError before
+
+def _check_boundary_with_stray(target):
+    cx, two = _arrow_identity_square()
+    h = homotopy_h(two, cx, cx)
+    t = next(i for i in range(len(cx.bases[1]))
+             if cx.coordinate_name(1, i) == target)
+    # degree 2 has four factors, so source index 4 is one past the last
+    blocks = {**h.maps[2].blocks, (t, 4): IntMatrix(1, 1, (1,))}
+    h.maps[2] = BlockHom(cx.groups[2], cx.groups[1], blocks)
+    h.check_boundary()
+
+
+def _to_matrix_with_stray():
+    cx, two = _arrow_identity_square()
+    h = homotopy_h(two, cx, cx)
+    blocks = {**h.maps[2].blocks, (1, 4): IntMatrix(1, 1, (5,))}
+    BlockHom(cx.groups[2], cx.groups[1], blocks).to_matrix()
+
+
+@pytest.mark.parametrize("use", [
+    lambda: _check_boundary_with_stray("(f)"),      # no product reaches it
+    lambda: _check_boundary_with_stray("(id_y)"),   # its name is looked up
+    _to_matrix_with_stray,                          # written one row down
+], ids=["check_boundary_silent", "coordinate_name", "to_matrix"])
+def test_block_key_outside_factor_counts_is_refused(use):
+    with pytest.raises(ShapeMismatch, match=r"block \(\d+, 4\) outside "
+                                            r"3 target and 4 source factors"):
+        use()
+
+
+def test_cohomology_map_refuses_image_that_is_not_a_cocycle():
+    # doubling the x coordinate sends the cocycle (1, 1) of H^0 to (2, 1),
+    # whose coboundary is nonzero on (f)
+    cx, two = _arrow_identity_square()
+    p = induced_map_nat(two.src, cx, cx)
+    p.maps[0].blocks[(0, 0)] = IntMatrix(1, 1, (2,))
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"cocycle condition fails at degree 0: "
+                             r"target \(f\)$"):
+        cohomology_map(p, 0)

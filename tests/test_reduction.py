@@ -1,23 +1,30 @@
 """Differential tests of the sparse cone-reduction engine.
 
-``CochainComplex.cohomology`` answers from ``bwcoh.reduction``; the dense
-``cohomology_data`` route (``subquotient``) and the bar-complex oracle are
-the references it must agree with.
+``CochainComplex.cohomology`` and ``cohomology_map`` answer from
+``bwcoh.reduction``; the dense ``cohomology_data`` route (``subquotient``),
+the dense induced map built on it and the bar-complex oracle are the
+references they must agree with.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 import bwcoh.reduction as reduction
-from bwcoh.abgroup import PresentedGroup, Z, cyclic, from_invariants
-from bwcoh.bwcomplex import HomotopyIdentityError, build_complex
+from bwcoh.abgroup import (
+    GroupHom, PresentedGroup, Z, cyclic, from_invariants, hom_compose, is_iso,
+)
+from bwcoh.bwcomplex import (
+    HomotopyIdentityError, build_complex, cohomology_map, induced_map_2,
+    induced_map_nat,
+)
 from bwcoh.fincat import arrow_category, cyclic_group_category
 from bwcoh.intmat import IntMatrix, smith_normal_form
-from bwcoh.natsys import constant_system
+from bwcoh.natsys import AbNat, constant_system, identity_morphism
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import HEADER, category_text, load_workspace
-from oracles import bar_cohomology
+from oracles import bar_cohomology, dense_cohomology_map, kernel_cokernel
 
 # relation matrices that are not injective: Z/2, and Z/2 ⊕ Z
 NON_INJECTIVE = [
@@ -147,3 +154,90 @@ def test_rank_matches_smith(seed):
     sparse = {j: {i: m.at(i, j) for i in range(rows) if m.at(i, j)}
               for j in range(cols)}
     assert reduction._rank(sparse) == rank
+
+
+# ---------------------------------------------------------------------------
+# induced maps through the pivot log
+
+def residue_comparison(cx, n):
+    """Projection (dense H^n -> residue H^n) and lift (residue -> dense) on
+    the kernel bases, after checking that they are mutually inverse, that
+    the residue H^n has the invariants of H^n and that projecting a lift
+    gives it back exactly."""
+    red = cx.reduced()
+    dense, res = cx.cohomology_data(n), red.subquotient(n)
+    assert res.group.invariants == cx.cohomology(n), n
+    lifts = []
+    for j in range(res.basis.cols):
+        z = res.basis.column(j)
+        x = red.lift(n, z)
+        assert red.project(n, x) == z, (n, j)
+        lifts.append([x.get(i, 0) for i in range(dense.basis.rows)])
+    projections = [
+        red.project(n, {i: v for i, v in enumerate(dense.basis.column(j))
+                        if v})
+        for j in range(dense.basis.cols)]
+    psi = GroupHom.create(dense.group, res.group,
+                          res.express(from_columns(projections,
+                                                   res.basis.rows)))
+    phi = GroupHom.create(res.group, dense.group,
+                          dense.express(from_columns(lifts,
+                                                     dense.basis.rows)))
+    assert hom_compose(phi, psi).equal_mod(GroupHom.identity(dense.group))
+    assert hom_compose(psi, phi).equal_mod(GroupHom.identity(res.group))
+    return psi
+
+
+def from_columns(cols, rows):
+    return IntMatrix(rows, len(cols),
+                     tuple(c[i] for i in range(rows) for c in cols))
+
+
+def assert_map_matches_dense(cmap):
+    for n in range(cmap.max_degree):
+        fast, dense = cohomology_map(cmap, n), dense_cohomology_map(cmap, n)
+        assert is_iso(fast) == is_iso(dense), n
+        assert kernel_cokernel(fast) == kernel_cokernel(dense), n
+        # the same map once both sides are identified with the dense H^n
+        psi_a = residue_comparison(cmap.source, n)
+        psi_b = residue_comparison(cmap.target, n)
+        assert hom_compose(fast, psi_a).equal_mod(hom_compose(psi_b, dense))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_induced_maps_match_dense(seed):
+    # both legs of a seeded two-morphism; about a third carry a scalar twist
+    # by 2, 3 or -1, so some of these maps are not isomorphisms
+    two, d, e = InstanceGen(f"maps-{seed}").h_instance()
+    cx_src, cx_dst = build_complex(d, 3), build_complex(e, 3)
+    for m in (two.src, two.dst):
+        assert_map_matches_dense(induced_map_2(m, cx_src, cx_dst))
+
+
+def scalar_endomorphism(d, k, max_degree):
+    """The chain endomorphism induced by multiplication by k on D."""
+    cx = build_complex(d, max_degree)
+    nat = AbNat(d.functor, d.functor, tuple(
+        GroupHom(v, v, IntMatrix.identity(v.generators).scale(k))
+        for v in d.functor.values))
+    m = dataclasses.replace(identity_morphism(d), nat=nat)
+    return induced_map_nat(m, cx, cx)
+
+
+def _product_system():
+    gen = InstanceGen("maps-product")
+    c = gen.category(6)
+    return gen.system_product(constant_system(c, cyclic(4)),
+                              gen.hom_system(c, 0))
+
+
+@pytest.mark.parametrize("k", [2, 3, -1])
+@pytest.mark.parametrize("system, max_degree", [
+    (lambda: constant_system(cyclic_group_category(2), Z), 4),
+    (lambda: constant_system(cyclic_group_category(3), cyclic(6)), 3),
+    (lambda: twisted_z8(2), 4),
+    (_product_system, 3),
+    (lambda: constant_system(arrow_category(), NON_INJECTIVE[1]), 4),
+], ids=["free", "torsion", "twisted", "product", "non_injective"])
+def test_scalar_maps_match_dense(system, max_degree, k):
+    assert_map_matches_dense(scalar_endomorphism(system(), k, max_degree))
