@@ -26,7 +26,12 @@ and projected to the target residue, and the residue subquotient expresses
 it there.  ``cohomology_data``, the dense ``subquotient`` of the full
 differentials, is kept only as the test oracle.
 
-Index bookkeeping for the homotopies, fixed once here because the defining
+Induced chain maps and homotopy families are all insertion sums, built by
+one assembler, ``_insertion_hom``: pull a target sequence back along
+functors, insert m components at cuts ``i_1 <= ... <= i_m`` with sign
+``(-1)^(i_1+...+i_m)``, and apply one coefficient map per target sequence.
+The chain maps have m = 0, ``homotopy_h`` has m = 1 and both degree -2
+families have m = 2.  Index bookkeeping, fixed once here because the defining
 sums leave the intermediate groups implicit:
 
 * For a two-morphism with legs ``eps: xi => phi`` and ``gam: psi => zeta``
@@ -35,14 +40,18 @@ sums leave the intermediate groups implicit:
   composite, namely ``eps_Y ∘ xi(s)`` (naturality of eps), so all summands
   live in the single group ``D(F(eps)(s))``.  The correction applied before
   the ``s``-component is the coefficient action along the pair
-  ``(identity of xi(X), (gam∘alpha)_Y): F(eps)(s) -> F(beta)(s)``.
-* For the stacked (vertical) double sum the summands live in
+  ``(identity of xi(X), (gam∘alpha)_Y): F(eps)(s) -> F(beta)(s)``; this
+  coefficient map is ``_corrected``.  The chain map of ``(alpha, t)`` is the
+  m = 0 sum with the coefficient map of its identity two-morphism.
+* The stacked (vertical) double sum takes the coefficient map of the
+  composite ``b∘a = (eps∘eps', gam'∘gam)``: the summands live in
   ``D(F(eps∘eps')(s))`` and the correction pair is
   ``(identity of xi(X), (gam'∘gam∘alpha)_Y)``.
-* For the side-by-side (horizontal) double sum the summands live in
-  ``D(F(eps*eps')(s))``; the correction pair is
+* The side-by-side (horizontal) double sum takes that of ``b*a``: the
+  summands live in ``D(F(eps*eps')(s))``; the correction pair is
   ``(identity of (xi xi')(X), ((gam*gam')∘(alpha*alpha'))_Y)``, followed by
-  the middle component family taken at ``F(beta')(s)`` and the outer one at
+  the component of the composite ``(beta', s')(beta, s)``, which is the
+  middle component family taken at ``F(beta')(s)`` and the outer one at
   ``s``.
 
 Every constructor asserts its defining identity exactly (integer arithmetic,
@@ -61,6 +70,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -69,13 +79,13 @@ from .abgroup import (
     hom_compose, is_iso, subquotient,
 )
 from .fincat import (
-    MSeq, ShapeMismatch, enumerate_sequences, sequence_index,
-    vertical_compose,
+    Functor, MSeq, ShapeMismatch, compose_functors, enumerate_sequences,
+    identity_nat, sequence_index, vertical_compose,
 )
 from .intmat import IntMatrix, LatticeSolver
 from .natsys import (
     NatFTwoMorphism, NatSysMorphism, NaturalSystem, horizontal_compose_two,
-    vertical_compose_two,
+    identity_two_morphism, vertical_compose_two,
 )
 
 if TYPE_CHECKING:
@@ -113,13 +123,6 @@ class ProductGroup:
         offs = [0]
         for f in self.factors:
             offs.append(offs[-1] + f.generators)
-        return tuple(offs)
-
-    @cached_property
-    def rel_offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for f in self.factors:
-            offs.append(offs[-1] + f.relations.cols)
         return tuple(offs)
 
     @cached_property
@@ -400,10 +403,10 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
                 ScaleWarning, stacklevel=2)
     groups = [ProductGroup(tuple(d.value(s.composite) for s in basis))
               for basis in bases]
-    indexes = [sequence_index(b) for b in bases]
-    diffs: list[BlockHom] = []
+    cx = CochainComplex(d, max_degree, bases, groups, [])
+    diffs = cx.diffs
     for n in range(max_degree):
-        idx = indexes[n]
+        idx = cx.index[n]
         small = bases[n]
         acc: dict[tuple[int, int], IntMatrix] = {}
         for ti, tau in enumerate(bases[n + 1]):
@@ -437,7 +440,6 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
             _acc_block(acc, ti, si, hom, -1 if m % 2 else 1)
         diffs.append(BlockHom(groups[n], groups[n + 1], acc))
 
-    cx = CochainComplex(d, max_degree, bases, groups, diffs)
     for n in range(max_degree - 1):
         witness: dict[tuple[int, int], IntMatrix] = {}
         require_vanishing(BlockHom.signed_sum([(1, diffs[n + 1], diffs[n])]),
@@ -550,66 +552,98 @@ class Homotopy2:
 
 
 # ---------------------------------------------------------------------------
-# induced chain maps
+# insertion sums: induced chain maps and homotopy families
+
+def _insertion_hom(cx_src: CochainComplex, cx_dst: CochainComplex, n: int,
+                   functors: tuple[Functor, ...],
+                   comps: tuple[tuple[int, ...], ...],
+                   k_hom: Callable[[MSeq], GroupHom]) -> BlockHom:
+    """The map from degree n+m of ``cx_src`` to degree n of ``cx_dst``,
+    m = ``len(comps)``.
+
+    At a target sequence τ = (s_1, ..., s_n) with objects X_0, ..., X_n it
+    sums ``(-1)^(i_1+...+i_m) k_hom(τ)`` over the cuts
+    0 <= i_1 <= ... <= i_m <= n, each at the source sequence
+    ``F_0(s_1..s_{i_1}), c_1(X_{i_1}), F_1(s_{i_1+1}..s_{i_2}), ...,
+    c_m(X_{i_m}), F_m(s_{i_m+1}..s_n)``, where ``F_k = functors[k]`` and
+    ``c_k = comps[k-1]`` lists a morphism per object.  With m = 0 the source
+    is the pulled-back sequence F_0(τ), the object F_0(X_0) in degree 0."""
+    m = len(comps)
+    idx = cx_src.index[n + m]
+    cuts = [((0,) + c + (n,), sum(c) % 2)
+            for c in combinations_with_replacement(range(n + 1), m)]
+    blocks: dict[tuple[int, int], IntMatrix] = {}
+    for ti, tau in enumerate(cx_dst.bases[n]):
+        mat = k_hom(tau).matrix
+        signed = (mat, -mat) if n and m else (mat,)
+        objs = tau.objects
+        # each functor's image of τ, sliced between the cuts below
+        images = [tuple([f.mor_map[s] for s in tau.mors]) for f in functors]
+        for b, odd in cuts:
+            key = images[0][:b[1]]
+            for k in range(m):
+                key += (comps[k][objs[b[k + 1]]],) \
+                    + images[k + 1][b[k + 1]:b[k + 2]]
+            si = idx[key] if key else idx["obj", functors[0].obj_map[objs[0]]]
+            blk = signed[odd]
+            blocks[ti, si] = blocks[ti, si] + blk if (ti, si) in blocks \
+                else blk
+    return BlockHom(cx_src.groups[n + m], cx_dst.groups[n], blocks)
+
+
+def _corrected(tm: NatFTwoMorphism) -> Callable[[MSeq], GroupHom]:
+    """The coefficient map of the insertion sums of a two-morphism
+    (eps, gam): (alpha, t) => (beta, s) with eps: xi => phi.
+
+    At τ with composite σ: X -> Y it is ``s_σ ∘ D(1, (gam∘alpha)_Y)``, the
+    correction running from ``D(eps_Y ∘ xi(σ))`` to ``D(beta_Y ∘ xi(σ))``.
+    Every summand lives in the first group, by naturality of eps."""
+    d = tm.src.source_system
+    cc = d.base
+    xi = tm.dst.alpha.source_functor
+    e, b = tm.eps.components, tm.dst.alpha.components
+    c = vertical_compose(tm.gam, tm.src.alpha).components
+    s = tm.dst.nat.components
+
+    def k_hom(tau: MSeq) -> GroupHom:
+        y, xs = tau.objects[0], xi.mor_map[tau.composite]
+        return hom_compose(s[tau.composite], d.act_pair(
+            cc.table[xs][e[y]], cc.table[xs][b[y]],
+            cc.identity[cc.mor_source[xs]], c[y]))
+    return k_hom
+
+
+def _chain_map(m: NatSysMorphism, cx_src: CochainComplex,
+               cx_dst: CochainComplex, k_hom: Callable[[MSeq], GroupHom],
+               label: str) -> CochainMap:
+    """The m = 0 insertion sums of ``m`` in every degree, checked to be a
+    chain map."""
+    phi = m.alpha.source_functor
+    maps = tuple(_insertion_hom(cx_src, cx_dst, n, (phi,), (), k_hom)
+                 for n in range(min(cx_src.max_degree,
+                                    cx_dst.max_degree) + 1))
+    cmap = CochainMap(cx_src, cx_dst, maps, label=label)
+    cmap.check_chain()
+    return cmap
+
 
 def induced_map_nat(m: NatSysMorphism, cx_src: CochainComplex,
                     cx_dst: CochainComplex) -> CochainMap:
     """Chain map of an ordinary morphism (phi, t): coordinates pulled back
     along phi and pushed through t, with no correction factor."""
-    alpha = m.alpha
-    if alpha.source_functor != alpha.target_functor:
+    if m.alpha != identity_nat(m.alpha.source_functor):
         raise ShapeMismatch("ordinary induced map needs an identity anchor")
-    dom = alpha.domain
-    for x in range(dom.n_objects):
-        if alpha.components[x] != alpha.codomain.identity[alpha.source_functor.obj_map[x]]:
-            raise ShapeMismatch("ordinary induced map needs an identity anchor")
-    phi = alpha.source_functor
-    maps = []
-    for n in range(min(cx_src.max_degree, cx_dst.max_degree) + 1):
-        idx = cx_src.index[n]
-        blocks: dict[tuple[int, int], IntMatrix] = {}
-        for ti, tau in enumerate(cx_dst.bases[n]):
-            if n == 0:
-                si = idx[("obj", phi.obj_map[tau.objects[0]])]
-            else:
-                si = idx[tuple(phi.mor_map[s] for s in tau.mors)]
-            hom = m.component(tau.composite)
-            _acc_block(blocks, ti, si, hom, 1)
-        maps.append(BlockHom(cx_src.groups[n], cx_dst.groups[n], blocks))
-    cmap = CochainMap(cx_src, cx_dst, tuple(maps), label="F*(phi,t)")
-    cmap.check_chain()
-    return cmap
+    return _chain_map(m, cx_src, cx_dst,
+                      lambda tau: m.component(tau.composite), "F*(phi,t)")
 
 
 def induced_map_2(m: NatSysMorphism, cx_src: CochainComplex,
                   cx_dst: CochainComplex) -> CochainMap:
     """Chain map of a pair morphism (alpha, t): the pulled-back coordinate is
-    corrected along (1_{phi X}, alpha_Y) before applying t."""
-    alpha = m.alpha
-    phi = alpha.source_functor
-    cc = m.source_system.base   # codomain of alpha
-    d = m.source_system
-    maps = []
-    for n in range(min(cx_src.max_degree, cx_dst.max_degree) + 1):
-        idx = cx_src.index[n]
-        blocks: dict[tuple[int, int], IntMatrix] = {}
-        for ti, tau in enumerate(cx_dst.bases[n]):
-            x, y = tau.objects[-1], tau.objects[0]
-            if n == 0:
-                si = idx[("obj", phi.obj_map[tau.objects[0]])]
-            else:
-                si = idx[tuple(phi.mor_map[s] for s in tau.mors)]
-            phi_sigma = phi.mor_map[tau.composite]
-            fa_sigma = cc.table[phi_sigma][alpha.components[y]]
-            corr = d.act_pair(phi_sigma, fa_sigma,
-                              cc.identity[cc.mor_source[phi_sigma]],
-                              alpha.components[y])
-            hom = hom_compose(m.component(tau.composite), corr)
-            _acc_block(blocks, ti, si, hom, 1)
-        maps.append(BlockHom(cx_src.groups[n], cx_dst.groups[n], blocks))
-    cmap = CochainMap(cx_src, cx_dst, tuple(maps), label="F*(alpha,t)")
-    cmap.check_chain()
-    return cmap
+    corrected along (1_{phi X}, alpha_Y) before applying t, the coefficient
+    map of the identity two-morphism of (alpha, t)."""
+    return _chain_map(m, cx_src, cx_dst,
+                      _corrected(identity_two_morphism(m)), "F*(alpha,t)")
 
 
 # ---------------------------------------------------------------------------
@@ -619,42 +653,33 @@ def homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
                cx_dst: CochainComplex, check: bool = True) -> Homotopy1:
     """The degree -1 family attached to a two-morphism (eps, gam)."""
     tm.require()
-    alpha, beta = tm.src.alpha, tm.dst.alpha
-    eps, gam = tm.eps, tm.gam
-    phi = alpha.source_functor
-    xi = beta.source_functor
-    gam_alpha = vertical_compose(gam, alpha)
-    d = tm.src.source_system
-    cc = d.base
-    s_nat = tm.dst.nat
-    N = min(cx_src.max_degree, cx_dst.max_degree)
-    maps: dict[int, BlockHom] = {}
-    for n in range(N):     # target degree; sources have degree n+1
-        idx = cx_src.index[n + 1]
-        blocks: dict[tuple[int, int], IntMatrix] = {}
-        for ti, tau in enumerate(cx_dst.bases[n]):
-            x, y = tau.objects[-1], tau.objects[0]
-            sigma = tau.composite
-            xi_sigma = xi.mor_map[sigma]
-            feps_sigma = cc.table[xi_sigma][eps.components[y]]
-            fbeta_sigma = cc.table[xi_sigma][beta.components[y]]
-            corr = d.act_pair(feps_sigma, fbeta_sigma,
-                              cc.identity[cc.mor_source[xi_sigma]],
-                              gam_alpha.components[y])
-            k_hom = hom_compose(s_nat.components[sigma], corr)
-            for i in range(n + 1):
-                inserted = tuple(phi.mor_map[m_] for m_ in tau.mors[:i]) \
-                    + (eps.components[tau.objects[i]],) \
-                    + tuple(xi.mor_map[m_] for m_ in tau.mors[i:])
-                _acc_block(blocks, ti, idx[inserted], k_hom,
-                           -1 if i % 2 else 1)
-        maps[n + 1] = BlockHom(cx_src.groups[n + 1], cx_dst.groups[n], blocks)
+    k_hom = _corrected(tm)
+    functors = (tm.src.alpha.source_functor, tm.dst.alpha.source_functor)
+    maps = {n + 1: _insertion_hom(cx_src, cx_dst, n, functors,
+                                  (tm.eps.components,), k_hom)
+            for n in range(min(cx_src.max_degree, cx_dst.max_degree))}
     p = induced_map_2(tm.src, cx_src, cx_dst)
     q = induced_map_2(tm.dst, cx_src, cx_dst)
     h = Homotopy1(cx_src, cx_dst, maps, p, q)
     if check:
         h.check_boundary()
     return h
+
+
+def _double_insertion(ab: NatFTwoMorphism, middle: Functor,
+                      comps: tuple[tuple[int, ...], tuple[int, ...]],
+                      cx_src: CochainComplex, cx_dst: CochainComplex
+                      ) -> Homotopy2:
+    """The degree -2 family of a composite two-morphism ``ab``: both
+    components inserted, ``middle`` between them, with the coefficient map
+    of ``ab``."""
+    k_hom = _corrected(ab)
+    functors = (ab.src.alpha.source_functor, middle,
+                ab.dst.alpha.source_functor)
+    N = min(cx_src.max_degree, cx_dst.max_degree)
+    return Homotopy2(cx_src, cx_dst, {
+        n + 2: _insertion_hom(cx_src, cx_dst, n, functors, comps, k_hom)
+        for n in range(N - 1)})
 
 
 def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
@@ -667,48 +692,14 @@ def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
     b.require()
     if a.dst.alpha != b.src.alpha or not a.dst.nat.equal_mod(b.src.nat):
         raise ShapeMismatch("ladder middle morphisms disagree")
-    alpha = a.src.alpha
-    beta = b.dst.alpha
-    eps, gam = a.eps, a.gam          # eps: phi' => phi, gam: psi => psi'
-    eps2, gam2 = b.eps, b.gam        # eps': xi => phi', gam': psi' => zeta
-    phi = alpha.source_functor
-    phi2 = eps.source_functor        # phi'
-    xi = beta.source_functor
-    corr_nat = vertical_compose(gam2, vertical_compose(gam, alpha))
-    d = a.src.source_system
-    cc = d.base
-    s_nat = b.dst.nat
-    N = min(cx_src.max_degree, cx_dst.max_degree)
-    maps: dict[int, BlockHom] = {}
-    for n in range(N - 1):   # target degree; sources have degree n+2
-        idx = cx_src.index[n + 2]
-        blocks: dict[tuple[int, int], IntMatrix] = {}
-        for ti, tau in enumerate(cx_dst.bases[n]):
-            y = tau.objects[0]
-            sigma = tau.composite
-            xi_sigma = xi.mor_map[sigma]
-            eps_total_y = cc.table[eps2.components[y]][eps.components[y]]
-            fsrc = cc.table[xi_sigma][eps_total_y]
-            fdst = cc.table[xi_sigma][beta.components[y]]
-            corr = d.act_pair(fsrc, fdst,
-                              cc.identity[cc.mor_source[xi_sigma]],
-                              corr_nat.components[y])
-            k_hom = hom_compose(s_nat.components[sigma], corr)
-            for i in range(n + 1):
-                head = tuple(phi.mor_map[m_] for m_ in tau.mors[:i])
-                for j in range(i, n + 1):
-                    inserted = head \
-                        + (eps.components[tau.objects[i]],) \
-                        + tuple(phi2.mor_map[m_] for m_ in tau.mors[i:j]) \
-                        + (eps2.components[tau.objects[j]],) \
-                        + tuple(xi.mor_map[m_] for m_ in tau.mors[j:])
-                    _acc_block(blocks, ti, idx[inserted], k_hom,
-                               -1 if (i + j) % 2 else 1)
-        maps[n + 2] = BlockHom(cx_src.groups[n + 2], cx_dst.groups[n], blocks)
+    ab = vertical_compose_two(b, a)
+    # eps: phi' => phi, then eps': xi => phi'
+    r = _double_insertion(ab, a.eps.source_functor,
+                          (a.eps.components, b.eps.components),
+                          cx_src, cx_dst)
     h_a = homotopy_h(a, cx_src, cx_dst)
     h_b = homotopy_h(b, cx_src, cx_dst)
-    h_ab = homotopy_h(vertical_compose_two(b, a), cx_src, cx_dst)
-    r = Homotopy2(cx_src, cx_dst, maps)
+    h_ab = homotopy_h(ab, cx_src, cx_dst)
     r.check_boundary(lambda n: [(-1, h_a.maps[n], None),
                                 (-1, h_b.maps[n], None),
                                 (1, h_ab.maps[n], None)],
@@ -728,62 +719,16 @@ def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
     families it was verified against."""
     a.require()
     b.require()
-    alpha = a.src.alpha
-    beta = a.dst.alpha
-    eps, gam = a.eps, a.gam
-    alpha2 = b.src.alpha
-    beta2 = b.dst.alpha
-    eps2, gam2 = b.eps, b.gam
-    phi, xi = alpha.source_functor, beta.source_functor
-    phi2, xi2 = alpha2.source_functor, beta2.source_functor
-    from .fincat import compose_functors, horizontal_compose
-    phi_phi2 = compose_functors(phi, phi2)
-    phi_xi2 = compose_functors(phi, xi2)
-    xi_xi2 = compose_functors(xi, xi2)
-    corr_nat = vertical_compose(horizontal_compose(gam, gam2),
-                                horizontal_compose(alpha, alpha2))
-    beta_total = horizontal_compose(beta, beta2)
-    d = a.src.source_system
-    cc = d.base
-    dd = b.src.source_system.base
-    s_nat = a.dst.nat        # over D'
-    s2_nat = b.dst.nat       # over E'
-    N = min(cx_a.max_degree, cx_b.max_degree)
-    maps: dict[int, BlockHom] = {}
-    for n in range(N - 1):
-        idx = cx_a.index[n + 2]
-        blocks: dict[tuple[int, int], IntMatrix] = {}
-        for ti, tau in enumerate(cx_b.bases[n]):
-            y = tau.objects[0]
-            sigma = tau.composite
-            # middle component is taken at F(beta')(sigma)
-            fb2_sigma = dd.table[xi2.mor_map[sigma]][beta2.components[y]]
-            xixi2_sigma = xi_xi2.mor_map[sigma]
-            eps_total_y = cc.table[eps.components[xi2.obj_map[y]]][
-                phi.mor_map[eps2.components[y]]]
-            fsrc = cc.table[xixi2_sigma][eps_total_y]
-            fdst = cc.table[xixi2_sigma][beta_total.components[y]]
-            corr = d.act_pair(fsrc, fdst,
-                              cc.identity[cc.mor_source[xixi2_sigma]],
-                              corr_nat.components[y])
-            k_hom = hom_compose(s2_nat.components[sigma],
-                                hom_compose(s_nat.components[fb2_sigma], corr))
-            for i in range(n + 1):
-                head = tuple(phi_phi2.mor_map[m_] for m_ in tau.mors[:i])
-                for j in range(i, n + 1):
-                    inserted = head \
-                        + (phi.mor_map[eps2.components[tau.objects[i]]],) \
-                        + tuple(phi_xi2.mor_map[m_] for m_ in tau.mors[i:j]) \
-                        + (eps.components[xi2.obj_map[tau.objects[j]]],) \
-                        + tuple(xi_xi2.mor_map[m_] for m_ in tau.mors[j:])
-                    _acc_block(blocks, ti, idx[inserted], k_hom,
-                               -1 if (i + j) % 2 else 1)
-        maps[n + 2] = BlockHom(cx_a.groups[n + 2], cx_b.groups[n], blocks)
-
+    ab = horizontal_compose_two(b, a)
+    phi, xi2 = a.src.alpha.source_functor, b.dst.alpha.source_functor
+    # phi(eps'_X), then eps_{xi' X}, with phi∘xi' between them
+    r = _double_insertion(ab, compose_functors(phi, xi2),
+                          (tuple(phi.mor_map[f] for f in b.eps.components),
+                           tuple(a.eps.components[x] for x in xi2.obj_map)),
+                          cx_a, cx_b)
     h_a = homotopy_h(a, cx_a, cx_mid)
     h_b = homotopy_h(b, cx_mid, cx_b)
-    h_ab = homotopy_h(horizontal_compose_two(b, a), cx_a, cx_b)
-    r = Homotopy2(cx_a, cx_b, maps)
+    h_ab = homotopy_h(ab, cx_a, cx_b)
     # h_a.p is F*(alpha,t) and h_b.q is F*(beta',s')
     r.check_boundary(lambda n: [(-1, h_b.maps[n], h_a.p.maps[n]),
                                 (-1, h_b.q.maps[n - 1], h_a.maps[n]),

@@ -13,11 +13,14 @@ import sys
 
 from .bwcomplex import build_complex
 from .factorization import build_factorization
+from .fincat import Report
 from .laws import LAW_NAMES, run_laws
 from .localization import (
-    NotLocal, CertificateError, verify_colocalization_theorem,
+    NotLocal, CertificateError, validate_colocalization,
+    validate_localization, verify_colocalization_theorem,
     verify_localization_theorem,
 )
+from .natsys import validate_natural_system
 from .nerve import nerve_cells
 from .workspace import (
     InvalidWorkspace, ParseError, Workspace, category_text, group_text,
@@ -83,6 +86,13 @@ def _require(ws: Workspace, table: dict, kind: str, name: str):
     return table[name]
 
 
+def _require_ok(rep: Report) -> None:
+    """Print a validation report and exit 2 if it has violations."""
+    if not rep.ok:
+        print(rep)
+        raise SystemExit(EXIT_INVALID)
+
+
 def cmd_cohomology(args) -> int:
     ws = _load(args.file)
     _require(ws, ws.categories, "category", args.category)
@@ -92,11 +102,7 @@ def cmd_cohomology(args) -> int:
               f"{ws.system_base[args.system]!r}, not {args.category!r}",
               file=sys.stderr)
         return EXIT_INVALID
-    from .natsys import validate_natural_system
-    rep = validate_natural_system(system)
-    if not rep.ok:
-        print(rep)
-        return EXIT_INVALID
+    _require_ok(validate_natural_system(system))
     cx = build_complex(system, args.max_degree)
     lines = []
     for n in range(args.max_degree):
@@ -134,11 +140,11 @@ def cmd_localization_check(args) -> int:
     name = args.localization
     if name in ws.localizations:
         loc = ws.localizations[name]
-        verify = verify_localization_theorem
+        check, verify = validate_localization, verify_localization_theorem
         kind = "localization"
     elif name in ws.colocalizations:
         loc = ws.colocalizations[name]
-        verify = verify_colocalization_theorem
+        check, verify = validate_colocalization, verify_colocalization_theorem
         kind = "colocalization"
     else:
         print(f"error: no (co)localization named {name!r}", file=sys.stderr)
@@ -147,6 +153,10 @@ def cmd_localization_check(args) -> int:
         print(f"error: system {args.system!r} does not live on the big "
               f"category of {name!r}", file=sys.stderr)
         return EXIT_INVALID
+    _require_ok(validate_natural_system(system))
+    rep = check(loc)
+    rep.subject = f"{kind} {name}"
+    _require_ok(rep)
     try:
         report = verify(system, loc, args.max_degree)
     except NotLocal as exc:

@@ -255,10 +255,6 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
     cx_dp = build_complex(d_prime, max_degree)
     cx_e = build_complex(e, max_degree)
 
-    # conjugating chain isomorphism N: F*(C, D) -> F*(C, D')
-    n_mor = NatSysMorphism(identity_nat(one_c), d, d_prime, nu.nat)
-    n_map = induced_map_nat(n_mor, cx_d, cx_dp)
-
     # statement map P: F*(C, D) -> F*(small, E), and its D' version P'
     p_mor = morphism_from_functor(identity_nat(l.psi).source_functor, d, e,
                                   AbNat.identity(e.functor))
@@ -294,8 +290,8 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
                 f"Q'∘P' does not induce the identity on H^{n}")
     report.composites_induce_identity = True
 
-    # inverse conjugator N^-1: F*(C, D') -> F*(C, D), induced by the inverse
-    # natural isomorphism nu^-1: D' => D
+    # conjugating chain isomorphism N^-1: F*(C, D') -> F*(C, D), induced by
+    # the inverse natural isomorphism nu^-1: D' => D
     nu_inv = AbNat(nu.nat.target, nu.nat.source,
                    tuple(hom_inverse(t) for t in nu.nat.components))
     n_inv = induced_map_nat(

@@ -55,16 +55,27 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free):
     task NAME: localization-check LOC SYSTEM max-degree=3
 
 Explicit systems list actions only for the one-sided generating pairs; the
-loader completes the full action table by composing the two sides and then
-revalidates the result.  Every cross-reference must resolve and every object
-revalidates on load.
+loader completes the full action table by composing the two sides.
+
+What is checked, and where:
+
+* on load, every cross-reference must resolve (``ParseError``), and every
+  category must pass ``validate_category`` and every declared action matrix
+  must preserve relations (both ``InvalidWorkspace``);
+* functors, natural transformations, systems (naturality and
+  functoriality of the completed action table) and (co)localizations are
+  validated by ``Workspace.validate_all``, the ``validate`` command;
+* ``cohomology`` and ``localization-check`` validate the system they use,
+  and ``localization-check`` its (co)localization, before computing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abgroup import GroupHom, PresentedGroup, from_invariants, hom_compose
+from .abgroup import (
+    GroupHom, IllDefinedHom, PresentedGroup, from_invariants, hom_compose,
+)
 from .factorization import build_factorization, op_pair_product
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, compose_functors,
@@ -85,7 +96,8 @@ class ParseError(ValueError):
 
 
 class InvalidWorkspace(ValueError):
-    """A category fails validation before anything is derived from it."""
+    """A category or a declared action fails validation before anything is
+    derived from it."""
 
     def __init__(self, report: Report):
         super().__init__(str(report))
@@ -445,14 +457,29 @@ def _parse_system(block: _Block, ws: Workspace) -> tuple[str, str, NaturalSystem
     if kind == "constant":
         from .natsys import constant_system
         return name, catname, constant_system(cat, constant_group)
+    subject = f"system {name}"
     if kind == "bifunctor":
         return name, catname, _assemble_bifunctor(cat, bif_values, bif_acts,
-                                                  block.line_no)
+                                                  block.line_no, subject)
     return name, catname, _assemble_explicit(cat, values, left_acts,
-                                             right_acts, block.line_no)
+                                             right_acts, block.line_no,
+                                             subject)
 
 
-def _assemble_bifunctor(cat, bif_values, bif_acts, line_no) -> NaturalSystem:
+def _action(subject: str, what: str, src: PresentedGroup,
+            dst: PresentedGroup, matrix: IntMatrix) -> GroupHom:
+    """The hom of the declared action ``act WHAT``; a matrix that does not
+    preserve relations makes the workspace invalid."""
+    try:
+        return GroupHom.create(src, dst, matrix)
+    except IllDefinedHom:
+        raise InvalidWorkspace(Report(subject, [
+            f"act {what}: matrix does not preserve relations from "
+            f"{group_text(src)} to {group_text(dst)}"])) from None
+
+
+def _assemble_bifunctor(cat, bif_values, bif_acts, line_no, subject
+                        ) -> NaturalSystem:
     prod = op_pair_product(cat)
     vals = []
     for o in range(prod.category.n_objects):
@@ -472,8 +499,9 @@ def _assemble_bifunctor(cat, bif_values, bif_acts, line_no) -> NaturalSystem:
         src = vals[prod.category.mor_source[m]]
         dst = vals[prod.category.mor_target[m]]
         rowsm = bif_acts[(a, b)]
-        homs.append(GroupHom.create(src, dst, _matrix_of(rowsm, dst, src,
-                                                         line_no)))
+        homs.append(_action(subject, f"{cat.morphism_name(a)} "
+                            f"{cat.morphism_name(b)}", src, dst,
+                            _matrix_of(rowsm, dst, src, line_no)))
     bif = AbFunctor(prod.category, tuple(vals), tuple(homs))
     return from_bifunctor(cat, bif)
 
@@ -488,7 +516,7 @@ def _matrix_of(rows: list[list[int]], dst: PresentedGroup,
     return IntMatrix.from_rows(rows)
 
 
-def _assemble_explicit(cat, values, left_acts, right_acts, line_no
+def _assemble_explicit(cat, values, left_acts, right_acts, line_no, subject
                        ) -> NaturalSystem:
     fc = build_factorization(cat)
     for f in range(cat.n_morphisms):
@@ -499,28 +527,24 @@ def _assemble_explicit(cat, values, left_acts, right_acts, line_no
     def left_hom(f: int, h: int) -> GroupHom:
         fh = cat.table[h][f]
         if cat.is_identity(h):
-            return GroupHom.create(values[f], values[fh],
-                                   IntMatrix.identity(values[f].generators))
+            return GroupHom.identity(values[f])
+        what = f"{cat.morphism_name(f)} -| {cat.morphism_name(h)}"
         if (f, h) not in left_acts:
-            raise ParseError(line_no,
-                             f"action missing: {cat.morphism_name(f)} -| "
-                             f"{cat.morphism_name(h)}")
-        return GroupHom.create(values[f], values[fh],
-                               _matrix_of(left_acts[(f, h)], values[fh],
-                                          values[f], line_no))
+            raise ParseError(line_no, f"action missing: {what}")
+        return _action(subject, what, values[f], values[fh],
+                       _matrix_of(left_acts[(f, h)], values[fh], values[f],
+                                  line_no))
 
     def right_hom(f: int, k: int) -> GroupHom:
         kf = cat.table[f][k]
         if cat.is_identity(k):
-            return GroupHom.create(values[f], values[kf],
-                                   IntMatrix.identity(values[f].generators))
+            return GroupHom.identity(values[f])
+        what = f"{cat.morphism_name(f)} |- {cat.morphism_name(k)}"
         if (f, k) not in right_acts:
-            raise ParseError(line_no,
-                             f"action missing: {cat.morphism_name(f)} |- "
-                             f"{cat.morphism_name(k)}")
-        return GroupHom.create(values[f], values[kf],
-                               _matrix_of(right_acts[(f, k)], values[kf],
-                                          values[f], line_no))
+            raise ParseError(line_no, f"action missing: {what}")
+        return _action(subject, what, values[f], values[kf],
+                       _matrix_of(right_acts[(f, k)], values[kf], values[f],
+                                  line_no))
 
     homs = []
     for p in fc.pairs:

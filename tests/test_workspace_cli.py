@@ -165,6 +165,107 @@ def test_incomplete_composition_table_exits_2_on_every_command(tmp_path):
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_localization_check_validates_the_system(tmp_path):
+    # the right actions of g1 multiply by 2 but D(g1,g1)∘D(g1,g1) must be 1;
+    # localization-check used to run the certificates on it and fail d∘d = 0
+    bad = tmp_path / "bad.bwcoh"
+    bad.write_text(f"""{HEADER}
+
+category c2
+  objects: s
+  mor g0: s -> s
+  mor g1: s -> s
+  identity s: g0
+  compose g0 g0 = g0
+  compose g0 g1 = g1
+  compose g1 g0 = g1
+  compose g1 g1 = g0
+end
+
+functor idf: c2 -> c2
+  obj s -> s
+  mor g0 -> g0
+  mor g1 -> g1
+end
+
+localization triv
+  big: c2
+  small: c2
+  phi: idf
+  psi: idf
+  unit s: g0
+end
+
+system bad on c2
+  value g0: Z
+  value g1: Z
+  act g0 -| g1: [[2]]
+  act g1 -| g1: [[2]]
+  act g0 |- g1: [[1]]
+  act g1 |- g1: [[1]]
+end
+""", encoding="utf-8")
+    for argv in (("validate", str(bad)),
+                 ("cohomology", str(bad), "c2", "bad"),
+                 ("localization-check", str(bad), "triv", "bad")):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert "functoriality fails" in out
+        assert "Traceback" not in err
+
+
+def test_localization_check_validates_the_localization(tmp_path):
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    assert "  unit x: f\n" in text
+    mutated = tmp_path / "arrow.bwcoh"
+    mutated.write_text(text.replace("  unit x: f\n", "  unit x: id_x\n"),
+                       encoding="utf-8")
+    code, out, err = run_cli("localization-check", str(mutated), "loc_y",
+                             "const_z")
+    assert code == 2
+    assert out.splitlines() == ["localization loc_y: 1 violation(s)",
+                                "  component at object 0 has wrong endpoints"]
+    assert "Traceback" not in err
+
+
+def _assert_exit_2_on_every_command(path, system, message):
+    for argv in (("validate", path),
+                 ("cohomology", path, "arrow", system),
+                 ("localization-check", path, "loc_y", system)):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert f"system {system}: 1 violation(s)" in out
+        assert message in out
+        assert "Traceback" not in err
+
+
+def test_explicit_action_that_is_not_a_homomorphism_exits_2(tmp_path):
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    assert "  value f: Z/4\n" in text
+    mutated = tmp_path / "arrow.bwcoh"
+    # act id_x |- f: [[3]] now maps Z/4 to Z
+    mutated.write_text(text.replace("  value f: Z/4\n", "  value f: Z\n"),
+                       encoding="utf-8")
+    _assert_exit_2_on_every_command(
+        str(mutated), "local_z4",
+        "act id_x |- f: matrix does not preserve relations from Z/4 to Z")
+
+
+def test_bifunctor_action_that_is_not_a_homomorphism_exits_2(tmp_path):
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    values = [f"  value {a} {b}: {'Z' if (a, b) == ('x', 'y') else 'Z/4'}"
+              for a in "xy" for b in "xy"]
+    acts = [f"  act {h} {k}: [[1]]"
+            for h in ("id_x", "id_y", "f") for k in ("id_x", "id_y", "f")]
+    mutated = tmp_path / "arrow.bwcoh"
+    mutated.write_text("\n".join([text, "system twisted on arrow",
+                                  "  bifunctor:", *values, *acts, "end", ""]),
+                       encoding="utf-8")
+    _assert_exit_2_on_every_command(
+        str(mutated), "twisted",
+        "act id_x f: matrix does not preserve relations from Z/4 to Z")
+
+
 def test_cli_cohomology_formats_and_values():
     ws = str(WORKSPACES / "cyclic.bwcoh")
     code, out, _ = run_cli("cohomology", ws, "z2", "z2_const_z",
