@@ -60,14 +60,18 @@ tolerance would mask sign errors.  Each identity (``d∘d = 0``, ``dp = pd``,
 ``dh + hd = -p + q``, the two ``dr - rd`` identities and the interchange law)
 is written as one ``BlockHom.signed_sum`` of composites and checked by
 ``require_vanishing``, which reports the offending degree and the target and
-source coordinates on failure.
+source coordinates on failure.  The sum is taken over sparse columns in
+global generator coordinates (the ``ProductGroup.gen_offsets``), not as
+per-block matrix products, and only its nonzero entries are regrouped into
+blocks: a summed ``BlockHom`` stores no all-zero block, and
+``first_nonzero_coordinate`` solves each stored block against the
+relations of its target factor.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -134,6 +138,12 @@ class ProductGroup:
             offs.append(offs[-1] + f.injective.relations.cols)
         return tuple(offs)
 
+    @cached_property
+    def gen_factor(self) -> tuple[int, ...]:
+        """The factor of each generator coordinate."""
+        return tuple(i for i, f in enumerate(self.factors)
+                     for _ in range(f.generators))
+
     @property
     def total_gens(self) -> int:
         return self.gen_offsets[-1]
@@ -145,16 +155,18 @@ class ProductGroup:
     def by_factor(self, x: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
         """A sparse vector {generator coordinate: value} split by factor,
         as {factor: [(coordinate within the factor, value), ...]}."""
-        offs = self.gen_offsets
+        offs, of = self.gen_offsets, self.gen_factor
         out: dict[int, list[tuple[int, int]]] = {}
         for c, v in x.items():
-            f = bisect_right(offs, c) - 1
+            f = of[c]
             out.setdefault(f, []).append((c - offs[f], v))
         return out
 
 
 # (sign, left, right): sign·(left∘right), or sign·left when right is None
 Term = tuple[int, "BlockHom", "BlockHom | None"]
+# A sparse map over global generator coordinates: columns {col: {row: value}}
+Columns = dict[int, dict[int, int]]
 _source_key = itemgetter(1)
 
 
@@ -191,29 +203,64 @@ class BlockHom:
     @staticmethod
     def signed_sum(terms: list[Term]) -> "BlockHom":
         """Sum of ``sign·(left∘right)`` over ``(sign, left, right)`` terms,
-        ``sign·left`` when ``right`` is None, accumulated blockwise.
+        ``sign·left`` when ``right`` is None.
 
         Each sign is 1 or -1, and every term must map the same source to
-        the same target."""
-        blocks: dict[tuple[int, int], IntMatrix] = {}
+        the same target.  No block product is formed: each ``left`` is read
+        as sparse columns (``_columns``) and each ``right`` entry by entry
+        (``_entries``), both over global generator coordinates, and every
+        term is added into one ``Columns`` map.  Only its nonzero entries
+        are regrouped into blocks, so a block whose entries all cancel, or
+        that no term reaches, is not stored."""
+        acc: Columns = {}
         src = dst = None
         for sign, left, right in terms:
-            if right is None:
-                term_src, products = left.src, left.blocks.items()
-            else:
-                term_src, products = right.src, _block_products(left, right)
+            term_src = left.src if right is None else right.src
             if src is None:
                 src, dst = term_src, left.dst
             elif term_src.factors != src.factors or \
                     left.dst.factors != dst.factors:
                 raise ShapeMismatch("signed sum terms differ in shape")
-            for key, m in products:
-                if key in blocks:
-                    blocks[key] = blocks[key] + m if sign == 1 \
-                        else blocks[key] - m
-                else:
-                    blocks[key] = m if sign == 1 else -m
-        return BlockHom(src, dst, blocks)
+            if right is None:
+                for r, c, v in left._entries():
+                    col = acc.setdefault(c, {})
+                    col[r] = col.get(r, 0) + sign * v
+                continue
+            if right.dst.factors != left.src.factors:
+                raise ShapeMismatch("block hom composition middle mismatch")
+            lcols = left._columns()
+            for k, c, a in right._entries():
+                through = lcols.get(k)
+                if through:
+                    col = acc.setdefault(c, {})
+                    a *= sign
+                    for r, v in through:
+                        col[r] = col.get(r, 0) + a * v
+        return BlockHom(src, dst, _regroup(acc, src, dst))
+
+    def _entries(self) -> Iterator[tuple[int, int, int]]:
+        """``(target coordinate, source coordinate, value)`` of every nonzero
+        entry, over global generator coordinates.  Read afresh on every call,
+        since ``blocks`` may be changed after construction."""
+        t_off, s_off = self.dst.gen_offsets, self.src.gen_offsets
+        for (t, s), m in self.blocks.items():
+            r0, c0, w = t_off[t], s_off[s], m.cols
+            if m.rows != t_off[t + 1] - r0 or w != s_off[s + 1] - c0:
+                raise ShapeMismatch(
+                    f"block {(t, s)} is {m.rows}x{w}, its factors are "
+                    f"{t_off[t + 1] - r0}x{s_off[s + 1] - c0}")
+            for k, v in enumerate(m.entries):
+                if v:
+                    i, j = divmod(k, w)
+                    yield r0 + i, c0 + j, v
+
+    def _columns(self) -> dict[int, list[tuple[int, int]]]:
+        """The nonzero entries as ``{source coordinate: [(target coordinate,
+        value), ...]}``."""
+        cols: dict[int, list[tuple[int, int]]] = {}
+        for r, c, v in self._entries():
+            cols.setdefault(c, []).append((r, v))
+        return cols
 
     def compose(self, first: "BlockHom") -> "BlockHom":
         """self ∘ first."""
@@ -298,16 +345,26 @@ class BlockHom:
         return GroupHom(self.src.group, self.dst.group, self.to_matrix())
 
 
-def _block_products(left: BlockHom, right: BlockHom):
-    """The products ``left[t, m] @ right[m, s]``, keyed by ``(t, s)``."""
-    if right.dst.factors != left.src.factors:
-        raise ShapeMismatch("block hom composition middle mismatch")
-    by_row: dict[int, list[tuple[int, IntMatrix]]] = {}
-    for (m, s), m1 in right.blocks.items():
-        by_row.setdefault(m, []).append((s, m1))
-    for (t, m), m2 in left.blocks.items():
-        for s, m1 in by_row.get(m, ()):
-            yield (t, s), m2 @ m1
+def _regroup(cols: Columns, src: ProductGroup, dst: ProductGroup
+             ) -> dict[tuple[int, int], IntMatrix]:
+    """The nonzero entries of ``cols`` as one matrix per (target factor,
+    source factor) block they touch."""
+    t_of, s_of = dst.gen_factor, src.gen_factor
+    t_off, s_off = dst.gen_offsets, src.gen_offsets
+    flat: dict[tuple[int, int], list[int]] = {}
+    for c, col in cols.items():
+        s = s_of[c]
+        j, w = c - s_off[s], s_off[s + 1] - s_off[s]
+        for r, v in col.items():
+            if v:
+                t = t_of[r]
+                e = flat.get((t, s))
+                if e is None:
+                    e = flat[t, s] = [0] * ((t_off[t + 1] - t_off[t]) * w)
+                e[(r - t_off[t]) * w + j] = v
+    return {(t, s): IntMatrix(t_off[t + 1] - t_off[t],
+                              s_off[s + 1] - s_off[s], tuple(e))
+            for (t, s), e in flat.items()}
 
 
 def _acc_block(acc: dict, ti: int, si: int, hom: GroupHom, sign: int) -> None:
@@ -653,13 +710,21 @@ def homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
                cx_dst: CochainComplex, check: bool = True) -> Homotopy1:
     """The degree -1 family attached to a two-morphism (eps, gam)."""
     tm.require()
+    return _homotopy_h(tm, cx_src, cx_dst,
+                       induced_map_2(tm.src, cx_src, cx_dst),
+                       induced_map_2(tm.dst, cx_src, cx_dst), check)
+
+
+def _homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
+                cx_dst: CochainComplex, p: CochainMap, q: CochainMap,
+                check: bool = True) -> Homotopy1:
+    """``homotopy_h`` of a valid ``tm`` whose boundary chain maps, ``p`` of
+    ``tm.src`` and ``q`` of ``tm.dst``, are already built and checked."""
     k_hom = _corrected(tm)
     functors = (tm.src.alpha.source_functor, tm.dst.alpha.source_functor)
     maps = {n + 1: _insertion_hom(cx_src, cx_dst, n, functors,
                                   (tm.eps.components,), k_hom)
             for n in range(min(cx_src.max_degree, cx_dst.max_degree))}
-    p = induced_map_2(tm.src, cx_src, cx_dst)
-    q = induced_map_2(tm.dst, cx_src, cx_dst)
     h = Homotopy1(cx_src, cx_dst, maps, p, q)
     if check:
         h.check_boundary()
@@ -697,9 +762,13 @@ def homotopy_r_vertical(a: NatFTwoMorphism, b: NatFTwoMorphism,
     r = _double_insertion(ab, a.eps.source_functor,
                           (a.eps.components, b.eps.components),
                           cx_src, cx_dst)
-    h_a = homotopy_h(a, cx_src, cx_dst)
-    h_b = homotopy_h(b, cx_src, cx_dst)
-    h_ab = homotopy_h(ab, cx_src, cx_dst)
+    # three distinct boundary maps: F*(alpha,t), F*(alpha',t'), F*(beta,s);
+    # the middle one serves both a and b, as their nats agree mod relations
+    p, mid, q = (induced_map_2(m, cx_src, cx_dst)
+                 for m in (a.src, a.dst, b.dst))
+    h_a = _homotopy_h(a, cx_src, cx_dst, p, mid)
+    h_b = _homotopy_h(b, cx_src, cx_dst, mid, q)
+    h_ab = _homotopy_h(ab.require(), cx_src, cx_dst, p, q)
     r.check_boundary(lambda n: [(-1, h_a.maps[n], None),
                                 (-1, h_b.maps[n], None),
                                 (1, h_ab.maps[n], None)],

@@ -56,7 +56,7 @@ def _at_least(low: int):
 def _load(path: str) -> Workspace:
     try:
         return load_workspace_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except ParseError as exc:

@@ -58,12 +58,12 @@ from math import gcd
 from .abgroup import (
     GroupHom, GroupInvariants, PresentedGroup, Subquotient, subquotient,
 )
-from .bwcomplex import CochainComplex, HomotopyIdentityError
+from .bwcomplex import Columns, CochainComplex, HomotopyIdentityError
 from .intmat import IntMatrix, smith_normal_form
 
-# A sparse differential: columns {col: {row: value}} and, once reduction
-# starts, rows {row: {col, ...}}.  Zero entries are never stored.
-Columns = dict[int, dict[int, int]]
+# A sparse differential: columns {col: {row: value}} (``bwcomplex.Columns``)
+# and, once reduction starts, rows {row: {col, ...}}.  Zero entries are never
+# stored.
 Rows = dict[int, set[int]]
 # One unit pivot: i, j, p, col_j without row i, [(jj, c_jj[i]), ...]
 Pivot = tuple[int, int, int, dict[int, int], list[tuple[int, int]]]

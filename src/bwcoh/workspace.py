@@ -164,9 +164,12 @@ def parse_group(text: str, line_no: int) -> PresentedGroup:
             rank += 1
         elif part.startswith("Z^"):
             try:
-                rank += int(part[2:])
+                n = int(part[2:])
             except ValueError:
+                n = -1
+            if n < 0:
                 raise ParseError(line_no, f"bad group token {part!r}")
+            rank += n
         elif part.startswith("Z/"):
             try:
                 torsion.append(int(part[2:]))

@@ -4,9 +4,11 @@ These deliberately avoid the library's own reduction routines: determinants
 are cofactor expansions, lattice membership is a row-style basis kept in the
 style of hand-rolled lattice code, group structure is recovered from element
 order statistics, and the bar complex is written directly from tuples.  The
-one exception is ``dense_cohomology_map``, the induced map on cohomology
+exceptions are ``dense_cohomology_map``, the induced map on cohomology
 through the dense subquotients of the full differentials, which is the
-reference the reduced-cone ``cohomology_map`` is compared against.
+reference the reduced-cone ``cohomology_map`` is compared against, and
+``blockwise_signed_sum``, the per-block ``IntMatrix`` form of
+``BlockHom.signed_sum``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from bwcoh.abgroup import (
     GroupHom, GroupInvariants, PresentedGroup, direct_product, subquotient,
     trivial_group,
 )
+from bwcoh.bwcomplex import BlockHom
+from bwcoh.fincat import ShapeMismatch
 from bwcoh.intmat import IntMatrix
 
 
@@ -256,6 +260,40 @@ def dense_cohomology_map(cmap, n: int) -> GroupHom:
     sq_b = cmap.target.cohomology_data(n)
     w = sq_b.express(cmap.maps[n].to_matrix() @ sq_a.basis)
     return GroupHom.create(sq_a.group, sq_b.group, w)
+
+
+# ---------------------------------------------------------------------------
+# chain-level sums, the blockwise way
+
+def blockwise_signed_sum(terms) -> BlockHom:
+    """``BlockHom.signed_sum`` accumulated block by block: every product
+    ``left[t, m] @ right[m, s]`` and every plain block is its own
+    ``IntMatrix``, added into the block ``(t, s)``.  Blocks whose entries
+    cancel are kept."""
+    blocks: dict[tuple[int, int], IntMatrix] = {}
+    src = dst = None
+    for sign, left, right in terms:
+        term_src = left.src if right is None else right.src
+        if src is None:
+            src, dst = term_src, left.dst
+        elif term_src.factors != src.factors or \
+                left.dst.factors != dst.factors:
+            raise ShapeMismatch("signed sum terms differ in shape")
+        if right is None:
+            products = list(left.blocks.items())
+        else:
+            if right.dst.factors != left.src.factors:
+                raise ShapeMismatch("block hom composition middle mismatch")
+            by_row: dict[int, list[tuple[int, IntMatrix]]] = {}
+            for (mid, s), m1 in right.blocks.items():
+                by_row.setdefault(mid, []).append((s, m1))
+            products = [((t, s), m2 @ m1)
+                        for (t, mid), m2 in left.blocks.items()
+                        for s, m1 in by_row.get(mid, ())]
+        for key, m in products:
+            signed = m if sign == 1 else -m
+            blocks[key] = blocks[key] + signed if key in blocks else signed
+    return BlockHom(src, dst, blocks)
 
 
 def kernel_cokernel(h: GroupHom) -> tuple[GroupInvariants, GroupInvariants]:

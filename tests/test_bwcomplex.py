@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bwcoh import bwcomplex
 from bwcoh.abgroup import GroupInvariants, Z, cyclic
 from bwcoh.bwcomplex import (
     BlockHom, CochainMap, DegreeOutOfRange, DegreeTruncation, Homotopy1,
@@ -384,6 +385,27 @@ def test_block_key_outside_factor_counts_is_refused(use):
     with pytest.raises(ShapeMismatch, match=r"block \(\d+, 4\) outside "
                                             r"3 target and 4 source factors"):
         use()
+
+
+def test_vertical_family_builds_each_boundary_map_once(monkeypatch):
+    # F*(alpha,t), F*(alpha',t') and F*(beta,s): three distinct chain maps,
+    # each built and checked once for the three degree -1 families
+    two_a, two_b, d, e = InstanceGen(1001).vertical_instance()
+    cx_src, cx_dst = build_complex(d, 3), build_complex(e, 3)
+    calls = {"induced_map_2": 0, "check_chain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bwcomplex, "induced_map_2",
+                        counted("induced_map_2", bwcomplex.induced_map_2))
+    monkeypatch.setattr(CochainMap, "check_chain",
+                        counted("check_chain", CochainMap.check_chain))
+    homotopy_r_vertical(two_a, two_b, cx_src, cx_dst)
+    assert calls == {"induced_map_2": 3, "check_chain": 3}
 
 
 def test_cohomology_map_refuses_image_that_is_not_a_cocycle():

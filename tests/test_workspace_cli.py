@@ -141,6 +141,34 @@ end
     assert code == 3
 
 
+def test_file_that_is_not_utf8_exits_3(tmp_path):
+    # a UnicodeDecodeError used to escape as a traceback with exit 1
+    garbage = tmp_path / "garbage.bwcoh"
+    garbage.write_bytes(bytes(range(128, 256)) * 4)
+    code, out, err = run_cli("validate", str(garbage))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot read {garbage}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", ["Z^-1", "Z^-1 + Z/2", "Z/2 + Z^-3"])
+def test_negative_rank_is_a_parse_error(tmp_path, group):
+    # Z^-1 used to end in IllDefinedHom, Z^-1 + Z/2 in an IndexError
+    with pytest.raises(ParseError, match=r"line 1: bad group token 'Z\^-"):
+        parse_group(group, 1)
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    assert "  constant: Z/4\n" in text
+    line = text[:text.index("  constant: Z/4\n")].count("\n") + 1
+    path = tmp_path / "arrow.bwcoh"
+    path.write_text(text.replace("  constant: Z/4\n",
+                                 f"  constant: {group}\n"), encoding="utf-8")
+    code, out, err = run_cli("validate", str(path))
+    assert code == 3
+    assert f"line {line}: bad group token" in err
+    assert "Traceback" not in err
+
+
 def test_incomplete_composition_table_exits_2_on_every_command(tmp_path):
     # without this line the arrow's systems used to crash the loader with a
     # KeyError while building the factorization category
