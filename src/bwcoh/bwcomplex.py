@@ -7,7 +7,13 @@ differential is the three-term alternating sum: precompose the head morphism
 into the coefficient action on the left, merge adjacent entries with
 alternating signs, and postcompose the tail morphism with sign (-1)^(n+1).
 Degenerate sequences (those containing identities) are genuine basis
-elements; nothing is normalized away.
+elements of this full complex, the object of the chain-level certificates.
+``build_complex(..., normalized=True)`` builds instead the normalized
+subcomplex of cochains vanishing on every degenerate sequence, whose basis
+``enumerate_sequences(..., nondegenerate=True)`` enumerates directly.  Its
+inclusion is a quasi-isomorphism (Dold–Kan normalization), so it answers
+``bwcoh cohomology``; its differential is the full one restricted to
+nondegenerate rows and columns, and the map constructors refuse it.
 
 Cohomology, groups and maps alike, comes from the free cone of
 ``bwcoh.reduction``, reduced once per complex (``CochainComplex.reduced``):
@@ -380,9 +386,11 @@ class CochainComplex:
 
     def __init__(self, system: NaturalSystem, max_degree: int,
                  bases: list[tuple[MSeq, ...]], groups: list[ProductGroup],
-                 diffs: list[BlockHom]):
+                 diffs: list[BlockHom], normalized: bool = False):
         self.system = system
         self.max_degree = max_degree
+        # bases hold only the nondegenerate sequences (build_complex)
+        self.normalized = normalized
         self.bases = bases
         self.groups = groups
         self.diffs = diffs            # diffs[n]: degree n -> n+1, n < max_degree
@@ -448,11 +456,21 @@ def require_vanishing(total: BlockHom, label: str, cx_src: CochainComplex,
             f"source {cx_src.coordinate_name(n, bad[1])}")
 
 
-def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
+def build_complex(d: NaturalSystem, max_degree: int, *,
+                  normalized: bool = False) -> CochainComplex:
+    """The complex in degrees 0..max_degree, with ``d∘d = 0`` checked.
+
+    With ``normalized`` the basis is the nondegenerate sequences only: the
+    normalized subcomplex, whose cohomology is that of the full complex.
+    Its differential is the full one restricted to nondegenerate rows and
+    columns, so only the merge terms whose merged morphism is an identity
+    are dropped; head and tail faces of a nondegenerate sequence are
+    nondegenerate."""
     if max_degree < 1:
         raise DegreeOutOfRange("max degree must be at least 1")
     c = d.base
-    bases = [enumerate_sequences(c, n) for n in range(max_degree + 1)]
+    bases = [enumerate_sequences(c, n, nondegenerate=normalized)
+             for n in range(max_degree + 1)]
     for n, b in enumerate(bases):
         if len(b) > SEQUENCE_WARN_LIMIT:
             warnings.warn(
@@ -460,7 +478,7 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
                 ScaleWarning, stacklevel=2)
     groups = [ProductGroup(tuple(d.value(s.composite) for s in basis))
               for basis in bases]
-    cx = CochainComplex(d, max_degree, bases, groups, [])
+    cx = CochainComplex(d, max_degree, bases, groups, [], normalized)
     diffs = cx.diffs
     for n in range(max_degree):
         idx = cx.index[n]
@@ -483,6 +501,8 @@ def build_complex(d: NaturalSystem, max_degree: int) -> CochainComplex:
             ident = GroupHom.identity(d.value(comp))
             for i in range(1, m):
                 merged = c.table[tau.mors[i]][tau.mors[i - 1]]
+                if normalized and c.is_identity(merged):
+                    continue
                 key = tau.mors[:i - 1] + (merged,) + tau.mors[i + 1:]
                 _acc_block(acc, ti, idx[key], ident, -1 if i % 2 else 1)
             # tail term: sign (-1)^m with D(s_m, 1)
@@ -624,7 +644,15 @@ def _insertion_hom(cx_src: CochainComplex, cx_dst: CochainComplex, n: int,
     ``F_0(s_1..s_{i_1}), c_1(X_{i_1}), F_1(s_{i_1+1}..s_{i_2}), ...,
     c_m(X_{i_m}), F_m(s_{i_m+1}..s_n)``, where ``F_k = functors[k]`` and
     ``c_k = comps[k-1]`` lists a morphism per object.  With m = 0 the source
-    is the pulled-back sequence F_0(τ), the object F_0(X_0) in degree 0."""
+    is the pulled-back sequence F_0(τ), the object F_0(X_0) in degree 0.
+
+    Both complexes must be full: a pulled-back or inserted sequence may be
+    degenerate, and a normalized basis has no coordinate for it."""
+    for side, cx in (("source", cx_src), ("target", cx_dst)):
+        if cx.normalized:
+            raise ShapeMismatch(
+                f"chain maps and homotopies need the full complex; the "
+                f"{side} complex is normalized")
     m = len(comps)
     idx = cx_src.index[n + m]
     cuts = [((0,) + c + (n,), sum(c) % 2)

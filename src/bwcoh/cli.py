@@ -103,7 +103,8 @@ def cmd_cohomology(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     _require_ok(validate_natural_system(system))
-    cx = build_complex(system, args.max_degree)
+    # invariants only, so the normalized complex suffices
+    cx = build_complex(system, args.max_degree, normalized=True)
     lines = []
     for n in range(args.max_degree):
         inv = cx.cohomology(n)

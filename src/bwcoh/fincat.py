@@ -331,21 +331,27 @@ class MSeq:
         return self.mors if self.mors else ("obj", self.objects[0])
 
 
-def enumerate_sequences(c: FiniteCategory, n: int) -> tuple[MSeq, ...]:
-    """All composable sequences of length n, lexicographic in morphism ids."""
+def enumerate_sequences(c: FiniteCategory, n: int, *,
+                        nondegenerate: bool = False) -> tuple[MSeq, ...]:
+    """All composable sequences of length n, lexicographic in morphism ids.
+
+    With ``nondegenerate`` only the sequences without an identity entry are
+    built: every step draws from the non-identity morphisms alone, so no
+    degenerate sequence is formed and filtered out.  Degree 0 is the objects
+    either way."""
     if n < 0:
         raise ValueError("sequence length must be nonnegative")
     if n == 0:
         return tuple(
             MSeq((), (x,), c.identity[x]) for x in range(c.n_objects)
         )
-    seqs: list[MSeq] = []
+    mors = [m for m in range(c.n_morphisms)
+            if not (nondegenerate and c.is_identity(m))]
     by_target: dict[int, list[int]] = {x: [] for x in range(c.n_objects)}
-    for m in range(c.n_morphisms):
+    for m in mors:
         by_target[c.mor_target[m]].append(m)
 
-    prev = [MSeq((m,), (c.mor_target[m], c.mor_source[m]), m)
-            for m in range(c.n_morphisms)]
+    prev = [MSeq((m,), (c.mor_target[m], c.mor_source[m]), m) for m in mors]
     for _ in range(n - 1):
         nxt = []
         for s in prev:

@@ -64,7 +64,7 @@ def _law_dd(gen: InstanceGen, max_morphisms: int, max_degree: int) -> None:
     d = gen.system(c)
     rep = validate_natural_system(d)
     rep.require()
-    build_complex(d, max_degree)   # asserts d∘d == 0 blockwise
+    build_complex(d, max_degree)   # asserts d∘d == 0 as one sparse sum
 
 
 def _law_h(gen: InstanceGen, max_morphisms: int, max_degree: int) -> None:

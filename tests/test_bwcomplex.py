@@ -81,6 +81,85 @@ def test_degree_out_of_range():
         build_complex(constant_system(terminal_category(), Z), 0)
 
 
+def _nondegenerate(cx, n):
+    c = cx.system.base
+    return [not any(c.is_identity(m) for m in s.mors) for s in cx.bases[n]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_normalized_differential_is_the_restricted_full_one(seed):
+    gen = InstanceGen(seed)
+    d = gen.system(gen.category(6))
+    full, norm = build_complex(d, 3), build_complex(d, 3, normalized=True)
+    # full basis index -> normalized basis index, per degree
+    pos = [{i: k for k, i in enumerate(
+        i for i, nd in enumerate(_nondegenerate(full, n)) if nd)}
+        for n in range(4)]
+    for n in range(4):
+        assert norm.bases[n] == tuple(full.bases[n][i] for i in pos[n])
+    for n in range(3):
+        restricted = {(pos[n + 1][t], pos[n][s]): m
+                      for (t, s), m in full.diffs[n].blocks.items()
+                      if t in pos[n + 1] and s in pos[n] and not m.is_zero()}
+        assert {k: m for k, m in norm.diffs[n].blocks.items()
+                if not m.is_zero()} == restricted
+
+
+def _preserves_normalized(hom, cx_src, n_src, cx_dst, n_dst) -> bool:
+    """No nonzero block of ``hom`` runs from a nondegenerate source
+    sequence to a degenerate target sequence, so it sends normalized
+    cochains to normalized cochains."""
+    src = _nondegenerate(cx_src, n_src)
+    dst = _nondegenerate(cx_dst, n_dst)
+    return all(m.is_zero() or not src[s] or dst[t]
+               for (t, s), m in hom.blocks.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maps_and_homotopies_preserve_normalized_cochains(seed):
+    # functors preserve identities, so a pulled-back or inserted sequence
+    # of a degenerate target sequence is degenerate
+    gen = InstanceGen(f"normalized-{seed}")
+    two, d, e = gen.h_instance()
+    two_a, two_b, d_v, e_v = gen.vertical_instance()
+    phi = two.src.alpha.source_functor
+    pulled = pullback_along_functor(d, phi)
+    cx = {s: build_complex(s, 3) for s in (d, e, d_v, e_v, pulled)}
+    maps = [induced_map_nat(NatSysMorphism(identity_nat(phi), d, pulled,
+                                           AbNat.identity(pulled.functor)),
+                            cx[d], cx[pulled])]
+    homotopies = []
+    for t, src, dst in ((two, d, e), (two_a, d_v, e_v), (two_b, d_v, e_v)):
+        h = homotopy_h(t, cx[src], cx[dst])
+        maps += [h.p, h.q, induced_map_2(t.src, cx[src], cx[dst])]
+        homotopies.append(h)
+    for cmap in maps:
+        for n, m in enumerate(cmap.maps):
+            assert _preserves_normalized(m, cmap.source, n, cmap.target, n)
+    for h in homotopies:
+        for n, m in h.maps.items():
+            assert _preserves_normalized(m, h.source, n, h.target, n - 1)
+
+
+def test_map_constructors_refuse_a_normalized_complex():
+    two, d, e = InstanceGen("normalized-refused").h_instance()
+    full = build_complex(d, 3), build_complex(e, 3)
+    norm = (build_complex(d, 3, normalized=True),
+            build_complex(e, 3, normalized=True))
+    for side, (cx_src, cx_dst) in (("source", (norm[0], full[1])),
+                                   ("target", (full[0], norm[1]))):
+        for build in (lambda: induced_map_2(two.src, cx_src, cx_dst),
+                      lambda: homotopy_h(two, cx_src, cx_dst),
+                      lambda: homotopy_r_vertical(
+                          two, identity_two_morphism(two.dst),
+                          cx_src, cx_dst)):
+            with pytest.raises(ShapeMismatch,
+                               match=f"need the full complex; the {side} "
+                                     f"complex is normalized"):
+                build()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_constant_cohomology_matches_nerve(seed):

@@ -126,6 +126,15 @@ def test_enumerate_sequences_examples():
     seqs = enumerate_sequences(a, 2)
     assert len(seqs) == 4 == chain_count(a, 2)
     assert [s.mors for s in seqs] == [(0, 0), (1, 1), (1, 2), (2, 0)]
+    # nondegenerate: the objects, then (f), then nothing composable
+    assert enumerate_sequences(a, 0, nondegenerate=True) == \
+        enumerate_sequences(a, 0)
+    assert [s.mors for s in enumerate_sequences(a, 1, nondegenerate=True)] \
+        == [(2,)]
+    assert enumerate_sequences(a, 2, nondegenerate=True) == ()
+    z3 = cyclic_group_category(3)
+    for n in range(1, 5):
+        assert len(enumerate_sequences(z3, n, nondegenerate=True)) == 2 ** n
 
 
 def test_sequence_structure():
@@ -143,7 +152,11 @@ def test_sequence_structure():
 @given(st.integers(0, 10 ** 6), st.integers(0, 4))
 def test_sequence_count_oracle(seed, n):
     c = InstanceGen(seed).category(6)
-    assert len(enumerate_sequences(c, n)) == chain_count(c, n)
+    seqs = enumerate_sequences(c, n)
+    assert len(seqs) == chain_count(c, n)
+    # nondegenerate enumeration builds exactly the identity-free sequences
+    assert enumerate_sequences(c, n, nondegenerate=True) == tuple(
+        s for s in seqs if not any(c.is_identity(m) for m in s.mors))
 
 
 def test_pi0():

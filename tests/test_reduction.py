@@ -3,7 +3,9 @@
 ``CochainComplex.cohomology`` and ``cohomology_map`` answer from
 ``bwcoh.reduction``; the dense ``cohomology_data`` route (``subquotient``),
 the dense induced map built on it and the bar-complex oracle are the
-references they must agree with.
+references they must agree with.  The cohomology of the normalized complex
+(``build_complex(..., normalized=True)``) is checked against the same
+full-complex references.
 """
 
 import dataclasses
@@ -34,9 +36,15 @@ NON_INJECTIVE = [
 
 
 def assert_matches_dense(d, max_degree):
+    """The reduced full and normalized complexes both give the invariants
+    of the dense full-complex oracle; returns the normalized complex."""
     cx = build_complex(d, max_degree)
+    norm = build_complex(d, max_degree, normalized=True)
     for n in range(max_degree):
-        assert cx.cohomology(n) == cx.cohomology_data(n).group.invariants, n
+        dense = cx.cohomology_data(n).group.invariants
+        assert cx.cohomology(n) == dense, n
+        assert norm.cohomology(n) == dense, n
+    return norm
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -83,7 +91,8 @@ def test_twisted_system_needs_dd_witness(k, max_degree):
     d = twisted_z8(k)
     cx = build_complex(d, max_degree)
     assert any(not x.is_zero() for w in cx.dd_witness for x in w.values())
-    assert_matches_dense(d, max_degree)
+    norm = assert_matches_dense(d, max_degree)
+    assert any(not x.is_zero() for w in norm.dd_witness for x in w.values())
 
 
 # the dense oracle on Z/4 at max-degree 4 takes seconds, so Z/4 stops at 3
@@ -104,15 +113,17 @@ def test_non_injective_relations_match_dense(cat, max_degree, group):
                          ids=["Z", "Z/2", "Z/3"])
 def test_cyclic_groups_match_bar_oracle(k, coeff):
     degrees = 4 if k < 4 else 3
-    cx = build_complex(constant_system(cyclic_group_category(k), coeff),
-                       degrees)
-    assert [cx.cohomology(n) for n in range(degrees)] == \
-        bar_cohomology(k, coeff, degrees)
+    d = constant_system(cyclic_group_category(k), coeff)
+    oracle = bar_cohomology(k, coeff, degrees)
+    for normalized in (False, True):
+        cx = build_complex(d, degrees, normalized=normalized)
+        assert [cx.cohomology(n) for n in range(degrees)] == oracle, \
+            normalized
 
 
 def test_corrupted_cone_entry_is_caught(monkeypatch):
     # free coefficients leave T^{-1} empty, so only ∂_1∘∂_0 can see the change
-    cx = build_complex(constant_system(cyclic_group_category(3), Z), 3)
+    d = constant_system(cyclic_group_category(3), Z)
     cone = reduction._cone
 
     def corrupted(complex_):
@@ -123,8 +134,10 @@ def test_corrupted_cone_entry_is_caught(monkeypatch):
         return diffs
 
     monkeypatch.setattr(reduction, "_cone", corrupted)
-    with pytest.raises(HomotopyIdentityError, match="from degree 0"):
-        cx.cohomology(0)
+    for normalized in (False, True):
+        cx = build_complex(d, 3, normalized=normalized)
+        with pytest.raises(HomotopyIdentityError, match="from degree 0"):
+            cx.cohomology(0)
 
 
 def test_differential_not_preserving_relations_is_caught():

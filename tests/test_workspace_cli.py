@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -311,6 +314,27 @@ def test_cli_cohomology_formats_and_values():
     assert out.splitlines()[2] == "H 2 rank=0 torsion=[2]"
 
 
+def test_cli_cohomology_reduces_the_checked_normalized_complex(monkeypatch):
+    import bwcoh.cli
+    built, build = [], bwcoh.cli.build_complex
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bwcoh.cli, "build_complex", recorded)
+    code, out, _ = run_cli("cohomology", str(WORKSPACES / "cyclic.bwcoh"),
+                           "z3", "z3_const_z", "--max-degree", "4",
+                           "--format", "machine")
+    assert code == 0
+    assert out.splitlines()[2] == "H 2 rank=0 torsion=[3]"
+    (cx,) = built
+    # the sequences of g1 and g2 only: 2^n against 3^n in the full complex
+    assert cx.normalized and [len(b) for b in cx.bases] == [1, 2, 4, 8, 16]
+    # d∘d = 0 was checked in every degree of the complex that was reduced
+    assert len(cx.dd_witness) == 3
+
+
 def test_cli_cohomology_empty_category(tmp_path):
     f = tmp_path / "empty.bwcoh"
     f.write_text(f"""{HEADER}
@@ -478,3 +502,16 @@ def test_bad_arguments_exit_3_before_any_work(tmp_path, argv, named):
     assert out == ""
     assert named in err and "Traceback" not in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-degree", "--orders"])
+def test_cyclic_group_tables_refuses_nonpositive_arguments(flag):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cyclic_group_tables.py"),
+         flag, "0"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
