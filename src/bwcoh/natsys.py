@@ -5,6 +5,11 @@ of C to abelian groups: one ``PresentedGroup`` per morphism of C and one
 ``GroupHom`` per factorization pair, functorial on the nose.  The generic
 carrier is ``AbFunctor`` (a group-valued functor on any finite category);
 ``NaturalSystem`` pins one to a factorization category.
+``validate_natural_system`` checks a system on its one-sided presentation:
+well-defined generators, identity pairs acting as the identity, the
+composition relations of the left and of the right actions, and the tie of
+every pair's action to both one-sided composites.  Together these imply
+functoriality on the whole factorization category without composing it.
 
 Morphisms of pairs (C, D) -> (D', E) carry a natural transformation
 ``alpha: phi => psi`` between functors D' -> C as their anchor and a
@@ -193,66 +198,126 @@ class NaturalSystem:
 
 
 def validate_natural_system(d: NaturalSystem) -> Report:
+    """Check ``d`` on its one-sided presentation.
+
+    A natural system is given by its groups and the one-sided actions
+    ``L(f, h) = D(h, 1): D(f) -> D(f∘h)`` and ``R(f, k) = D(1, k): D(f) ->
+    D(k∘f)``, the generators that a workspace's ``act f -| h`` and
+    ``act f |- k`` lines declare (Baues–Wirsching 1985).  Checked, in order:
+
+    * the tables have the right sizes and every action connects the right
+      groups;
+    * every generator's matrix preserves relations;
+    * identity pairs act as the identity;
+    * ``L(f∘h, h')∘L(f, h) = L(f, h∘h')`` and ``R(k∘f, k')∘R(f, k) =
+      R(f, k'∘k)`` for composable non-identity legs;
+    * every pair's action equals both one-sided composites
+      ``R(f∘h, k)∘L(f, h)`` and ``L(k∘f, h)∘R(f, k)``.
+
+    Equalities hold modulo the target's relations.  Together they give
+    functoriality on every composable pair of the factorization category:
+    ``D(h', k')∘D(h, k)`` becomes ``D(h∘h', k'∘k)`` by commuting the middle
+    generators through the tie at ``f∘h`` and merging each side, and
+    composing equalities modulo relations needs well-defined generators.
+    A pair with an identity leg is a generator, whose tie follows from the
+    identity and well-definedness checks, so the tie runs over two-sided
+    pairs only.
+    """
     rep = Report("natural system")
     fcat = d.fc.category
     if d.functor.category != fcat:
         rep.violations.append("functor not defined on the factorization category")
         return rep
     c = d.base
+    name = c.morphism_name
+    values, homs = d.functor.values, d.functor.homs
 
     def pair_name(i: int) -> str:
         p = d.fc.pairs[i]
-        return (f"({c.morphism_name(p.h)},{c.morphism_name(p.k)}): "
-                f"{c.morphism_name(p.src)} -> {c.morphism_name(p.dst)}")
+        return f"({name(p.h)},{name(p.k)}): {name(p.src)} -> {name(p.dst)}"
 
-    if len(d.functor.values) != fcat.n_objects or \
-            len(d.functor.homs) != fcat.n_morphisms:
+    if len(values) != fcat.n_objects or len(homs) != fcat.n_morphisms:
         rep.violations.append("value or action table has the wrong size")
         return rep
     for i in range(fcat.n_morphisms):
-        h = d.functor.homs[i]
-        if h.source != d.functor.values[fcat.mor_source[i]] or \
-                h.target != d.functor.values[fcat.mor_target[i]]:
+        h = homs[i]
+        if h.source != values[fcat.mor_source[i]] or \
+                h.target != values[fcat.mor_target[i]]:
             rep.violations.append(
                 f"action at {pair_name(i)} connects the wrong groups")
     if rep.violations:
         return rep
-    for f in range(c.n_morphisms):
-        i = d.fc.identity_pair_id(f)
-        if not d.functor.homs[i].equal_mod(
-                GroupHom.identity(d.functor.values[f])):
-            rep.violations.append(
-                f"identity pair of {c.morphism_name(f)} does not act as "
-                f"the identity")
-    for i in range(fcat.n_morphisms):
-        for j in range(fcat.n_morphisms):
-            if fcat.mor_target[i] != fcat.mor_source[j]:
-                continue
-            composite = fcat.table[i][j]
-            if not hom_compose(d.functor.homs[j], d.functor.homs[i]).equal_mod(
-                    d.functor.homs[composite]):
+
+    # the generators, by (f, leg); an identity leg gives the identity pair
+    left: dict[tuple[int, int], GroupHom] = {}
+    right: dict[tuple[int, int], GroupHom] = {}
+    two_sided = []
+    for i, p in enumerate(d.fc.pairs):
+        h_id, k_id = c.is_identity(p.h), c.is_identity(p.k)
+        if k_id:
+            left[p.src, p.h] = homs[i]
+        if h_id:
+            right[p.src, p.k] = homs[i]
+        if not h_id and not k_id:
+            two_sided.append(i)
+        elif not (h_id and k_id):
+            g = homs[i]
+            if not g.target.solver.contains_matrix(
+                    g.matrix @ g.source.relations):
                 rep.violations.append(
-                    f"functoriality fails composing {pair_name(i)} "
-                    f"then {pair_name(j)}")
+                    f"action at {pair_name(i)} does not preserve relations")
     if rep.violations:
         return rep
-    # the two generator factorizations of each pair must agree
-    for i, p in enumerate(d.fc.pairs):
+
+    for f in range(c.n_morphisms):
+        if not left[f, c.identity[c.mor_source[f]]].equal_mod(
+                GroupHom.identity(values[f])):
+            rep.violations.append(
+                f"identity pair of {name(f)} does not act as the identity")
+    into = [[] for _ in range(c.n_objects)]
+    out_of = [[] for _ in range(c.n_objects)]
+    for m in range(c.n_morphisms):
+        if not c.is_identity(m):
+            into[c.mor_target[m]].append(m)
+            out_of[c.mor_source[m]].append(m)
+    for f in range(c.n_morphisms):
+        for h in into[c.mor_source[f]]:
+            fh = c.table[h][f]
+            for h2 in into[c.mor_source[h]]:
+                hh2 = c.table[h2][h]
+                if not _composes_to(left[f, h], left[fh, h2], left[f, hh2]):
+                    rep.violations.append(
+                        f"functoriality fails: act {name(f)} -| {name(h)} "
+                        f"then act {name(fh)} -| {name(h2)} differs from "
+                        f"act {name(f)} -| {name(hh2)}")
+        for k in out_of[c.mor_target[f]]:
+            kf = c.table[f][k]
+            for k2 in out_of[c.mor_target[k]]:
+                k2k = c.table[k][k2]
+                if not _composes_to(right[f, k], right[kf, k2],
+                                    right[f, k2k]):
+                    rep.violations.append(
+                        f"functoriality fails: act {name(f)} |- {name(k)} "
+                        f"then act {name(kf)} |- {name(k2)} differs from "
+                        f"act {name(f)} |- {name(k2k)}")
+    if rep.violations:
+        return rep
+    for i in two_sided:
+        p = d.fc.pairs[i]
         fh = c.table[p.h][p.src]
-        left = hom_compose(
-            d.act_pair(fh, p.dst, c.identity[c.mor_source[fh]], p.k),
-            d.act_pair(p.src, fh, p.h, c.identity[c.mor_target[p.src]]),
-        )
         kf = c.table[p.src][p.k]
-        right = hom_compose(
-            d.act_pair(kf, p.dst, p.h, c.identity[c.mor_target[kf]]),
-            d.act_pair(p.src, kf, c.identity[c.mor_source[p.src]], p.k),
-        )
-        act = d.act(i)
-        if not left.equal_mod(act) or not right.equal_mod(act):
+        if not _composes_to(left[p.src, p.h], right[fh, p.k], homs[i]) or \
+                not _composes_to(right[p.src, p.k], left[kf, p.h], homs[i]):
             rep.violations.append(
                 f"one-sided factorizations disagree at {pair_name(i)}")
     return rep
+
+
+def _composes_to(first: GroupHom, then: GroupHom, whole: GroupHom) -> bool:
+    """``then∘first == whole`` modulo the relations of whole's target."""
+    m = then.matrix @ first.matrix
+    return m == whole.matrix or \
+        whole.target.solver.contains_matrix(m - whole.matrix)
 
 
 def constant_system(c: FiniteCategory, g: PresentedGroup) -> NaturalSystem:
@@ -462,23 +527,6 @@ def horizontal_compose_two(b: NatFTwoMorphism, a: NatFTwoMorphism
         horizontal_compose(a.eps, b.eps),
         horizontal_compose(a.gam, b.gam),
     )
-
-
-def fullness_witness(m: NatSysMorphism
-                     ) -> tuple[NatSysMorphism, NatFTwoMorphism]:
-    """An ordinary morphism two-morphic to (alpha, t).
-
-    Returns ((1_phi, t∘(1_D*F(1_phi, alpha))), two-morphism (1_phi, alpha))
-    connecting it to (alpha, t); witnesses that every pair morphism is
-    equivalent to an embedded ordinary one.
-    """
-    phi = m.alpha.source_functor
-    one_phi = identity_nat(phi)
-    corr = act_by_two_morphism(m.source_system, one_phi, one_phi, m.alpha)
-    ordinary = NatSysMorphism(one_phi, m.source_system, m.target_system,
-                              m.nat.compose(corr.nat))
-    two = NatFTwoMorphism(ordinary, m, one_phi, m.alpha)
-    return ordinary, two
 
 
 # ---------------------------------------------------------------------------

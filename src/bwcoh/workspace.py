@@ -55,16 +55,21 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free):
     task NAME: localization-check LOC SYSTEM max-degree=3
 
 Explicit systems list actions only for the one-sided generating pairs; the
-loader completes the full action table by composing the two sides.
+loader builds each declared action once, checking that its matrix preserves
+relations, and completes the full action table by composing the two sides.
 
 What is checked, and where:
 
 * on load, every cross-reference must resolve (``ParseError``), and every
   category must pass ``validate_category`` and every declared action matrix
   must preserve relations (both ``InvalidWorkspace``);
-* functors, natural transformations, systems (naturality and
-  functoriality of the completed action table) and (co)localizations are
-  validated by ``Workspace.validate_all``, the ``validate`` command;
+* functors, natural transformations, systems and (co)localizations are
+  validated by ``Workspace.validate_all``, the ``validate`` command.  A
+  system is checked on its one-sided presentation by
+  ``validate_natural_system``: well-defined generators, identity pairs
+  acting as the identity, the composition relations of the ``act f -| h``
+  and of the ``act f |- k`` actions, and the tie of every pair's action to
+  both one-sided composites;
 * ``cohomology`` and ``localization-check`` validate the system they use,
   and ``localization-check`` its (co)localization, before computing.
 """
@@ -526,33 +531,31 @@ def _assemble_explicit(cat, values, left_acts, right_acts, line_no, subject
         if f not in values:
             raise ParseError(line_no,
                              f"value missing at morphism {cat.morphism_name(f)}")
-    # one-sided generating actions; identities may be omitted
-    def left_hom(f: int, h: int) -> GroupHom:
-        fh = cat.table[h][f]
-        if cat.is_identity(h):
-            return GroupHom.identity(values[f])
-        what = f"{cat.morphism_name(f)} -| {cat.morphism_name(h)}"
-        if (f, h) not in left_acts:
-            raise ParseError(line_no, f"action missing: {what}")
-        return _action(subject, what, values[f], values[fh],
-                       _matrix_of(left_acts[(f, h)], values[fh], values[f],
-                                  line_no))
+    # one-sided generating actions, each built once; identities may be omitted
+    left: dict[tuple[int, int], GroupHom] = {}
+    right: dict[tuple[int, int], GroupHom] = {}
 
-    def right_hom(f: int, k: int) -> GroupHom:
-        kf = cat.table[f][k]
-        if cat.is_identity(k):
-            return GroupHom.identity(values[f])
-        what = f"{cat.morphism_name(f)} |- {cat.morphism_name(k)}"
-        if (f, k) not in right_acts:
-            raise ParseError(line_no, f"action missing: {what}")
-        return _action(subject, what, values[f], values[kf],
-                       _matrix_of(right_acts[(f, k)], values[kf], values[f],
-                                  line_no))
+    def generator(built, acts, sign, f, leg, composite) -> GroupHom:
+        if (f, leg) in built:
+            return built[f, leg]
+        if cat.is_identity(leg):
+            hom = GroupHom.identity(values[f])
+        else:
+            what = f"{cat.morphism_name(f)} {sign} {cat.morphism_name(leg)}"
+            if (f, leg) not in acts:
+                raise ParseError(line_no, f"action missing: {what}")
+            hom = _action(subject, what, values[f], values[composite],
+                          _matrix_of(acts[(f, leg)], values[composite],
+                                     values[f], line_no))
+        built[f, leg] = hom
+        return hom
 
     homs = []
     for p in fc.pairs:
         fh = cat.table[p.h][p.src]
-        homs.append(hom_compose(right_hom(fh, p.k), left_hom(p.src, p.h)))
+        homs.append(hom_compose(
+            generator(right, right_acts, "|-", fh, p.k, p.dst),
+            generator(left, left_acts, "-|", p.src, p.h, fh)))
     return NaturalSystem(fc, AbFunctor(fc.category,
                                        tuple(values[f]
                                              for f in range(cat.n_morphisms)),

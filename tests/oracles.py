@@ -8,7 +8,12 @@ exceptions are ``dense_cohomology_map``, the induced map on cohomology
 through the dense subquotients of the full differentials, which is the
 reference the reduced-cone ``cohomology_map`` is compared against, and
 ``blockwise_signed_sum``, the per-block ``IntMatrix`` form of
-``BlockHom.signed_sum``.
+``BlockHom.signed_sum``.  The natural-system oracles work on the library's
+own types: ``validate_full_table`` composes the whole action table over
+every composable pair of the factorization category, the definition that
+``validate_natural_system`` checks on the one-sided presentation, and
+``fullness_witness`` is the ordinary morphism two-morphic to a pair
+morphism.
 """
 
 from __future__ import annotations
@@ -17,12 +22,15 @@ import itertools
 from math import gcd
 
 from bwcoh.abgroup import (
-    GroupHom, GroupInvariants, PresentedGroup, direct_product, subquotient,
-    trivial_group,
+    GroupHom, GroupInvariants, PresentedGroup, direct_product, hom_compose,
+    subquotient, trivial_group,
 )
 from bwcoh.bwcomplex import BlockHom
-from bwcoh.fincat import ShapeMismatch
+from bwcoh.fincat import Report, ShapeMismatch, identity_nat
 from bwcoh.intmat import IntMatrix
+from bwcoh.natsys import (
+    NatFTwoMorphism, NatSysMorphism, NaturalSystem, act_by_two_morphism,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +370,68 @@ def bar_cohomology(k: int, coeff: PresentedGroup, degrees: int
                                                     diffs[0].source)
         out.append(subquotient(d_in, diffs[n]).group.invariants)
     return out
+
+
+# ---------------------------------------------------------------------------
+# natural systems, the definitional way
+
+def validate_full_table(d: NaturalSystem) -> Report:
+    """Functoriality of the completed action table, composed over every
+    composable pair of the factorization category: the table sizes, the
+    groups of every action, identity pairs acting as the identity, and
+    ``D(q)∘D(p) == D(q∘p)`` modulo relations.  Matrices are not checked to
+    preserve relations."""
+    rep = Report("natural system")
+    fcat = d.fc.category
+    c = d.base
+    values, homs = d.functor.values, d.functor.homs
+
+    def pair_name(i: int) -> str:
+        p = d.fc.pairs[i]
+        return (f"({c.morphism_name(p.h)},{c.morphism_name(p.k)}): "
+                f"{c.morphism_name(p.src)} -> {c.morphism_name(p.dst)}")
+
+    if d.functor.category != fcat or len(values) != fcat.n_objects or \
+            len(homs) != fcat.n_morphisms:
+        rep.violations.append("value or action table has the wrong size")
+        return rep
+    for i in range(fcat.n_morphisms):
+        if homs[i].source != values[fcat.mor_source[i]] or \
+                homs[i].target != values[fcat.mor_target[i]]:
+            rep.violations.append(
+                f"action at {pair_name(i)} connects the wrong groups")
+    if rep.violations:
+        return rep
+    for f in range(c.n_morphisms):
+        if not homs[d.fc.identity_pair_id(f)].equal_mod(
+                GroupHom.identity(values[f])):
+            rep.violations.append(
+                f"identity pair of {c.morphism_name(f)} does not act as "
+                f"the identity")
+    for i in range(fcat.n_morphisms):
+        for j in range(fcat.n_morphisms):
+            if fcat.mor_target[i] != fcat.mor_source[j]:
+                continue
+            if not hom_compose(homs[j], homs[i]).equal_mod(
+                    homs[fcat.table[i][j]]):
+                rep.violations.append(
+                    f"functoriality fails composing {pair_name(i)} "
+                    f"then {pair_name(j)}")
+    return rep
+
+
+def fullness_witness(m: NatSysMorphism
+                     ) -> tuple[NatSysMorphism, NatFTwoMorphism]:
+    """An ordinary morphism two-morphic to (alpha, t).
+
+    Returns ((1_phi, t∘(1_D*F(1_phi, alpha))), two-morphism (1_phi, alpha))
+    connecting it to (alpha, t); witnesses that every pair morphism is
+    equivalent to an embedded ordinary one.
+    """
+    phi = m.alpha.source_functor
+    one_phi = identity_nat(phi)
+    corr = act_by_two_morphism(m.source_system, one_phi, one_phi, m.alpha)
+    ordinary = NatSysMorphism(one_phi, m.source_system, m.target_system,
+                              m.nat.compose(corr.nat))
+    two = NatFTwoMorphism(ordinary, m, one_phi, m.alpha)
+    return ordinary, two

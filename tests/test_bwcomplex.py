@@ -23,7 +23,7 @@ from bwcoh.natsys import (
 )
 from bwcoh.nerve import nerve_cohomology
 from bwcoh.randgen import InstanceGen
-from oracles import bar_cohomology
+from oracles import bar_cohomology, fullness_witness
 
 
 def inv(rank, *torsion):
@@ -377,7 +377,6 @@ def test_fullness_witness_induces_equal_cohomology_maps():
     for seed in range(4):
         gen = InstanceGen(1300 + seed)
         two, d, e = gen.h_instance()
-        from bwcoh.natsys import fullness_witness
         ordinary, connecting = fullness_witness(two.src)
         cx_src = build_complex(d, 3)
         cx_dst = build_complex(e, 3)

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -6,17 +9,24 @@ from bwcoh.abgroup import GroupHom, Z, cyclic, trivial_group
 from bwcoh.factorization import build_factorization
 from bwcoh.fincat import (
     arrow_category, cyclic_group_category, identity_functor, identity_nat,
-    terminal_category,
+    indiscrete_category, terminal_category, total_order_category,
 )
 from bwcoh.intmat import IntMatrix
 from bwcoh.natsys import (
     AbFunctor, AbNat, BifunctorInvalid, NatSysMorphism, NaturalSystem,
     act_by_two_morphism, canonical_local_map, compose_natsys_morphisms,
-    constant_system, from_bifunctor, fullness_witness, identity_morphism,
+    constant_system, from_bifunctor, identity_morphism,
     is_colocal, is_local, pullback_along_nat, validate_natural_system,
     whisker,
 )
 from bwcoh.randgen import InstanceGen
+from bwcoh.workspace import (
+    HEADER, category_text, group_text, load_workspace_file, parse_group,
+)
+from oracles import fullness_witness, validate_full_table
+from test_workspace_cli import run_cli
+
+WORKSPACES = Path(__file__).resolve().parent.parent / "workspaces"
 
 
 def test_constant_system_valid():
@@ -60,6 +70,156 @@ def test_validation_catches_corrupted_action():
     broken2 = NaturalSystem(fc, AbFunctor(fc.category, d.functor.values,
                                           tuple(homs2)))
     assert not validate_natural_system(broken2).ok
+
+
+# ---------------------------------------------------------------------------
+# the presentation validator against the full-table oracle
+
+def test_ill_defined_action_is_reported():
+    # D(id_x) = Z/2 and Z elsewhere, every action the 1x1 identity: the
+    # action D(id_x) -> D(f) along (id_x, f) sends the relation 2 to 2, which
+    # is not a relation of Z.  The full table still composes on the nose.
+    c = total_order_category(2)
+    fc = build_factorization(c)
+    x = c.identity[0]
+    values = tuple(cyclic(2) if f == x else Z for f in range(c.n_morphisms))
+    one = IntMatrix(1, 1, (1,))
+    homs = tuple(GroupHom(values[p.src], values[p.dst], one)
+                 for p in fc.pairs)
+    d = NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    assert validate_full_table(d).ok
+    rep = validate_natural_system(d)
+    f = next(m for m in range(c.n_morphisms) if not c.is_identity(m))
+    assert rep.violations == [
+        f"action at ({c.morphism_name(x)},{c.morphism_name(f)}): "
+        f"{c.morphism_name(x)} -> {c.morphism_name(f)} does not preserve "
+        f"relations"]
+
+
+def _sign_system(k: int) -> NaturalSystem:
+    """Z on the cyclic group category of order k, ``act h g = (-1)^g``."""
+    c = cyclic_group_category(k)
+    from bwcoh.factorization import op_pair_product
+    prod = op_pair_product(c)
+    homs = tuple(GroupHom.create(Z, Z, IntMatrix(1, 1, ((-1) ** b,)))
+                 for _, b in map(prod.mor_pair,
+                                 range(prod.category.n_morphisms)))
+    return from_bifunctor(c, AbFunctor(prod.category,
+                                       (Z,) * prod.category.n_objects, homs))
+
+
+def _systems_of_every_kind(seed: int) -> list[NaturalSystem]:
+    gen = InstanceGen(seed)
+    c = gen.category(6)
+    out = [constant_system(c, gen.group()), gen.hom_system(c),
+           gen.hom_system(c, 4)]
+    if c.n_objects:
+        out += [gen.representable_system(c, True),
+                gen.representable_system(c, False),
+                gen.indicator_system(c),
+                gen.system_product(constant_system(c, cyclic(2)),
+                                   gen.hom_system(c, 2))]
+    return out
+
+
+def _explicit_pullback(seed: int) -> NaturalSystem:
+    """The benchmark's explicit system: a hom system pulled back along the
+    counit of a chain-interior colocalization."""
+    gen = InstanceGen(f"explicit-{seed}")
+    coloc = gen._chain_interior(4)
+    return pullback_along_nat(gen.hom_system(coloc.big), coloc.counit)
+
+
+def _pair_kinds(d: NaturalSystem) -> dict[str, list[int]]:
+    c = d.base
+    kinds = {"identity": [], "left": [], "right": [], "two-sided": []}
+    for i, p in enumerate(d.fc.pairs):
+        kind = {(True, True): "identity", (False, True): "left",
+                (True, False): "right", (False, False): "two-sided"}
+        kinds[kind[c.is_identity(p.h), c.is_identity(p.k)]].append(i)
+    return kinds
+
+
+def _scaled(d: NaturalSystem, i: int, factor: int) -> NaturalSystem:
+    homs = list(d.functor.homs)
+    h = homs[i]
+    homs[i] = GroupHom.create(h.source, h.target, h.matrix.scale(factor))
+    return NaturalSystem(d.fc, AbFunctor(d.fc.category, d.functor.values,
+                                         tuple(homs)))
+
+
+def _explicit_text(name: str, d: NaturalSystem) -> str:
+    """A workspace declaring ``d`` on category ``c`` by its generators."""
+    c = d.base
+    out = [HEADER, category_text("c", c), f"system {name} on c"]
+    for f in range(c.n_morphisms):
+        text = group_text(d.value(f))
+        assert parse_group(text, 0) == d.value(f)
+        out.append(f"  value {c.morphism_name(f)}: {text}")
+    for i, p in enumerate(d.fc.pairs):
+        h_id, k_id = c.is_identity(p.h), c.is_identity(p.k)
+        if h_id != k_id:
+            leg, sign = (p.h, "-|") if k_id else (p.k, "|-")
+            rows = str(d.act(i).matrix.to_rows()).replace(" ", "")
+            out.append(f"  act {c.morphism_name(p.src)} {sign} "
+                       f"{c.morphism_name(leg)}: {rows}")
+    return "\n".join(out + ["end"]) + "\n"
+
+
+def test_both_validators_accept_valid_systems():
+    systems = [d for seed in range(10) for d in _systems_of_every_kind(seed)]
+    systems += [constant_system(cyclic_group_category(4), Z),
+                constant_system(cyclic_group_category(5), cyclic(5)),
+                constant_system(total_order_category(4), Z),
+                constant_system(indiscrete_category(3), Z),
+                _sign_system(4), _explicit_pullback(0)]
+    for path in sorted(WORKSPACES.glob("*.bwcoh")):
+        systems += load_workspace_file(str(path)).systems.values()
+    assert len(systems) > 70
+    for d in systems:
+        assert validate_full_table(d).ok
+        assert validate_natural_system(d).ok
+
+
+def test_corruptions_are_rejected_exactly_when_the_oracle_rejects():
+    # scaling keeps every action well defined, so the two validators must
+    # agree on every corruption, not only on the ones the oracle reports
+    rng = random.Random(12)
+    rejected = {"identity": 0, "left": 0, "right": 0, "two-sided": 0}
+    for seed in range(12):
+        systems = _systems_of_every_kind(100 + seed)
+        systems.append(_explicit_pullback(seed))
+        for d in systems:
+            for kind, ids in _pair_kinds(d).items():
+                if not ids:
+                    continue
+                bad = _scaled(d, rng.choice(ids), rng.choice([-1, 2, 3]))
+                oracle = validate_full_table(bad)
+                rep = validate_natural_system(bad)
+                assert rep.ok == oracle.ok, (kind, rep, oracle)
+                rejected[kind] += not rep.ok
+    assert all(n >= 5 for n in rejected.values()), rejected
+
+
+def test_corrupted_generators_exit_2_from_the_cli(tmp_path):
+    gen = InstanceGen(5)
+    d = gen.hom_system(cyclic_group_category(3))
+    kinds = _pair_kinds(d)
+    cases = [("left", kinds["left"][0]), ("right", kinds["right"][-1])]
+    path = tmp_path / "d.bwcoh"
+    path.write_text(_explicit_text("d", d), encoding="utf-8")
+    assert run_cli("validate", str(path))[0] == 0
+    for kind, i in cases:
+        bad = _scaled(d, i, -1)
+        assert not validate_full_table(bad).ok, kind
+        path.write_text(_explicit_text("d", bad), encoding="utf-8")
+        for argv in (("validate", str(path)),
+                     ("cohomology", str(path), "c", "d")):
+            code, out, err = run_cli(*argv)
+            assert code == 2, (kind, argv)
+            assert "functoriality fails" in out or \
+                "one-sided factorizations disagree" in out, (kind, out)
+            assert "Traceback" not in err
 
 
 def test_sign_bifunctor_system():
