@@ -12,7 +12,7 @@ invariants are needed, so each complex is the normalized one.
 import argparse
 
 from bwcoh.abgroup import GroupHom, Z, cyclic
-from bwcoh.bwcomplex import build_complex, cohomology
+from bwcoh.bwcomplex import build_complex
 from bwcoh.factorization import op_pair_product
 from bwcoh.fincat import cyclic_group_category
 from bwcoh.intmat import IntMatrix
@@ -54,12 +54,12 @@ def main():
             (f"Z/{k}", constant_system(cat, cyclic(k))),
         ]:
             cx = build_complex(system, n, normalized=True)
-            cells = " ".join(f"H^{i}={cohomology(cx, i).human()}"
+            cells = " ".join(f"H^{i}={cx.cohomology(i).human()}"
                              for i in range(n))
             print(f"Z/{k} with constant {label}: {cells}")
     if 2 in args.orders:
         cx = build_complex(sign_system(2), n, normalized=True)
-        cells = " ".join(f"H^{i}={cohomology(cx, i).human()}"
+        cells = " ".join(f"H^{i}={cx.cohomology(i).human()}"
                          for i in range(n))
         print(f"Z/2 with the sign module: {cells}")
 

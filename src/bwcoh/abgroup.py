@@ -22,10 +22,9 @@ from .intmat import IntMatrix, LatticeSolver, smith_normal_form
 __all__ = [
     "PresentedGroup", "GroupInvariants", "GroupHom", "Subquotient",
     "CompositionNotZero", "IllDefinedHom",
-    "Z", "trivial_group", "cyclic", "from_invariants",
-    "group_invariants", "direct_product", "hom_compose", "hom_add",
-    "hom_negate", "is_iso", "hom_inverse", "subquotient_invariants",
-    "subquotient", "preimage_lattice_basis",
+    "Z", "trivial_group", "cyclic", "from_invariants", "direct_product",
+    "hom_compose", "is_iso", "hom_inverse", "subquotient",
+    "preimage_lattice_basis",
 ]
 
 
@@ -44,15 +43,6 @@ class GroupInvariants:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def human(self) -> str:
         parts = []
@@ -129,10 +119,6 @@ def from_invariants(free_rank: int, torsion: tuple[int, ...] = ()) -> PresentedG
     return PresentedGroup(g, rels)
 
 
-def group_invariants(g: PresentedGroup) -> GroupInvariants:
-    return g.invariants
-
-
 def direct_product(groups: list[PresentedGroup]) -> PresentedGroup:
     gens = sum(g.generators for g in groups)
     rels = IntMatrix.block_diag([g.relations for g in groups])
@@ -184,16 +170,6 @@ def hom_compose(g: GroupHom, f: GroupHom) -> GroupHom:
     if f.target != g.source:
         raise IllDefinedHom("hom composition middle groups differ")
     return GroupHom(f.source, g.target, g.matrix @ f.matrix)
-
-
-def hom_add(a: GroupHom, b: GroupHom) -> GroupHom:
-    if a.source != b.source or a.target != b.target:
-        raise IllDefinedHom("hom addition shape mismatch")
-    return GroupHom(a.source, a.target, a.matrix + b.matrix)
-
-
-def hom_negate(a: GroupHom) -> GroupHom:
-    return GroupHom(a.source, a.target, -a.matrix)
 
 
 def preimage_lattice_basis(m: IntMatrix, target_rels: IntMatrix) -> IntMatrix:
@@ -278,7 +254,3 @@ def subquotient(d_in: GroupHom, d_out: GroupHom) -> Subquotient:
     if w is None:
         raise IllDefinedHom("boundaries escape the kernel lattice")
     return Subquotient(mid, k_basis, PresentedGroup(k_basis.cols, w))
-
-
-def subquotient_invariants(d_in: GroupHom, d_out: GroupHom) -> GroupInvariants:
-    return subquotient(d_in, d_out).group.invariants

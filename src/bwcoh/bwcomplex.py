@@ -525,10 +525,6 @@ def build_complex(d: NaturalSystem, max_degree: int, *,
     return cx
 
 
-def cohomology(cx: CochainComplex, n: int) -> GroupInvariants:
-    return cx.cohomology(n)
-
-
 # ---------------------------------------------------------------------------
 # graded maps
 
@@ -735,17 +731,18 @@ def induced_map_2(m: NatSysMorphism, cx_src: CochainComplex,
 # homotopies
 
 def homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
-               cx_dst: CochainComplex, check: bool = True) -> Homotopy1:
-    """The degree -1 family attached to a two-morphism (eps, gam)."""
+               cx_dst: CochainComplex) -> Homotopy1:
+    """The degree -1 family attached to a two-morphism (eps, gam), checked
+    to satisfy ``dh + hd = -p + q``."""
     tm.require()
     return _homotopy_h(tm, cx_src, cx_dst,
                        induced_map_2(tm.src, cx_src, cx_dst),
-                       induced_map_2(tm.dst, cx_src, cx_dst), check)
+                       induced_map_2(tm.dst, cx_src, cx_dst))
 
 
 def _homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
-                cx_dst: CochainComplex, p: CochainMap, q: CochainMap,
-                check: bool = True) -> Homotopy1:
+                cx_dst: CochainComplex, p: CochainMap, q: CochainMap
+                ) -> Homotopy1:
     """``homotopy_h`` of a valid ``tm`` whose boundary chain maps, ``p`` of
     ``tm.src`` and ``q`` of ``tm.dst``, are already built and checked."""
     k_hom = _corrected(tm)
@@ -754,8 +751,7 @@ def _homotopy_h(tm: NatFTwoMorphism, cx_src: CochainComplex,
                                   (tm.eps.components,), k_hom)
             for n in range(min(cx_src.max_degree, cx_dst.max_degree))}
     h = Homotopy1(cx_src, cx_dst, maps, p, q)
-    if check:
-        h.check_boundary()
+    h.check_boundary()
     return h
 
 

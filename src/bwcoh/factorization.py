@@ -57,11 +57,6 @@ class FactorizationCategory:
     def pair_id(self, src: int, dst: int, h: int, k: int) -> int:
         return self.pair_index[FPair(src, dst, h, k)]
 
-    def identity_pair_id(self, f: int) -> int:
-        c = self.base
-        return self.pair_id(f, f, c.identity[c.mor_source[f]],
-                            c.identity[c.mor_target[f]])
-
 
 @lru_cache(maxsize=None)
 def build_factorization(c: FiniteCategory) -> FactorizationCategory:

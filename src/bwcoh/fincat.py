@@ -1,9 +1,9 @@
 """Finite categories, functors, natural transformations, morphism sequences.
 
 Objects and morphisms are dense integer ids; every table is total.  The
-composition table is stored as ``table[f][g] = g∘f`` ("first f, then g"),
-with ``-1`` marking non-composable pairs, so ``compose(c, f, g)`` returns the
-juxtaposition ``gf``.  Composable sequences follow the pattern
+composition table is stored as ``table[f][g] = g∘f`` ("first f, then g",
+the juxtaposition ``gf``), with ``-1`` marking non-composable pairs.
+Composable sequences follow the pattern
 
     . <-s1- . <-s2- ... <-sn- .
 
@@ -16,10 +16,6 @@ makes downstream bases and matrices reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-class NotComposable(ValueError):
-    pass
 
 
 class ShapeMismatch(ValueError):
@@ -61,16 +57,6 @@ class FiniteCategory:
     @property
     def n_morphisms(self) -> int:
         return len(self.mor_source)
-
-    def compose(self, f: int, g: int) -> int:
-        """The composite gf (f applied first, then g)."""
-        r = self.table[f][g]
-        if r < 0:
-            raise NotComposable(f"morphisms {f} then {g} do not compose")
-        return r
-
-    def composable(self, f: int, g: int) -> bool:
-        return self.mor_target[f] == self.mor_source[g]
 
     def is_identity(self, f: int) -> bool:
         return self.identity[self.mor_source[f]] == f
@@ -120,10 +106,6 @@ def make_category(n_objects: int,
         tuple(object_names) if object_names else None,
         tuple(morphism_names) if morphism_names else None,
     )
-
-
-def compose(c: FiniteCategory, f: int, g: int) -> int:
-    return c.compose(f, g)
 
 
 def validate_category(c: FiniteCategory) -> Report:
@@ -238,9 +220,6 @@ class NaturalTransformation:
     @property
     def codomain(self) -> FiniteCategory:
         return self.source_functor.target
-
-    def at(self, x: int) -> int:
-        return self.components[x]
 
     def validate(self) -> Report:
         rep = Report("natural transformation")
@@ -371,27 +350,7 @@ def sequence_index(basis: tuple[MSeq, ...]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pi0, opposite, product
-
-def pi0(c: FiniteCategory) -> tuple[tuple[int, ...], ...]:
-    """Connected components of objects under the zig-zag closure."""
-    parent = list(range(c.n_objects))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in range(c.n_morphisms):
-        a, b = find(c.mor_source[m]), find(c.mor_target[m])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for x in range(c.n_objects):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-
+# opposite, product
 
 def opposite(c: FiniteCategory) -> FiniteCategory:
     n = c.n_morphisms
@@ -465,10 +424,6 @@ def product(c: FiniteCategory, d: FiniteCategory) -> ProductCategory:
 def terminal_category() -> FiniteCategory:
     return make_category(1, [(0, 0)], [0], {(0, 0): 0},
                          object_names=["pt"], morphism_names=["id_pt"])
-
-
-def empty_category() -> FiniteCategory:
-    return FiniteCategory(0, (), (), (), ())
 
 
 def discrete_category(n: int) -> FiniteCategory:

@@ -107,22 +107,6 @@ class IntMatrix:
                                 out[rbase + j] += x * y
         return IntMatrix(n, p, tuple(out))
 
-    def matvec(self, v: list[int]) -> list[int]:
-        if self.cols != len(v):
-            raise DimensionMismatch("matvec size mismatch")
-        out = [0] * self.rows
-        e = self.entries
-        c = self.cols
-        for i in range(self.rows):
-            base = i * c
-            s = 0
-            for j in range(c):
-                x = e[base + j]
-                if x:
-                    s += x * v[j]
-            out[i] = s
-        return out
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("addition shape mismatch")
@@ -423,9 +407,6 @@ class LatticeSolver:
                 flat.append(col[i])
         return IntMatrix(n, b.cols, tuple(flat))
 
-    def contains(self, b: list[int]) -> bool:
-        return self.solve(b) is not None
-
     def contains_matrix(self, b: IntMatrix) -> bool:
         return self.solve_matrix(b) is not None
 
@@ -448,35 +429,3 @@ class LatticeSolver:
     def rank(self) -> int:
         return len(self._pivots)
 
-
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    return LatticeSolver(m).kernel()
-
-
-def determinant(m: IntMatrix) -> int:
-    """Fraction-free (Bareiss) determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and determinant(m) in (1, -1)

@@ -6,6 +6,14 @@ the identity, and the unit ``alpha: 1_C => psi∘phi`` supplied componentwise.
 Dually a colocalization carries a counit ``psi∘phi => 1_C`` and an identity
 unit.  Adjunction data is always given, never searched for.
 
+Locality: a system D is local for a localization with unit alpha when its
+action along ``(1_X, f)`` is invertible for every f inverted by ``phi``
+(colocal: along ``(f, 1_Y)``, with the counit), and the canonical comparison
+``D => D∘F(alpha)`` is the executable counterpart.  The library's
+constructors produce systems for which both tests agree;
+``local_characterization`` and ``colocal_characterization`` compute them
+independently, by one body, and report them side by side with a witness.
+
 ``verify_localization_theorem`` certifies that the inclusion induces
 isomorphisms on cohomology with a local coefficient system, three independent
 ways:
@@ -43,8 +51,7 @@ from .fincat import (
 )
 from .natsys import (
     AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem, act_by_two_morphism,
-    canonical_colocal_map, canonical_local_map, compose_natsys_morphisms,
-    is_colocal, is_local, morphism_from_functor, pullback_along_nat,
+    compose_natsys_morphisms, morphism_from_functor, pullback_along_nat,
 )
 
 
@@ -146,43 +153,51 @@ def inverted_morphisms(l: Localization | Colocalization) -> tuple[int, ...]:
 class Characterization:
     pointwise_local: bool
     canonical_map_iso: bool
-    witness: str = ""
-
-    @property
-    def agree(self) -> bool:
-        return self.pointwise_local == self.canonical_map_iso
+    witness: str
+    canonical_map: NatSysMorphism = field(repr=False)   # nu: D => D∘F(alpha)
 
 
 def local_characterization(d: NaturalSystem, l: Localization) -> Characterization:
     """Conditions (pointwise locality) and (canonical comparison is a natural
     isomorphism), computed independently and reported side by side."""
-    cond1 = is_local(d, l)
-    nu = canonical_local_map(d, l)
-    cond3 = nu.nat.is_natural_iso()
-    witness = ""
-    if not cond1:
-        c = d.base
-        for f in inverted_morphisms(l):
-            e = c.identity[c.mor_source[f]]
-            if not is_iso(d.act_pair(e, f, e, f)):
-                witness = f"action (1,{c.morphism_name(f)}) is not invertible"
-                break
-    elif not cond3:
-        c = d.base
-        for f in range(c.n_morphisms):
-            if not is_iso(nu.nat.components[f]):
-                witness = (f"canonical component at {c.morphism_name(f)} "
-                           f"is not invertible")
-                break
-    return Characterization(cond1, cond3, witness)
+    return _characterization(d, l, unit_side=True)
 
 
 def colocal_characterization(d: NaturalSystem, l: Colocalization
                              ) -> Characterization:
-    cond1 = is_colocal(d, l)
-    nu = canonical_colocal_map(d, l)
-    cond3 = nu.nat.is_natural_iso()
-    return Characterization(cond1, cond3)
+    """The same two conditions for a colocalization, on the counit side."""
+    return _characterization(d, l, unit_side=False)
+
+
+def _characterization(d: NaturalSystem, l, unit_side: bool
+                      ) -> Characterization:
+    """Pointwise: the action ``D(1_X, f)`` (unit side) or ``D(f, 1_Y)``
+    (counit side) is invertible for every f that phi inverts.  Canonical:
+    ``nu = 1_D * F(1, alpha)`` (unit side) or ``1_D * F(alpha, 1)``,
+    ``D => D∘F(alpha)``, is a natural isomorphism.  The witness names the
+    first failure, pointwise first."""
+    c = d.base
+    witness = ""
+    for f in inverted_morphisms(l):
+        if unit_side:
+            e = c.identity[c.mor_source[f]]
+            leg, action = f"(1,{c.morphism_name(f)})", d.act_pair(e, f, e, f)
+        else:
+            e = c.identity[c.mor_target[f]]
+            leg, action = f"({c.morphism_name(f)},1)", d.act_pair(e, f, f, e)
+        if not is_iso(action):
+            witness = f"action {leg} is not invertible"
+            break
+    pointwise = not witness
+    one = identity_nat(identity_functor(c))
+    nu = (act_by_two_morphism(d, one, one, l.unit) if unit_side
+          else act_by_two_morphism(d, one, l.counit, one))
+    iso = nu.nat.is_natural_iso()
+    if pointwise and not iso:
+        f = next(f for f, t in enumerate(nu.nat.components) if not is_iso(t))
+        witness = (f"canonical component at {c.morphism_name(f)} "
+                   f"is not invertible")
+    return Characterization(pointwise, iso, witness, nu)
 
 
 @dataclass
@@ -246,8 +261,7 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
         kind = "local" if unit_side else "colocal"
         raise NotLocal(f"coefficient system is not {kind}: {char.witness}")
 
-    nu = (canonical_local_map(d, l) if unit_side
-          else canonical_colocal_map(d, l))
+    nu = char.canonical_map
     d_prime = nu.target_system                    # D∘F(alpha)
     e = pullback_along_nat(d, identity_nat(l.psi))  # D∘F(psi) on the small side
 

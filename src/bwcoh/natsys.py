@@ -17,13 +17,6 @@ component family ``t: D∘F(alpha) => E`` over the factorization category of
 D'.  Keeping the anchor explicit turns the 2-categorical bookkeeping of
 whiskering, composition and two-morphism validation into checkable shape
 conditions instead of silent conventions.
-
-Locality: for an adjoint localization with unit alpha, a system is local when
-its action along ``(1_X, f)`` is invertible for every f inverted by the left
-adjoint, and the canonical comparison ``D => D∘F(alpha)`` (components
-``D(1_X, alpha_Y)``) is the executable counterpart.  The library's
-constructors produce systems for which both tests agree; they are computed
-independently and reported side by side.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from .abgroup import (
 )
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, ShapeMismatch,
-    horizontal_compose, identity_functor, identity_nat,
+    horizontal_compose, identity_nat,
 )
 from .factorization import (
     FactorizationCategory, build_factorization, factor_nat,
@@ -60,12 +53,6 @@ class AbFunctor:
     category: FiniteCategory
     values: tuple[PresentedGroup, ...]   # per object
     homs: tuple[GroupHom, ...]           # per morphism
-
-    def value(self, x: int) -> PresentedGroup:
-        return self.values[x]
-
-    def hom(self, m: int) -> GroupHom:
-        return self.homs[m]
 
     def validate(self) -> Report:
         rep = Report("group-valued functor")
@@ -118,33 +105,6 @@ class AbNat:
     source: AbFunctor
     target: AbFunctor
     components: tuple[GroupHom, ...]   # per object
-
-    def at(self, x: int) -> GroupHom:
-        return self.components[x]
-
-    def validate(self) -> Report:
-        rep = Report("transformation of group-valued functors")
-        if self.source.category != self.target.category:
-            rep.violations.append("functors live on different categories")
-            return rep
-        c = self.source.category
-        if len(self.components) != c.n_objects:
-            rep.violations.append("component count mismatch")
-            return rep
-        for x in range(c.n_objects):
-            t = self.components[x]
-            if t.source != self.source.values[x] or \
-               t.target != self.target.values[x]:
-                rep.violations.append(f"component at {x} has wrong groups")
-        if rep.violations:
-            return rep
-        for m in range(c.n_morphisms):
-            x, y = c.mor_source[m], c.mor_target[m]
-            lhs = hom_compose(self.components[y], self.source.homs[m])
-            rhs = hom_compose(self.target.homs[m], self.components[x])
-            if not lhs.equal_mod(rhs):
-                rep.violations.append(f"naturality fails at morphism {m}")
-        return rep
 
     @staticmethod
     def identity(f: AbFunctor) -> "AbNat":
@@ -355,10 +315,6 @@ def pullback_along_nat(d: NaturalSystem,
     return NaturalSystem(fc_dom, d.functor.pullback(realized))
 
 
-def pullback_along_functor(d: NaturalSystem, phi: Functor) -> NaturalSystem:
-    return pullback_along_nat(d, identity_nat(phi))
-
-
 # ---------------------------------------------------------------------------
 # morphisms of pairs (C, D) -> (D', E)
 
@@ -374,33 +330,9 @@ class NatSysMorphism:
     target_system: NaturalSystem
     nat: AbNat
 
-    def validate(self) -> Report:
-        rep = Report("pair morphism")
-        if self.alpha.codomain != self.source_system.base:
-            rep.violations.append("anchor does not land in the source base")
-        if self.alpha.domain != self.target_system.base:
-            rep.violations.append("anchor does not start at the target base")
-        if rep.violations:
-            return rep
-        pulled = pullback_along_nat(self.source_system, self.alpha)
-        if self.nat.source.values != pulled.functor.values or \
-           not self.nat.source.equal_mod(pulled.functor):
-            rep.violations.append("component family source is not D∘F(alpha)")
-        if self.nat.target.values != self.target_system.functor.values or \
-           not self.nat.target.equal_mod(self.target_system.functor):
-            rep.violations.append("component family target is not E")
-        sub = self.nat.validate()
-        rep.violations.extend(sub.violations)
-        return rep
-
     def component(self, sigma: int) -> GroupHom:
         """t at the target-base morphism sigma."""
         return self.nat.components[sigma]
-
-
-def identity_morphism(d: NaturalSystem) -> NatSysMorphism:
-    alpha = identity_nat(identity_functor(d.base))
-    return NatSysMorphism(alpha, d, d, AbNat.identity(d.functor))
 
 
 def morphism_from_functor(phi: Functor, d: NaturalSystem,
@@ -528,44 +460,3 @@ def horizontal_compose_two(b: NatFTwoMorphism, a: NatFTwoMorphism
         horizontal_compose(a.gam, b.gam),
     )
 
-
-# ---------------------------------------------------------------------------
-# locality predicates
-
-def _inverted(cat: FiniteCategory, phi: Functor) -> list[int]:
-    return [f for f in range(cat.n_morphisms)
-            if phi.target.is_invertible(phi.mor_map[f])]
-
-
-def is_local(d: NaturalSystem, loc) -> bool:
-    """Every action D(1_X, f) with phi(f) invertible is an isomorphism."""
-    c = d.base
-    for f in _inverted(c, loc.phi):
-        x = c.mor_source[f]
-        e = c.identity[x]
-        if not is_iso(d.act_pair(e, f, e, f)):
-            return False
-    return True
-
-
-def is_colocal(d: NaturalSystem, coloc) -> bool:
-    """Every action D(f, 1_Y) with phi(f) invertible is an isomorphism."""
-    c = d.base
-    for f in _inverted(c, coloc.phi):
-        y = c.mor_target[f]
-        e = c.identity[y]
-        if not is_iso(d.act_pair(e, f, f, e)):
-            return False
-    return True
-
-
-def canonical_local_map(d: NaturalSystem, loc) -> NatSysMorphism:
-    """1_D * F(1_{1_C}, alpha): D => D∘F(alpha) for the unit alpha."""
-    one = identity_nat(identity_functor(d.base))
-    return act_by_two_morphism(d, one, one, loc.unit)
-
-
-def canonical_colocal_map(d: NaturalSystem, coloc) -> NatSysMorphism:
-    """1_D * F(alpha, 1_{1_C}): D => D∘F(alpha) for the counit alpha."""
-    one = identity_nat(identity_functor(d.base))
-    return act_by_two_morphism(d, one, coloc.counit, one)

@@ -1,37 +1,25 @@
-"""Simplicial cochain complex of the nerve of a finite category.
+"""Cells of the nerve of a finite category, for ``bwcoh export --what nerve``.
 
-Used as an independent route to constant-coefficient cohomology and by the
-nerve export.  Simplices are enumerated here as forward chains
+An n-simplex is a forward chain
 
     X_0 --g1--> X_1 --g2--> ... --gn--> X_n
 
-(the opposite reading order from the cochain bases in ``bwcomplex``), and the
-coboundary is assembled purely from the simplicial face maps: the outer faces
-drop an end arrow, the inner faces compose adjacent arrows.  Degenerate
-simplices (containing identities) are kept; the unnormalized complex has the
-same cohomology and matches the coefficient complex degree for degree.
+(the opposite reading order from the cochain bases in ``bwcomplex``).
+Degenerate simplices, those containing an identity, are listed too and
+flagged as such by the export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import (
-    GroupHom, GroupInvariants, PresentedGroup, direct_product, subquotient,
-    trivial_group,
-)
 from .fincat import FiniteCategory
-from .intmat import IntMatrix
 
 
 @dataclass(frozen=True)
 class Simplex:
     arrows: tuple[int, ...]    # g1..gn, forward composable
     vertices: tuple[int, ...]  # X_0..X_n
-
-    @property
-    def dim(self) -> int:
-        return len(self.arrows)
 
     def is_degenerate(self, c: FiniteCategory) -> bool:
         return any(c.is_identity(g) for g in self.arrows)
@@ -52,55 +40,3 @@ def nerve_cells(c: FiniteCategory, n: int) -> tuple[Simplex, ...]:
                                        s.vertices + (c.mor_target[g],)))
         cells = nxt
     return tuple(cells)
-
-
-def face(c: FiniteCategory, s: Simplex, i: int) -> Simplex:
-    """The i-th face: drop vertex i, composing through it when interior."""
-    n = s.dim
-    if i == 0:
-        return Simplex(s.arrows[1:], s.vertices[1:])
-    if i == n:
-        return Simplex(s.arrows[:-1], s.vertices[:-1])
-    merged = c.table[s.arrows[i - 1]][s.arrows[i]]
-    return Simplex(s.arrows[:i - 1] + (merged,) + s.arrows[i + 1:],
-                   s.vertices[:i] + s.vertices[i + 1:])
-
-
-def _coboundary(c: FiniteCategory, coeff: PresentedGroup,
-                cells_lo: tuple[Simplex, ...], cells_hi: tuple[Simplex, ...]
-                ) -> GroupHom:
-    index = {s.arrows if s.arrows else ("v", s.vertices[0]): i
-             for i, s in enumerate(cells_lo)}
-    g = coeff.generators
-    rows = len(cells_hi) * g
-    cols = len(cells_lo) * g
-    ent = [0] * (rows * cols)
-    for hi, s in enumerate(cells_hi):
-        for i in range(s.dim + 1):
-            f = face(c, s, i)
-            key = f.arrows if f.arrows else ("v", f.vertices[0])
-            lo = index[key]
-            sign = -1 if i % 2 else 1
-            for k in range(g):
-                ent[(hi * g + k) * cols + (lo * g + k)] += sign
-    src = direct_product([coeff] * len(cells_lo))
-    dst = direct_product([coeff] * len(cells_hi))
-    mat = IntMatrix(rows, cols, tuple(ent))
-    return GroupHom.create(src, dst, mat)
-
-
-def nerve_cohomology(c: FiniteCategory, coeff: PresentedGroup,
-                     max_degree: int) -> list[GroupInvariants]:
-    """Simplicial cohomology of the nerve with constant coefficients,
-    in degrees 0..max_degree-1."""
-    cells = [nerve_cells(c, n) for n in range(max_degree + 1)]
-    diffs = [_coboundary(c, coeff, cells[n], cells[n + 1])
-             for n in range(max_degree)]
-    out = []
-    for n in range(max_degree):
-        if n == 0:
-            d_in = GroupHom.zero(trivial_group, diffs[0].source)
-        else:
-            d_in = diffs[n - 1]
-        out.append(subquotient(d_in, diffs[n]).group.invariants)
-    return out

@@ -31,15 +31,15 @@ from .abgroup import (
 )
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, arrow_category,
-    cyclic_group_category, discrete_category, indiscrete_category,
-    poset_category, product, pseudo_circle_category, terminal_category,
-    total_order_category,
+    compose_functors, cyclic_group_category, discrete_category,
+    identity_functor, indiscrete_category, poset_category, product,
+    pseudo_circle_category, terminal_category, total_order_category,
 )
 from .factorization import op_pair_product
 from .intmat import IntMatrix
 from .natsys import (
     AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
-    act_by_two_morphism, constant_system, from_bifunctor, pullback_along_nat,
+    act_by_two_morphism, constant_system, from_bifunctor,
 )
 from .factorization import build_factorization, two_morphism_target
 from .localization import Colocalization, Localization
@@ -406,40 +406,30 @@ class InstanceGen:
     # -- (co)localizations ----------------------------------------------------
 
     def _chain_closure(self, k: int) -> Localization:
-        big = total_order_category(k)
-        members = sorted(set([k - 1] + [x for x in range(k - 1)
-                                        if self.rng.random() < 0.5]))
-        small = total_order_category(len(members))
-        rank = {s: i for i, s in enumerate(members)}
-        big_lookup = thin_mor_lookup(big)
-        small_lookup = thin_mor_lookup(small)
-        closure = [min(s for s in members if s >= x) for x in range(k)]
-        phi_obj = tuple(rank[closure[x]] for x in range(k))
-        phi_mor = tuple(small_lookup[(phi_obj[big.mor_source[m]],
-                                      phi_obj[big.mor_target[m]])]
-                        for m in range(big.n_morphisms))
-        phi = Functor(big, small, phi_obj, phi_mor)
-        psi_obj = tuple(members)
-        psi_mor = tuple(big_lookup[(members[small.mor_source[m]],
-                                    members[small.mor_target[m]])]
-                        for m in range(small.n_morphisms))
-        psi = Functor(small, big, psi_obj, psi_mor)
-        from .fincat import compose_functors, identity_functor
-        unit = NaturalTransformation(
-            identity_functor(big), compose_functors(psi, phi),
-            tuple(big_lookup[(x, closure[x])] for x in range(k)))
-        return Localization(big, small, phi, psi, unit)
+        """The total order on k objects localized onto a random subset that
+        keeps the top: each object goes to the least kept one above it."""
+        return Localization(*self._chain_retraction(k, True))
 
     def _chain_interior(self, k: int) -> Colocalization:
+        """The total order on k objects colocalized onto a random subset
+        that keeps the bottom: each object goes to the greatest kept one
+        below it."""
+        return Colocalization(*self._chain_retraction(k, False))
+
+    def _chain_retraction(self, k: int, up: bool):
+        """``(big, small, phi, psi, nat)`` of ``_chain_closure`` (``up``,
+        ``nat`` the unit) or ``_chain_interior`` (``nat`` the counit)."""
         big = total_order_category(k)
-        members = sorted(set([0] + [x for x in range(1, k)
-                                    if self.rng.random() < 0.5]))
+        kept = k - 1 if up else 0
+        members = sorted(set([kept] + [x for x in range(k) if x != kept
+                                       and self.rng.random() < 0.5]))
         small = total_order_category(len(members))
         rank = {s: i for i, s in enumerate(members)}
         big_lookup = thin_mor_lookup(big)
         small_lookup = thin_mor_lookup(small)
-        interior = [max(s for s in members if s <= x) for x in range(k)]
-        phi_obj = tuple(rank[interior[x]] for x in range(k))
+        nearest = [min(s for s in members if s >= x) if up
+                   else max(s for s in members if s <= x) for x in range(k)]
+        phi_obj = tuple(rank[nearest[x]] for x in range(k))
         phi_mor = tuple(small_lookup[(phi_obj[big.mor_source[m]],
                                       phi_obj[big.mor_target[m]])]
                         for m in range(big.n_morphisms))
@@ -449,22 +439,19 @@ class InstanceGen:
                                     members[small.mor_target[m]])]
                         for m in range(small.n_morphisms))
         psi = Functor(small, big, psi_obj, psi_mor)
-        from .fincat import compose_functors, identity_functor
-        counit = NaturalTransformation(
-            compose_functors(psi, phi), identity_functor(big),
-            tuple(big_lookup[(interior[x], x)] for x in range(k)))
-        return Colocalization(big, small, phi, psi, counit)
-
-    def _identity_localization(self, c: FiniteCategory) -> Localization:
-        from .fincat import identity_functor, identity_nat
-        one = identity_functor(c)
-        return Localization(c, c, one, one, identity_nat(one))
+        one, xi = identity_functor(big), compose_functors(psi, phi)
+        if up:
+            nat = NaturalTransformation(
+                one, xi, tuple(big_lookup[(x, nearest[x])] for x in range(k)))
+        else:
+            nat = NaturalTransformation(
+                xi, one, tuple(big_lookup[(nearest[x], x)] for x in range(k)))
+        return big, small, phi, psi, nat
 
     def _product_localization(self, base: Localization,
                               m: FiniteCategory) -> Localization:
         pb = product(base.big, m)
         ps = product(base.small, m)
-        from .fincat import compose_functors, identity_functor
         phi = Functor(pb.category, ps.category,
                       tuple(ps.obj_id(base.phi.obj_map[pb.obj_pair(o)[0]],
                                       pb.obj_pair(o)[1])
@@ -485,36 +472,3 @@ class InstanceGen:
                             m.identity[pb.obj_pair(o)[1]])
                   for o in range(pb.category.n_objects)))
         return Localization(pb.category, ps.category, phi, psi, unit)
-
-    def localization(self) -> Localization:
-        roll = self.rng.random()
-        if roll < 0.55:
-            return self._chain_closure(self.rng.randint(2, 4))
-        if roll < 0.75:
-            return self._product_localization(
-                self._chain_closure(self.rng.randint(2, 3)),
-                cyclic_group_category(2))
-        return self._identity_localization(self.category(5))
-
-    def colocalization(self) -> Colocalization:
-        roll = self.rng.random()
-        if roll < 0.7:
-            return self._chain_interior(self.rng.randint(2, 4))
-        c = self.category(5)
-        from .fincat import identity_functor, identity_nat
-        one = identity_functor(c)
-        return Colocalization(c, c, one, one, identity_nat(one))
-
-    def local_system(self, loc: Localization) -> NaturalSystem:
-        """A system that is local by construction: constant or pulled back
-        along the unit."""
-        if self.rng.random() < 0.4:
-            return constant_system(loc.big, self.small_group())
-        e0 = self.system(loc.big)
-        return pullback_along_nat(e0, loc.unit)
-
-    def colocal_system(self, coloc: Colocalization) -> NaturalSystem:
-        if self.rng.random() < 0.4:
-            return constant_system(coloc.big, self.small_group())
-        e0 = self.system(coloc.big)
-        return pullback_along_nat(e0, coloc.counit)

@@ -1,19 +1,27 @@
-"""Independent oracles used to cross-check the library.
+"""Independent oracles used to cross-check the library, and the shared
+test fixtures that only the tests need.
 
 These deliberately avoid the library's own reduction routines: determinants
-are cofactor expansions, lattice membership is a row-style basis kept in the
-style of hand-rolled lattice code, group structure is recovered from element
-order statistics, and the bar complex is written directly from tuples.  The
-exceptions are ``dense_cohomology_map``, the induced map on cohomology
-through the dense subquotients of the full differentials, which is the
-reference the reduced-cone ``cohomology_map`` is compared against, and
+are cofactor expansions (``determinant``, a fraction-free Bareiss
+elimination, is checked against them and certifies unimodular transforms),
+lattice membership is a row-style basis kept in the style of hand-rolled
+lattice code, group structure is recovered from element order statistics,
+and the bar complex is written directly from tuples.  ``nerve_cohomology``
+computes constant-coefficient cohomology from the simplicial face maps of
+the nerve, independently of the coefficient complex.  The exceptions are
+``dense_cohomology_map``, the induced map on cohomology through the dense
+subquotients of the full differentials, which is the reference the
+reduced-cone ``cohomology_map`` is compared against, and
 ``blockwise_signed_sum``, the per-block ``IntMatrix`` form of
 ``BlockHom.signed_sum``.  The natural-system oracles work on the library's
 own types: ``validate_full_table`` composes the whole action table over
 every composable pair of the factorization category, the definition that
-``validate_natural_system`` checks on the one-sided presentation, and
-``fullness_witness`` is the ordinary morphism two-morphic to a pair
-morphism.
+``validate_natural_system`` checks on the one-sided presentation,
+``validate_ab_nat`` and ``validate_pair_morphism`` check naturality and the
+shape of a pair morphism, and ``fullness_witness`` is the ordinary morphism
+two-morphic to a pair morphism.  The (co)localization generators at the
+end draw from an ``InstanceGen``'s random stream, so a seed fixes the
+instance.
 """
 
 from __future__ import annotations
@@ -26,11 +34,18 @@ from bwcoh.abgroup import (
     subquotient, trivial_group,
 )
 from bwcoh.bwcomplex import BlockHom
-from bwcoh.fincat import Report, ShapeMismatch, identity_nat
-from bwcoh.intmat import IntMatrix
-from bwcoh.natsys import (
-    NatFTwoMorphism, NatSysMorphism, NaturalSystem, act_by_two_morphism,
+from bwcoh.fincat import (
+    FiniteCategory, Report, ShapeMismatch, cyclic_group_category,
+    identity_functor, identity_nat,
 )
+from bwcoh.intmat import DimensionMismatch, IntMatrix
+from bwcoh.localization import Colocalization, Localization
+from bwcoh.natsys import (
+    AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem, act_by_two_morphism,
+    constant_system, pullback_along_nat,
+)
+from bwcoh.nerve import Simplex, nerve_cells
+from bwcoh.randgen import InstanceGen
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +84,44 @@ def determinantal_divisors(m: IntMatrix) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def determinant(m: IntMatrix) -> int:
+    """Fraction-free (Bareiss) determinant of a square matrix."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and determinant(m) in (1, -1)
+
+
+def matvec(m: IntMatrix, v: list[int]) -> list[int]:
+    """``m`` applied to the integer vector ``v``."""
+    if m.cols != len(v):
+        raise DimensionMismatch("matvec size mismatch")
+    c = m.cols
+    return [sum(a * x for a, x in zip(m.entries[i * c:(i + 1) * c], v))
+            for i in range(m.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +293,12 @@ def subquotient_by_enumeration(d_in: GroupHom, d_out: GroupHom
         return None
 
     kernel = [x for x in mid_elems
-              if not any(tgt_lat.reduce(d_out.matrix.matvec(list(x))))]
+              if not any(tgt_lat.reduce(matvec(d_out.matrix, list(x))))]
     image_lat = RowLattice(mid.generators)
     for j in range(mid.relations.cols):
         image_lat.add(mid.relations.column(j))
     for x in src_elems:
-        image_lat.add(d_in.matrix.matvec(list(x)))
+        image_lat.add(matvec(d_in.matrix, list(x)))
 
     cosets = sorted({image_lat.reduce(list(x)) for x in kernel})
 
@@ -373,6 +426,64 @@ def bar_cohomology(k: int, coeff: PresentedGroup, degrees: int
 
 
 # ---------------------------------------------------------------------------
+# simplicial cochain complex of the nerve, constant coefficients
+
+def face(c: FiniteCategory, s: Simplex, i: int) -> Simplex:
+    """The i-th face: drop vertex i, composing through it when interior."""
+    n = len(s.arrows)
+    if i == 0:
+        return Simplex(s.arrows[1:], s.vertices[1:])
+    if i == n:
+        return Simplex(s.arrows[:-1], s.vertices[:-1])
+    merged = c.table[s.arrows[i - 1]][s.arrows[i]]
+    return Simplex(s.arrows[:i - 1] + (merged,) + s.arrows[i + 1:],
+                   s.vertices[:i] + s.vertices[i + 1:])
+
+
+def _coboundary(c: FiniteCategory, coeff: PresentedGroup,
+                cells_lo: tuple[Simplex, ...], cells_hi: tuple[Simplex, ...]
+                ) -> GroupHom:
+    index = {s.arrows if s.arrows else ("v", s.vertices[0]): i
+             for i, s in enumerate(cells_lo)}
+    g = coeff.generators
+    rows = len(cells_hi) * g
+    cols = len(cells_lo) * g
+    ent = [0] * (rows * cols)
+    for hi, s in enumerate(cells_hi):
+        for i in range(len(s.arrows) + 1):
+            f = face(c, s, i)
+            key = f.arrows if f.arrows else ("v", f.vertices[0])
+            lo = index[key]
+            sign = -1 if i % 2 else 1
+            for k in range(g):
+                ent[(hi * g + k) * cols + (lo * g + k)] += sign
+    src = direct_product([coeff] * len(cells_lo))
+    dst = direct_product([coeff] * len(cells_hi))
+    mat = IntMatrix(rows, cols, tuple(ent))
+    return GroupHom.create(src, dst, mat)
+
+
+def nerve_cohomology(c: FiniteCategory, coeff: PresentedGroup,
+                     max_degree: int) -> list[GroupInvariants]:
+    """Simplicial cohomology of the nerve with constant coefficients,
+    in degrees 0..max_degree-1.  The coboundary is assembled from the face
+    maps alone, degenerate simplices kept: the unnormalized complex has the
+    same cohomology and matches the coefficient complex degree for
+    degree."""
+    cells = [nerve_cells(c, n) for n in range(max_degree + 1)]
+    diffs = [_coboundary(c, coeff, cells[n], cells[n + 1])
+             for n in range(max_degree)]
+    out = []
+    for n in range(max_degree):
+        if n == 0:
+            d_in = GroupHom.zero(trivial_group, diffs[0].source)
+        else:
+            d_in = diffs[n - 1]
+        out.append(subquotient(d_in, diffs[n]).group.invariants)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # natural systems, the definitional way
 
 def validate_full_table(d: NaturalSystem) -> Report:
@@ -403,8 +514,9 @@ def validate_full_table(d: NaturalSystem) -> Report:
     if rep.violations:
         return rep
     for f in range(c.n_morphisms):
-        if not homs[d.fc.identity_pair_id(f)].equal_mod(
-                GroupHom.identity(values[f])):
+        ident = d.fc.pair_id(f, f, c.identity[c.mor_source[f]],
+                             c.identity[c.mor_target[f]])
+        if not homs[ident].equal_mod(GroupHom.identity(values[f])):
             rep.violations.append(
                 f"identity pair of {c.morphism_name(f)} does not act as "
                 f"the identity")
@@ -435,3 +547,101 @@ def fullness_witness(m: NatSysMorphism
                               m.nat.compose(corr.nat))
     two = NatFTwoMorphism(ordinary, m, one_phi, m.alpha)
     return ordinary, two
+
+
+def validate_ab_nat(t: AbNat) -> Report:
+    """Naturality of a transformation of group-valued functors, modulo the
+    relations of each target group."""
+    rep = Report("transformation of group-valued functors")
+    if t.source.category != t.target.category:
+        rep.violations.append("functors live on different categories")
+        return rep
+    c = t.source.category
+    if len(t.components) != c.n_objects:
+        rep.violations.append("component count mismatch")
+        return rep
+    for x in range(c.n_objects):
+        comp = t.components[x]
+        if comp.source != t.source.values[x] or \
+           comp.target != t.target.values[x]:
+            rep.violations.append(f"component at {x} has wrong groups")
+    if rep.violations:
+        return rep
+    for m in range(c.n_morphisms):
+        x, y = c.mor_source[m], c.mor_target[m]
+        lhs = hom_compose(t.components[y], t.source.homs[m])
+        rhs = hom_compose(t.target.homs[m], t.components[x])
+        if not lhs.equal_mod(rhs):
+            rep.violations.append(f"naturality fails at morphism {m}")
+    return rep
+
+
+def validate_pair_morphism(m: NatSysMorphism) -> Report:
+    """A pair morphism (alpha, t): (C, D) -> (D', E) is well formed: alpha
+    connects the bases, t runs from D∘F(alpha) to E and is natural."""
+    rep = Report("pair morphism")
+    if m.alpha.codomain != m.source_system.base:
+        rep.violations.append("anchor does not land in the source base")
+    if m.alpha.domain != m.target_system.base:
+        rep.violations.append("anchor does not start at the target base")
+    if rep.violations:
+        return rep
+    pulled = pullback_along_nat(m.source_system, m.alpha)
+    if m.nat.source.values != pulled.functor.values or \
+       not m.nat.source.equal_mod(pulled.functor):
+        rep.violations.append("component family source is not D∘F(alpha)")
+    if m.nat.target.values != m.target_system.functor.values or \
+       not m.nat.target.equal_mod(m.target_system.functor):
+        rep.violations.append("component family target is not E")
+    rep.violations.extend(validate_ab_nat(m.nat).violations)
+    return rep
+
+
+def identity_morphism(d: NaturalSystem) -> NatSysMorphism:
+    """The identity pair morphism (1, 1_D): (C, D) -> (C, D)."""
+    alpha = identity_nat(identity_functor(d.base))
+    return NatSysMorphism(alpha, d, d, AbNat.identity(d.functor))
+
+
+# ---------------------------------------------------------------------------
+# seeded (co)localizations and (co)local systems, drawn from an InstanceGen
+
+def localization(gen: InstanceGen) -> Localization:
+    roll = gen.rng.random()
+    if roll < 0.55:
+        return gen._chain_closure(gen.rng.randint(2, 4))
+    if roll < 0.75:
+        return gen._product_localization(
+            gen._chain_closure(gen.rng.randint(2, 3)),
+            cyclic_group_category(2))
+    return _identity_localization(gen.category(5))
+
+
+def _identity_localization(c: FiniteCategory) -> Localization:
+    one = identity_functor(c)
+    return Localization(c, c, one, one, identity_nat(one))
+
+
+def colocalization(gen: InstanceGen) -> Colocalization:
+    roll = gen.rng.random()
+    if roll < 0.7:
+        return gen._chain_interior(gen.rng.randint(2, 4))
+    c = gen.category(5)
+    one = identity_functor(c)
+    return Colocalization(c, c, one, one, identity_nat(one))
+
+
+def local_system(gen: InstanceGen, loc: Localization) -> NaturalSystem:
+    """A system that is local by construction: constant or pulled back
+    along the unit."""
+    if gen.rng.random() < 0.4:
+        return constant_system(loc.big, gen.small_group())
+    e0 = gen.system(loc.big)
+    return pullback_along_nat(e0, loc.unit)
+
+
+def colocal_system(gen: InstanceGen, coloc: Colocalization) -> NaturalSystem:
+    if gen.rng.random() < 0.4:
+        return constant_system(coloc.big, gen.small_group())
+    e0 = gen.system(coloc.big)
+    return pullback_along_nat(e0, coloc.counit)

@@ -11,15 +11,17 @@ from bwcoh.fincat import (
 )
 from bwcoh.intmat import IntMatrix
 from bwcoh.localization import (
-    Colocalization, Localization, NotLocal, inverted_morphisms,
-    local_characterization, validate_colocalization, validate_localization,
-    verify_colocalization_theorem, verify_localization_theorem,
+    Colocalization, Localization, NotLocal, colocal_characterization,
+    inverted_morphisms, local_characterization, validate_colocalization,
+    validate_localization, verify_colocalization_theorem,
+    verify_localization_theorem,
 )
 from bwcoh.natsys import (
-    AbFunctor, NaturalSystem, constant_system, is_colocal, is_local,
-    pullback_along_nat, validate_natural_system,
+    AbFunctor, NaturalSystem, constant_system, pullback_along_nat,
+    validate_natural_system,
 )
 from bwcoh.randgen import InstanceGen
+from oracles import colocal_system, colocalization, local_system, localization
 
 
 def arrow_localization():
@@ -84,7 +86,7 @@ def test_inverted_morphisms():
 def test_unit_is_idempotent_on_components():
     for seed in range(12):
         gen = InstanceGen(seed)
-        loc = gen.localization()
+        loc = localization(gen)
         assert validate_localization(loc).ok
         c = loc.big
         xi = compose_functors(loc.psi, loc.phi)
@@ -114,9 +116,13 @@ def test_local_characterization_routes_agree():
     loc = arrow_localization()
     c = loc.big
     ch = local_characterization(constant_system(c, Z), loc)
-    assert ch.pointwise_local and ch.canonical_map_iso and ch.agree
+    assert ch.pointwise_local and ch.canonical_map_iso
     ch0 = local_characterization(zzero_system(c), loc)
-    assert not ch0.pointwise_local and not ch0.canonical_map_iso and ch0.agree
+    assert not ch0.pointwise_local and not ch0.canonical_map_iso
+    assert ch0.witness == "action (1,f) is not invertible"
+    co0 = colocal_characterization(zzero_system(c), arrow_colocalization())
+    assert not co0.pointwise_local and not co0.canonical_map_iso
+    assert co0.witness == "action (f,1) is not invertible"
     gen = InstanceGen(5)
     for _ in range(5):
         e0 = gen.system(c)
@@ -160,7 +166,7 @@ def test_arrow_localization_nonconstant_local_system():
     d = NaturalSystem(fc, AbFunctor(fc.category, values, homs))
     assert validate_natural_system(d).ok
     loc = arrow_localization()
-    assert is_local(d, loc)
+    assert local_characterization(d, loc).pointwise_local
     rep = verify_localization_theorem(d, loc, 3)
     assert rep.ok
     assert rep.degrees[0].big_side == GroupInvariants(0, (4,))
@@ -182,7 +188,7 @@ def test_arrow_colocalization_nonconstant_colocal_system():
     d = NaturalSystem(fc, AbFunctor(fc.category, values, homs))
     assert validate_natural_system(d).ok
     coloc = arrow_colocalization()
-    assert is_colocal(d, coloc)
+    assert colocal_characterization(d, coloc).pointwise_local
     rep = verify_colocalization_theorem(d, coloc, 3)
     assert rep.ok
     assert rep.degrees[0].big_side == GroupInvariants(0, (4,))
@@ -208,8 +214,8 @@ def test_identity_localization_any_system():
 @given(st.integers(0, 10 ** 6))
 def test_generated_localization_theorem(seed):
     gen = InstanceGen(seed)
-    loc = gen.localization()
-    d = gen.local_system(loc)
+    loc = localization(gen)
+    d = local_system(gen, loc)
     rep = verify_localization_theorem(d, loc, 2)
     assert rep.ok
 
@@ -218,8 +224,8 @@ def test_generated_localization_theorem(seed):
 @given(st.integers(0, 10 ** 6))
 def test_generated_colocalization_theorem(seed):
     gen = InstanceGen(seed)
-    coloc = gen.colocalization()
-    d = gen.colocal_system(coloc)
+    coloc = colocalization(gen)
+    d = colocal_system(gen, coloc)
     rep = verify_colocalization_theorem(d, coloc, 2)
     assert rep.ok
 
@@ -237,7 +243,7 @@ def mirror_system(d: NaturalSystem, c_op) -> NaturalSystem:
 def test_colocal_mirrors_to_local():
     for seed in range(8):
         gen = InstanceGen(4000 + seed)
-        coloc = gen.colocalization()
+        coloc = colocalization(gen)
         d = gen.system(coloc.big)
         c_op = opposite(coloc.big)
         small_op = opposite(coloc.small)
@@ -250,4 +256,5 @@ def test_colocal_mirrors_to_local():
         assert validate_localization(mirror_loc).ok
         md = mirror_system(d, c_op)
         assert validate_natural_system(md).ok
-        assert is_colocal(d, coloc) == is_local(md, mirror_loc)
+        assert colocal_characterization(d, coloc).pointwise_local == \
+            local_characterization(md, mirror_loc).pointwise_local

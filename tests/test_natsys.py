@@ -14,16 +14,18 @@ from bwcoh.fincat import (
 from bwcoh.intmat import IntMatrix
 from bwcoh.natsys import (
     AbFunctor, AbNat, BifunctorInvalid, NatSysMorphism, NaturalSystem,
-    act_by_two_morphism, canonical_local_map, compose_natsys_morphisms,
-    constant_system, from_bifunctor, identity_morphism,
-    is_colocal, is_local, pullback_along_nat, validate_natural_system,
-    whisker,
+    act_by_two_morphism, compose_natsys_morphisms, constant_system,
+    from_bifunctor, pullback_along_nat, validate_natural_system, whisker,
 )
+from bwcoh.localization import colocal_characterization, local_characterization
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import (
     HEADER, category_text, group_text, load_workspace_file, parse_group,
 )
-from oracles import fullness_witness, validate_full_table
+from oracles import (
+    fullness_witness, identity_morphism, localization, validate_full_table,
+    validate_pair_morphism,
+)
 from test_workspace_cli import run_cli
 
 WORKSPACES = Path(__file__).resolve().parent.parent / "workspaces"
@@ -63,7 +65,8 @@ def test_validation_catches_corrupted_action():
     assert not rep.ok
     # corrupt an identity pair
     homs2 = list(d.functor.homs)
-    ident_pair = fc.identity_pair_id(0)
+    ident_pair = fc.pair_id(0, 0, c.identity[c.mor_source[0]],
+                            c.identity[c.mor_target[0]])
     g = homs2[ident_pair]
     homs2[ident_pair] = GroupHom.create(g.source, g.target,
                                         g.matrix.scale(2))
@@ -299,7 +302,7 @@ def test_whisker_identity_and_composition_neutrality():
     d = gen.system(chain.target)
     e = pullback_along_nat(d, chain.nats[0])
     t = NatSysMorphism(chain.nats[0], d, e, AbNat.identity(e.functor))
-    assert t.validate().ok
+    assert validate_pair_morphism(t).ok
     ident = identity_morphism(e)
     composed = compose_natsys_morphisms(ident, t)
     assert composed.alpha == t.alpha
@@ -366,7 +369,7 @@ def test_fullness_witness():
         two, d, e = gen.h_instance()
         ordinary, connecting = fullness_witness(two.src)
         assert ordinary.alpha.source_functor == ordinary.alpha.target_functor
-        assert ordinary.validate().ok
+        assert validate_pair_morphism(ordinary).ok
         assert connecting.validate().ok
 
 
@@ -380,9 +383,10 @@ def test_is_local_examples():
     unit = NaturalTransformation(identity_functor(c),
                                  compose_functors(psi, phi), (2, 1))
     loc = Localization(c, pt, phi, psi, unit)
-    assert is_local(constant_system(c, Z), loc)
-    assert is_colocal(constant_system(c, Z),
-                      __colocalization_on_source(c, pt))
+    assert local_characterization(constant_system(c, Z), loc).pointwise_local
+    assert colocal_characterization(
+        constant_system(c, Z),
+        __colocalization_on_source(c, pt)).pointwise_local
     # D(1_x)=Z, D(1_y)=Z, D(f)=0 is not local
     fc = build_factorization(c)
     values = (Z, Z, trivial_group)
@@ -395,15 +399,15 @@ def test_is_local_examples():
                               values[p.src].generators))))
     zzero = NaturalSystem(fc, AbFunctor(fc.category, values, tuple(homs)))
     assert validate_natural_system(zzero).ok
-    assert not is_local(zzero, loc)
+    assert not local_characterization(zzero, loc).pointwise_local
     # pullbacks along the unit are always local
     gen = InstanceGen(2)
     for _ in range(5):
         e0 = gen.system(c)
         pulled = pullback_along_nat(e0, unit)
-        assert is_local(pulled, loc)
-        nu = canonical_local_map(pulled, loc)
-        assert nu.nat.is_natural_iso()
+        ch = local_characterization(pulled, loc)
+        assert ch.pointwise_local
+        assert ch.canonical_map.nat.is_natural_iso()
 
 
 def __colocalization_on_source(c, pt):
@@ -420,7 +424,7 @@ def __colocalization_on_source(c, pt):
 @given(st.integers(0, 10 ** 6))
 def test_loc3_equivalence_both_directions(seed):
     gen = InstanceGen(seed)
-    loc = gen.localization()
+    loc = localization(gen)
     d = gen.system(loc.big)
-    nu = canonical_local_map(d, loc)
-    assert is_local(d, loc) == nu.nat.is_natural_iso()
+    ch = local_characterization(d, loc)
+    assert ch.pointwise_local == ch.canonical_map.nat.is_natural_iso()

@@ -23,10 +23,12 @@ from bwcoh.bwcomplex import (
 )
 from bwcoh.fincat import arrow_category, cyclic_group_category
 from bwcoh.intmat import IntMatrix, smith_normal_form
-from bwcoh.natsys import AbNat, constant_system, identity_morphism
+from bwcoh.natsys import AbNat, constant_system
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import HEADER, category_text, load_workspace
-from oracles import bar_cohomology, dense_cohomology_map, kernel_cokernel
+from oracles import (
+    bar_cohomology, dense_cohomology_map, identity_morphism, kernel_cokernel,
+)
 
 # relation matrices that are not injective: Z/2, and Z/2 ⊕ Z
 NON_INJECTIVE = [

@@ -365,6 +365,11 @@ def test_cli_localization_check_exit_codes():
     code, out, _ = run_cli("localization-check", ws, "loc_y", "zzero",
                            "--max-degree", "2")
     assert code == 1 and out.startswith("not-local:")
+    code, out, _ = run_cli("localization-check", ws, "coloc_x", "zzero",
+                           "--max-degree", "2")
+    assert code == 1
+    assert out == ("not-local: coefficient system is not colocal: "
+                   "action (f,1) is not invertible\n")
 
 
 def test_cli_check_laws_pass_and_determinism():
@@ -412,15 +417,15 @@ def test_cli_export_roundtrip_and_determinism(tmp_path):
     (name, cat2), = ws2.categories.items()
     from bwcoh.fincat import validate_category
     from bwcoh.natsys import constant_system
-    from bwcoh.bwcomplex import build_complex, cohomology
+    from bwcoh.bwcomplex import build_complex
     from bwcoh.factorization import build_factorization
     from bwcoh.abgroup import Z
     assert validate_category(cat2).ok
     fc = build_factorization(load_workspace_file(ws).categories["arrow"])
     cx_a = build_complex(constant_system(fc.category, Z), 2)
     cx_b = build_complex(constant_system(cat2, Z), 2)
-    assert [cohomology(cx_a, n) for n in range(2)] == \
-        [cohomology(cx_b, n) for n in range(2)]
+    assert [cx_a.cohomology(n) for n in range(2)] == \
+        [cx_b.cohomology(n) for n in range(2)]
 
 
 def test_cli_export_nerve_and_complex(tmp_path):
