@@ -15,6 +15,17 @@ inclusion is a quasi-isomorphism (Dold–Kan normalization), so it answers
 ``bwcoh cohomology``; its differential is the full one restricted to
 nondegenerate rows and columns, and the map constructors refuse it.
 
+Every differential, chain map and homotopy is a ``BlockHom``: one map
+stored once, at construction, as global sparse columns ``{col: {row: int}}``
+over the generator coordinates of ``ProductGroup.gen_offsets``, holding only
+nonzero entries and never changed afterwards.  ``build_complex`` and
+``_insertion_hom`` write each face or insertion term straight into those
+columns; a merge face, whose coefficient map is an identity, is ±1 on a
+diagonal.  Sums, ``apply``, ``to_matrix`` and the cone of
+``bwcoh.reduction`` read the columns as stored.  ``BlockHom.blocks`` is a
+read-only view of the same entries by (target factor, source factor),
+derived on each access, for the test oracles and the benchmark's counters.
+
 Cohomology, groups and maps alike, comes from the free cone of
 ``bwcoh.reduction``, reduced once per complex (``CochainComplex.reduced``):
 each factor is resolved by ``0 -> Z^r -R-> Z^g`` with ``R`` made injective,
@@ -66,22 +77,20 @@ tolerance would mask sign errors.  Each identity (``d∘d = 0``, ``dp = pd``,
 ``dh + hd = -p + q``, the two ``dr - rd`` identities and the interchange law)
 is written as one ``BlockHom.signed_sum`` of composites and checked by
 ``require_vanishing``, which reports the offending degree and the target and
-source coordinates on failure.  The sum is taken over sparse columns in
-global generator coordinates (the ``ProductGroup.gen_offsets``), not as
-per-block matrix products, and only its nonzero entries are regrouped into
-blocks: a summed ``BlockHom`` stores no all-zero block, and
-``first_nonzero_coordinate`` solves each stored block against the
-relations of its target factor.
+source coordinates on failure.  The sum runs entry by entry over the
+stored columns and keeps only the entries that do not cancel.
+``first_nonzero_coordinate`` then groups them by block: a block on a target
+factor without relations is refused as soon as it holds an entry, and any
+other block is solved against the relations of its target factor.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .abgroup import (
@@ -173,38 +182,41 @@ class ProductGroup:
 Term = tuple[int, "BlockHom", "BlockHom | None"]
 # A sparse map over global generator coordinates: columns {col: {row: value}}
 Columns = dict[int, dict[int, int]]
-_source_key = itemgetter(1)
+# Entries of one block, in coordinates local to it: [(row, col, value), ...]
+Entries = list[tuple[int, int, int]]
 
 
 class BlockHom:
-    """Block-sparse homomorphism between products of presented groups.
+    """A homomorphism between products of presented groups, stored once as
+    global sparse columns.
 
-    ``blocks[(ti, si)] = M`` where M maps generators of source factor si to
-    generators of target factor ti.  Absent blocks are zero.  A key outside
-    the factor counts raises ``ShapeMismatch``.
+    ``columns[c][r]`` is the entry from generator coordinate c of ``src`` to
+    generator coordinate r of ``dst``, both over ``ProductGroup.gen_offsets``.
+    Only nonzero entries are stored, and a column with none is absent.  The
+    columns are written once, by the constructor's caller, and never changed
+    afterwards; every reader uses them as stored.
+
+    ``blocks`` is a read-only view ``{(t, s): IntMatrix}`` of the same
+    entries by (target factor, source factor), derived on each access and
+    not kept: the form the test oracles compare against and the benchmark
+    counts blocks in.
     """
 
+    __slots__ = ("src", "dst", "columns")
+
     def __init__(self, src: ProductGroup, dst: ProductGroup,
-                 blocks: dict[tuple[int, int], IntMatrix]):
-        # min/max scans, so no list of keys is built for a large hom
-        if blocks and not (
-                0 <= min(blocks)[0] and max(blocks)[0] < len(dst.factors)
-                and 0 <= min(blocks, key=_source_key)[1]
-                and max(blocks, key=_source_key)[1] < len(src.factors)):
-            bad = next(k for k in sorted(blocks)
-                       if not (0 <= k[0] < len(dst.factors)
-                               and 0 <= k[1] < len(src.factors)))
-            raise ShapeMismatch(
-                f"block {bad} outside {len(dst.factors)} target and "
-                f"{len(src.factors)} source factors")
+                 columns: Columns):
         self.src = src
         self.dst = dst
-        self.blocks = blocks
+        self.columns = columns
+
+    @property
+    def blocks(self) -> Mapping[tuple[int, int], IntMatrix]:
+        return _BlockView(self)
 
     @staticmethod
     def identity(pg: ProductGroup) -> "BlockHom":
-        return BlockHom(pg, pg, {(i, i): IntMatrix.identity(f.generators)
-                                 for i, f in enumerate(pg.factors)})
+        return BlockHom(pg, pg, {c: {c: 1} for c in range(pg.total_gens)})
 
     @staticmethod
     def signed_sum(terms: list[Term]) -> "BlockHom":
@@ -212,12 +224,10 @@ class BlockHom:
         ``sign·left`` when ``right`` is None.
 
         Each sign is 1 or -1, and every term must map the same source to
-        the same target.  No block product is formed: each ``left`` is read
-        as sparse columns (``_columns``) and each ``right`` entry by entry
-        (``_entries``), both over global generator coordinates, and every
-        term is added into one ``Columns`` map.  Only its nonzero entries
-        are regrouped into blocks, so a block whose entries all cancel, or
-        that no term reaches, is not stored."""
+        the same target.  Every term is added into one ``Columns`` map
+        straight from the stored columns: each entry of ``right`` runs
+        through the column of ``left`` it lands on.  Entries that cancel are
+        dropped."""
         acc: Columns = {}
         src = dst = None
         for sign, left, right in terms:
@@ -228,45 +238,25 @@ class BlockHom:
                     left.dst.factors != dst.factors:
                 raise ShapeMismatch("signed sum terms differ in shape")
             if right is None:
-                for r, c, v in left._entries():
+                for c, through in left.columns.items():
                     col = acc.setdefault(c, {})
-                    col[r] = col.get(r, 0) + sign * v
+                    for r, v in through.items():
+                        col[r] = col.get(r, 0) + sign * v
                 continue
             if right.dst.factors != left.src.factors:
                 raise ShapeMismatch("block hom composition middle mismatch")
-            lcols = left._columns()
-            for k, c, a in right._entries():
-                through = lcols.get(k)
-                if through:
-                    col = acc.setdefault(c, {})
-                    a *= sign
-                    for r, v in through:
-                        col[r] = col.get(r, 0) + a * v
-        return BlockHom(src, dst, _regroup(acc, src, dst))
-
-    def _entries(self) -> Iterator[tuple[int, int, int]]:
-        """``(target coordinate, source coordinate, value)`` of every nonzero
-        entry, over global generator coordinates.  Read afresh on every call,
-        since ``blocks`` may be changed after construction."""
-        t_off, s_off = self.dst.gen_offsets, self.src.gen_offsets
-        for (t, s), m in self.blocks.items():
-            r0, c0, w = t_off[t], s_off[s], m.cols
-            if m.rows != t_off[t + 1] - r0 or w != s_off[s + 1] - c0:
-                raise ShapeMismatch(
-                    f"block {(t, s)} is {m.rows}x{w}, its factors are "
-                    f"{t_off[t + 1] - r0}x{s_off[s + 1] - c0}")
-            for k, v in enumerate(m.entries):
-                if v:
-                    i, j = divmod(k, w)
-                    yield r0 + i, c0 + j, v
-
-    def _columns(self) -> dict[int, list[tuple[int, int]]]:
-        """The nonzero entries as ``{source coordinate: [(target coordinate,
-        value), ...]}``."""
-        cols: dict[int, list[tuple[int, int]]] = {}
-        for r, c, v in self._entries():
-            cols.setdefault(c, []).append((r, v))
-        return cols
+            lcols = left.columns
+            for c, rcol in right.columns.items():
+                col = None
+                for k, a in rcol.items():
+                    through = lcols.get(k)
+                    if through:
+                        if col is None:
+                            col = acc.setdefault(c, {})
+                        a *= sign
+                        for r, v in through.items():
+                            col[r] = col.get(r, 0) + a * v
+        return BlockHom(src, dst, _nonzero(acc))
 
     def compose(self, first: "BlockHom") -> "BlockHom":
         """self ∘ first."""
@@ -275,33 +265,59 @@ class BlockHom:
     def apply(self, x: dict[int, int]) -> dict[int, int]:
         """self applied to a sparse vector {generator coordinate: value};
         zero entries of the result are dropped."""
-        parts = self.src.by_factor(x)
-        offs = self.dst.gen_offsets
         out: dict[int, int] = {}
-        for (t, s), m in self.blocks.items():
-            xs = parts.get(s)
-            if xs is None:
+        columns = self.columns
+        for c, a in x.items():
+            col = columns.get(c)
+            if col:
+                for r, v in col.items():
+                    out[r] = out.get(r, 0) + a * v
+        return {r: v for r, v in out.items() if v}
+
+    def _by_block(self, sources: Callable[[int], bool] | None = None
+                  ) -> dict[tuple[int, int], Entries]:
+        """The entries grouped by (target factor, source factor), in
+        coordinates local to their block; with ``sources``, only the source
+        factors it accepts."""
+        t_of, s_of = self.dst.gen_factor, self.src.gen_factor
+        t_off, s_off = self.dst.gen_offsets, self.src.gen_offsets
+        out: dict[tuple[int, int], Entries] = {}
+        for c, col in self.columns.items():
+            s = s_of[c]
+            if sources is not None and not sources(s):
                 continue
-            e, w, base = m.entries, m.cols, offs[t]
-            for i in range(m.rows):
-                a = sum(e[i * w + j] * v for j, v in xs)
-                if a:
-                    out[base + i] = out.get(base + i, 0) + a
-        return {c: v for c, v in out.items() if v}
+            j = c - s_off[s]
+            for r, v in col.items():
+                t = t_of[r]
+                out.setdefault((t, s), []).append((r - t_off[t], j, v))
+        return out
+
+    def _block(self, t: int, s: int, entries: Entries) -> IntMatrix:
+        rows = self.dst.factors[t].generators
+        cols = self.src.factors[s].generators
+        flat = [0] * (rows * cols)
+        for i, j, v in entries:
+            flat[i * cols + j] = v
+        return IntMatrix(rows, cols, tuple(flat))
 
     def first_nonzero_coordinate(self, solutions: dict | None = None
                                  ) -> tuple[int, int] | None:
-        """(target block, source block) of the first block not zero mod relations.
+        """(target factor, source factor) of the first block, in key order,
+        not zero modulo relations.
 
-        Each block M is solved as M = R X against the independent relations
-        R of its target factor (``PresentedGroup.injective``); when
-        ``solutions`` is given, the X of every nonzero block is stored there.
-        """
-        for (t, s) in sorted(self.blocks):
-            m = self.blocks[(t, s)]
-            if m.is_zero():
-                continue
-            x = self.dst.factors[t].injective.solver.solve_matrix(m)
+        A block on a target factor without relations is refused as soon as
+        it holds an entry.  Any other block M is solved as M = R X against
+        the independent relations R of its target factor
+        (``PresentedGroup.injective``); when ``solutions`` is given, the X
+        of every nonzero block is stored there."""
+        if not self.columns:
+            return None
+        factors = self.dst.factors
+        for (t, s), entries in sorted(self._by_block().items()):
+            target = factors[t].injective
+            if not target.relations.cols:
+                return (t, s)
+            x = target.solver.solve_matrix(self._block(t, s, entries))
             if x is None:
                 return (t, s)
             if solutions is not None:
@@ -312,32 +328,25 @@ class BlockHom:
         rows = self.dst.total_gens
         cols = self.src.total_gens
         out = [0] * (rows * cols)
-        go_d = self.dst.gen_offsets
-        go_s = self.src.gen_offsets
-        for (t, s), m in self.blocks.items():
-            rbase, cbase = go_d[t], go_s[s]
-            for i in range(m.rows):
-                obase = (rbase + i) * cols + cbase
-                mbase = i * m.cols
-                for j in range(m.cols):
-                    x = m.entries[mbase + j]
-                    if x:
-                        out[obase + j] += x
+        for c, col in self.columns.items():
+            for r, v in col.items():
+                out[r * cols + c] = v
         return IntMatrix(rows, cols, tuple(out))
 
     def to_witness(self) -> tuple[dict[tuple[int, int], IntMatrix],
                                   tuple[int, int] | None]:
         """Blocks Q with M R_s = R_t Q in the independent relations of each
-        factor (``PresentedGroup.injective``), and the first (target block,
-        source block) whose M does not preserve relations, or None."""
+        factor (``PresentedGroup.injective``), and the first (target factor,
+        source factor) whose M does not preserve relations, or None.  Blocks
+        from a source factor without relations need no Q and are not read."""
         found: dict = {}
         witness: dict[tuple[int, int], IntMatrix] = {}
-        for (t, s) in sorted(self.blocks):
-            m = self.blocks[(t, s)]
-            src = self.src.factors[s].injective
-            if not src.relations.cols:
-                continue
-            dst = self.dst.factors[t].injective
+        sfac, tfac = self.src.factors, self.dst.factors
+        grouped = self._by_block(
+            lambda s: bool(sfac[s].injective.relations.cols))
+        for (t, s), entries in sorted(grouped.items()):
+            m = self._block(t, s, entries)
+            src, dst = sfac[s].injective, tfac[t].injective
             key = (id(src), id(dst), m)
             if key not in found:
                 found[key] = dst.solver.solve_matrix(m @ src.relations)
@@ -351,31 +360,62 @@ class BlockHom:
         return GroupHom(self.src.group, self.dst.group, self.to_matrix())
 
 
-def _regroup(cols: Columns, src: ProductGroup, dst: ProductGroup
-             ) -> dict[tuple[int, int], IntMatrix]:
-    """The nonzero entries of ``cols`` as one matrix per (target factor,
-    source factor) block they touch."""
-    t_of, s_of = dst.gen_factor, src.gen_factor
-    t_off, s_off = dst.gen_offsets, src.gen_offsets
-    flat: dict[tuple[int, int], list[int]] = {}
+class _BlockView(Mapping):
+    """The blocks ``{(t, s): IntMatrix}`` of a ``BlockHom``, in key order:
+    its keys are found when the view is made, a matrix is built from the
+    columns when its key is looked up, and no item can be set."""
+
+    def __init__(self, hom: BlockHom):
+        self._hom = hom
+        t_of, s_of = hom.dst.gen_factor, hom.src.gen_factor
+        self._keys = {(t_of[r], s_of[c])
+                      for c, col in hom.columns.items() for r in col}
+
+    def __getitem__(self, key: tuple[int, int]) -> IntMatrix:
+        if key not in self._keys:
+            raise KeyError(key)
+        hom, (t, s) = self._hom, key
+        r0, r1 = hom.dst.gen_offsets[t:t + 2]
+        c0, c1 = hom.src.gen_offsets[s:s + 2]
+        entries = [(r - r0, c - c0, v) for c in range(c0, c1)
+                   for r, v in hom.columns.get(c, {}).items() if r0 <= r < r1]
+        return hom._block(t, s, entries)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self._keys))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def _nonzero(cols: Columns) -> Columns:
+    """``cols`` without its zero entries and empty columns."""
+    out: Columns = {}
     for c, col in cols.items():
-        s = s_of[c]
-        j, w = c - s_off[s], s_off[s + 1] - s_off[s]
-        for r, v in col.items():
-            if v:
-                t = t_of[r]
-                e = flat.get((t, s))
-                if e is None:
-                    e = flat[t, s] = [0] * ((t_off[t + 1] - t_off[t]) * w)
-                e[(r - t_off[t]) * w + j] = v
-    return {(t, s): IntMatrix(t_off[t + 1] - t_off[t],
-                              s_off[s + 1] - s_off[s], tuple(e))
-            for (t, s), e in flat.items()}
+        if all(col.values()):
+            if col:
+                out[c] = col
+        else:
+            nz = {r: v for r, v in col.items() if v}
+            if nz:
+                out[c] = nz
+    return out
 
 
-def _acc_block(acc: dict, ti: int, si: int, hom: GroupHom, sign: int) -> None:
-    m = hom.matrix if sign == 1 else hom.matrix.scale(sign)
-    acc[(ti, si)] = acc[(ti, si)] + m if (ti, si) in acc else m
+def _sparse(m: IntMatrix) -> Entries:
+    """The nonzero entries of ``m`` as ``(row, col, value)``."""
+    w = m.cols
+    return [(*divmod(k, w), v) for k, v in enumerate(m.entries) if v]
+
+
+def _add(cols: Columns, c0: int, r0: int, entries: Entries, sign: int
+         ) -> None:
+    """Add sign times the block ``entries`` into ``cols`` with its corner
+    at (r0, c0)."""
+    for i, j, v in entries:
+        col = cols.setdefault(c0 + j, {})
+        r = r0 + i
+        col[r] = col.get(r, 0) + sign * v
 
 
 # ---------------------------------------------------------------------------
@@ -479,44 +519,52 @@ def build_complex(d: NaturalSystem, max_degree: int, *,
     groups = [ProductGroup(tuple(d.value(s.composite) for s in basis))
               for basis in bases]
     cx = CochainComplex(d, max_degree, bases, groups, [], normalized)
-    diffs = cx.diffs
+    # the entries of D(1, s1) and D(s_m, 1) out of each sub-composite
+    head: dict[tuple[int, int], Entries] = {}
+    tail: dict[tuple[int, int], Entries] = {}
     for n in range(max_degree):
         idx = cx.index[n]
         small = bases[n]
-        acc: dict[tuple[int, int], IntMatrix] = {}
+        s_off, t_off = groups[n].gen_offsets, groups[n + 1].gen_offsets
+        cols: Columns = {}
         for ti, tau in enumerate(bases[n + 1]):
             m = tau.length
-            comp = tau.composite
+            r0 = t_off[ti]
             # head term: + D(1, s1) applied to the head-dropped coordinate
             s1 = tau.mors[0]
-            if m == 1:
-                si = idx[("obj", tau.objects[1])]
-            else:
-                si = idx[tau.mors[1:]]
-            sub = small[si]
-            hom = d.act_pair(sub.composite, comp,
-                             c.identity[c.mor_source[sub.composite]], s1)
-            _acc_block(acc, ti, si, hom, 1)
-            # merge terms: signs alternate starting at -1
-            ident = GroupHom.identity(d.value(comp))
+            si = idx[("obj", tau.objects[1])] if m == 1 else idx[tau.mors[1:]]
+            sub = small[si].composite
+            e = head.get((sub, s1))
+            if e is None:
+                e = head[sub, s1] = _sparse(d.act_pair(
+                    sub, tau.composite, c.identity[c.mor_source[sub]],
+                    s1).matrix)
+            _add(cols, s_off[si], r0, e, 1)
+            # merge terms: the identity of D(composite), signs from -1
+            g = t_off[ti + 1] - r0
             for i in range(1, m):
                 merged = c.table[tau.mors[i]][tau.mors[i - 1]]
                 if normalized and c.is_identity(merged):
                     continue
-                key = tau.mors[:i - 1] + (merged,) + tau.mors[i + 1:]
-                _acc_block(acc, ti, idx[key], ident, -1 if i % 2 else 1)
+                c0 = s_off[idx[tau.mors[:i - 1] + (merged,)
+                               + tau.mors[i + 1:]]]
+                sign = -1 if i % 2 else 1
+                for k in range(g):
+                    col = cols.setdefault(c0 + k, {})
+                    col[r0 + k] = col.get(r0 + k, 0) + sign
             # tail term: sign (-1)^m with D(s_m, 1)
             sm = tau.mors[-1]
-            if m == 1:
-                si = idx[("obj", tau.objects[0])]
-            else:
-                si = idx[tau.mors[:-1]]
-            sub = small[si]
-            hom = d.act_pair(sub.composite, comp, sm,
-                             c.identity[c.mor_target[sub.composite]])
-            _acc_block(acc, ti, si, hom, -1 if m % 2 else 1)
-        diffs.append(BlockHom(groups[n], groups[n + 1], acc))
+            si = idx[("obj", tau.objects[0])] if m == 1 else idx[tau.mors[:-1]]
+            sub = small[si].composite
+            e = tail.get((sub, sm))
+            if e is None:
+                e = tail[sub, sm] = _sparse(d.act_pair(
+                    sub, tau.composite, sm,
+                    c.identity[c.mor_target[sub]]).matrix)
+            _add(cols, s_off[si], r0, e, -1 if m % 2 else 1)
+        cx.diffs.append(BlockHom(groups[n], groups[n + 1], _nonzero(cols)))
 
+    diffs = cx.diffs
     for n in range(max_degree - 1):
         witness: dict[tuple[int, int], IntMatrix] = {}
         require_vanishing(BlockHom.signed_sum([(1, diffs[n + 1], diffs[n])]),
@@ -630,17 +678,18 @@ class Homotopy2:
 def _insertion_hom(cx_src: CochainComplex, cx_dst: CochainComplex, n: int,
                    functors: tuple[Functor, ...],
                    comps: tuple[tuple[int, ...], ...],
-                   k_hom: Callable[[MSeq], GroupHom]) -> BlockHom:
+                   k_hom: Callable[[int], GroupHom]) -> BlockHom:
     """The map from degree n+m of ``cx_src`` to degree n of ``cx_dst``,
     m = ``len(comps)``.
 
-    At a target sequence τ = (s_1, ..., s_n) with objects X_0, ..., X_n it
-    sums ``(-1)^(i_1+...+i_m) k_hom(τ)`` over the cuts
+    At a target sequence τ = (s_1, ..., s_n) with objects X_0, ..., X_n and
+    composite σ it sums ``(-1)^(i_1+...+i_m) k_hom(σ)`` over the cuts
     0 <= i_1 <= ... <= i_m <= n, each at the source sequence
     ``F_0(s_1..s_{i_1}), c_1(X_{i_1}), F_1(s_{i_1+1}..s_{i_2}), ...,
     c_m(X_{i_m}), F_m(s_{i_m+1}..s_n)``, where ``F_k = functors[k]`` and
     ``c_k = comps[k-1]`` lists a morphism per object.  With m = 0 the source
     is the pulled-back sequence F_0(τ), the object F_0(X_0) in degree 0.
+    Every term is added straight into the columns of the result.
 
     Both complexes must be full: a pulled-back or inserted sequence may be
     degenerate, and a normalized basis has no coordinate for it."""
@@ -651,34 +700,40 @@ def _insertion_hom(cx_src: CochainComplex, cx_dst: CochainComplex, n: int,
                 f"{side} complex is normalized")
     m = len(comps)
     idx = cx_src.index[n + m]
-    cuts = [((0,) + c + (n,), sum(c) % 2)
+    s_off = cx_src.groups[n + m].gen_offsets
+    t_off = cx_dst.groups[n].gen_offsets
+    cuts = [((0,) + c + (n,), -1 if sum(c) % 2 else 1)
             for c in combinations_with_replacement(range(n + 1), m)]
-    blocks: dict[tuple[int, int], IntMatrix] = {}
+    coeffs: dict[int, Entries] = {}    # the entries of k_hom(σ), per σ
+    cols: Columns = {}
     for ti, tau in enumerate(cx_dst.bases[n]):
-        mat = k_hom(tau).matrix
-        signed = (mat, -mat) if n and m else (mat,)
+        e = coeffs.get(tau.composite)
+        if e is None:
+            e = coeffs[tau.composite] = _sparse(k_hom(tau.composite).matrix)
+        if not e:
+            continue
+        r0 = t_off[ti]
         objs = tau.objects
         # each functor's image of τ, sliced between the cuts below
         images = [tuple([f.mor_map[s] for s in tau.mors]) for f in functors]
-        for b, odd in cuts:
+        for b, sign in cuts:
             key = images[0][:b[1]]
             for k in range(m):
                 key += (comps[k][objs[b[k + 1]]],) \
                     + images[k + 1][b[k + 1]:b[k + 2]]
             si = idx[key] if key else idx["obj", functors[0].obj_map[objs[0]]]
-            blk = signed[odd]
-            blocks[ti, si] = blocks[ti, si] + blk if (ti, si) in blocks \
-                else blk
-    return BlockHom(cx_src.groups[n + m], cx_dst.groups[n], blocks)
+            _add(cols, s_off[si], r0, e, sign)
+    return BlockHom(cx_src.groups[n + m], cx_dst.groups[n], _nonzero(cols))
 
 
-def _corrected(tm: NatFTwoMorphism) -> Callable[[MSeq], GroupHom]:
+def _corrected(tm: NatFTwoMorphism) -> Callable[[int], GroupHom]:
     """The coefficient map of the insertion sums of a two-morphism
     (eps, gam): (alpha, t) => (beta, s) with eps: xi => phi.
 
-    At τ with composite σ: X -> Y it is ``s_σ ∘ D(1, (gam∘alpha)_Y)``, the
+    At a composite σ: X -> Y it is ``s_σ ∘ D(1, (gam∘alpha)_Y)``, the
     correction running from ``D(eps_Y ∘ xi(σ))`` to ``D(beta_Y ∘ xi(σ))``.
-    Every summand lives in the first group, by naturality of eps."""
+    Every summand lives in the first group, by naturality of eps.  Each
+    σ's map is composed once and reused by every degree of the family."""
     d = tm.src.source_system
     cc = d.base
     xi = tm.dst.alpha.source_functor
@@ -686,16 +741,17 @@ def _corrected(tm: NatFTwoMorphism) -> Callable[[MSeq], GroupHom]:
     c = vertical_compose(tm.gam, tm.src.alpha).components
     s = tm.dst.nat.components
 
-    def k_hom(tau: MSeq) -> GroupHom:
-        y, xs = tau.objects[0], xi.mor_map[tau.composite]
-        return hom_compose(s[tau.composite], d.act_pair(
+    @cache
+    def k_hom(sigma: int) -> GroupHom:
+        y, xs = xi.source.mor_target[sigma], xi.mor_map[sigma]
+        return hom_compose(s[sigma], d.act_pair(
             cc.table[xs][e[y]], cc.table[xs][b[y]],
             cc.identity[cc.mor_source[xs]], c[y]))
     return k_hom
 
 
 def _chain_map(m: NatSysMorphism, cx_src: CochainComplex,
-               cx_dst: CochainComplex, k_hom: Callable[[MSeq], GroupHom],
+               cx_dst: CochainComplex, k_hom: Callable[[int], GroupHom],
                label: str) -> CochainMap:
     """The m = 0 insertion sums of ``m`` in every degree, checked to be a
     chain map."""
@@ -714,8 +770,7 @@ def induced_map_nat(m: NatSysMorphism, cx_src: CochainComplex,
     along phi and pushed through t, with no correction factor."""
     if m.alpha != identity_nat(m.alpha.source_functor):
         raise ShapeMismatch("ordinary induced map needs an identity anchor")
-    return _chain_map(m, cx_src, cx_dst,
-                      lambda tau: m.component(tau.composite), "F*(phi,t)")
+    return _chain_map(m, cx_src, cx_dst, m.component, "F*(phi,t)")
 
 
 def induced_map_2(m: NatSysMorphism, cx_src: CochainComplex,

@@ -77,9 +77,6 @@ class IntMatrix:
         c = self.cols
         return [self.entries[i * c + j] for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(

@@ -10,6 +10,9 @@ well-defined generators, identity pairs acting as the identity, the
 composition relations of the left and of the right actions, and the tie of
 every pair's action to both one-sided composites.  Together these imply
 functoriality on the whole factorization category without composing it.
+Likewise ``validate_bifunctor`` checks a functor on C^op x C on its
+generators ``(h, 1)`` and ``(1, k)`` before ``from_bifunctor`` pulls it back
+to a natural system.
 
 Morphisms of pairs (C, D) -> (D', E) carry a natural transformation
 ``alpha: phi => psi`` between functors D' -> C as their anchor and a
@@ -38,7 +41,9 @@ from .factorization import (
 
 
 class BifunctorInvalid(ValueError):
-    pass
+    def __init__(self, report: Report):
+        super().__init__(str(report))
+        self.report = report
 
 
 class TwoMorphismInvalid(ValueError):
@@ -53,33 +58,6 @@ class AbFunctor:
     category: FiniteCategory
     values: tuple[PresentedGroup, ...]   # per object
     homs: tuple[GroupHom, ...]           # per morphism
-
-    def validate(self) -> Report:
-        rep = Report("group-valued functor")
-        c = self.category
-        if len(self.values) != c.n_objects or len(self.homs) != c.n_morphisms:
-            rep.violations.append("table sizes inconsistent")
-            return rep
-        for m in range(c.n_morphisms):
-            h = self.homs[m]
-            if h.source != self.values[c.mor_source[m]] or \
-               h.target != self.values[c.mor_target[m]]:
-                rep.violations.append(f"hom at morphism {m} has wrong groups")
-        if rep.violations:
-            return rep
-        for x in range(c.n_objects):
-            e = c.identity[x]
-            if not self.homs[e].equal_mod(GroupHom.identity(self.values[x])):
-                rep.violations.append(f"identity morphism {e} not sent to identity")
-        for f in range(c.n_morphisms):
-            for g in range(c.n_morphisms):
-                if c.mor_target[f] != c.mor_source[g]:
-                    continue
-                gf = c.table[f][g]
-                if not hom_compose(self.homs[g], self.homs[f]).equal_mod(self.homs[gf]):
-                    rep.violations.append(
-                        f"functoriality fails on composable pair ({f},{g})")
-        return rep
 
     def pullback(self, functor: Functor) -> "AbFunctor":
         """Precompose along a functor into this functor's category."""
@@ -288,14 +266,76 @@ def constant_system(c: FiniteCategory, g: PresentedGroup) -> NaturalSystem:
     return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
 
 
-def from_bifunctor(c: FiniteCategory, bif: AbFunctor) -> NaturalSystem:
-    """Natural system induced by a functor on C^op x C via the projection."""
+def validate_bifunctor(c: FiniteCategory, bif: AbFunctor) -> Report:
+    """Check a group-valued functor on C^op x C on its generators.
+
+    Every morphism (h, k) of C^op x C is (h, 1) after (1, k) and (1, k)
+    after (h, 1).  So after the table sizes and the groups of every action,
+    only these composites are compared with the table, modulo the target's
+    relations: each identity goes to the identity; (h', 1)∘(h, 1) and
+    (1, k')∘(1, k) for composable non-identity legs (functoriality in each
+    variable); and both factorizations of every (h, k) with non-identity
+    legs (the generators commute, and tie every action to them).  Together
+    they give ``F(b)∘F(a) = F(b∘a)`` on every composable pair without
+    composing them all."""
+    rep = Report("bifunctor")
     prod = op_pair_product(c)
-    if bif.category != prod.category:
-        raise BifunctorInvalid("bifunctor not defined on C^op x C")
-    rep = bif.validate()
+    cat = prod.category
+    if bif.category != cat or len(bif.values) != cat.n_objects or \
+            len(bif.homs) != cat.n_morphisms:
+        rep.violations.append("bifunctor not defined on C^op x C")
+        return rep
+    values, homs = bif.values, bif.homs
+
+    def name(m: int) -> str:
+        h, k = prod.mor_pair(m)
+        return f"({c.morphism_name(h)},{c.morphism_name(k)})"
+
+    for m in range(cat.n_morphisms):
+        if homs[m].source != values[cat.mor_source[m]] or \
+                homs[m].target != values[cat.mor_target[m]]:
+            rep.violations.append(
+                f"action at {name(m)} connects the wrong groups")
+    if rep.violations:
+        return rep
+    for o in range(cat.n_objects):
+        e = cat.identity[o]
+        if not homs[e].equal_mod(GroupHom.identity(values[o])):
+            rep.violations.append(f"{name(e)} does not act as the identity")
+    moving = [f for f in range(c.n_morphisms) if not c.is_identity(f)]
+    ident = c.identity
+    pairs = []      # composable (a, b): b∘a is checked against the table
+    for f1 in moving:
+        for f2 in moving:
+            if c.mor_target[f2] == c.mor_source[f1]:   # f1 then f2 in C^op
+                pairs.extend((prod.mor_id(f1, ident[y]),
+                              prod.mor_id(f2, ident[y]))
+                             for y in range(c.n_objects))
+            if c.mor_target[f1] == c.mor_source[f2]:   # f1 then f2 in C
+                pairs.extend((prod.mor_id(ident[x], f1),
+                              prod.mor_id(ident[x], f2))
+                             for x in range(c.n_objects))
+    for h in moving:
+        for k in moving:
+            # h: X' -> X in C is X -> X' in C^op
+            x, x2 = c.mor_target[h], c.mor_source[h]
+            y, y2 = c.mor_source[k], c.mor_target[k]
+            pairs.append((prod.mor_id(ident[x], k), prod.mor_id(h, ident[y2])))
+            pairs.append((prod.mor_id(h, ident[y]), prod.mor_id(ident[x2], k)))
+    for a, b in pairs:
+        if not hom_compose(homs[b], homs[a]).equal_mod(homs[cat.table[a][b]]):
+            rep.violations.append(
+                f"functoriality fails composing {name(a)} then {name(b)}")
+    return rep
+
+
+def from_bifunctor(c: FiniteCategory, bif: AbFunctor) -> NaturalSystem:
+    """Natural system induced by a functor on C^op x C via the projection;
+    ``BifunctorInvalid`` carries the report of ``validate_bifunctor``."""
+    rep = validate_bifunctor(c, bif)
     if not rep.ok:
-        raise BifunctorInvalid(str(rep))
+        raise BifunctorInvalid(rep)
+    prod = op_pair_product(c)
     fc = build_factorization(c)
     proj = projection_to_pair(c, fc, prod)
     return NaturalSystem(fc, bif.pullback(proj))

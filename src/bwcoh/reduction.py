@@ -214,8 +214,8 @@ def _cone(cx: CochainComplex) -> list[Columns]:
         cols = diffs[n + 1]
         y0, below = x_size[n + 1], x_size[n + 2]   # y offset in T^n, T^{n+1}
         if n >= 0:
-            for (t, s), m in cx.diffs[n].blocks.items():          # D_n x
-                _put(cols, gens[n][s], gens[n + 1][t], m, 1)
+            for j, col in cx.diffs[n].columns.items():            # D_n x
+                cols[j].update(col)
         if 0 <= n < top - 1:
             for (t, s), x in cx.dd_witness[n].items():            # -S_n x
                 _put(cols, gens[n][s], below + rels[n + 2][t], x, -1)

@@ -61,8 +61,9 @@ relations, and completes the full action table by composing the two sides.
 What is checked, and where:
 
 * on load, every cross-reference must resolve (``ParseError``), and every
-  category must pass ``validate_category`` and every declared action matrix
-  must preserve relations (both ``InvalidWorkspace``);
+  category must pass ``validate_category``, every declared action matrix
+  must preserve relations, and a ``bifunctor:`` system must pass
+  ``validate_bifunctor`` (all ``InvalidWorkspace``);
 * functors, natural transformations, systems and (co)localizations are
   validated by ``Workspace.validate_all``, the ``validate`` command.  A
   system is checked on its one-sided presentation by
@@ -88,7 +89,10 @@ from .fincat import (
 )
 from .intmat import IntMatrix
 from .localization import Colocalization, Localization, validate_colocalization, validate_localization
-from .natsys import AbFunctor, NaturalSystem, from_bifunctor, validate_natural_system
+from .natsys import (
+    AbFunctor, BifunctorInvalid, NaturalSystem, from_bifunctor,
+    validate_natural_system,
+)
 from .fincat import validate_category
 
 HEADER = "bwcoh workspace v1"
@@ -511,7 +515,11 @@ def _assemble_bifunctor(cat, bif_values, bif_acts, line_no, subject
                             f"{cat.morphism_name(b)}", src, dst,
                             _matrix_of(rowsm, dst, src, line_no)))
     bif = AbFunctor(prod.category, tuple(vals), tuple(homs))
-    return from_bifunctor(cat, bif)
+    try:
+        return from_bifunctor(cat, bif)
+    except BifunctorInvalid as exc:
+        raise InvalidWorkspace(Report(subject, exc.report.violations)) \
+            from None
 
 
 def _matrix_of(rows: list[list[int]], dst: PresentedGroup,

@@ -11,12 +11,19 @@ computes constant-coefficient cohomology from the simplicial face maps of
 the nerve, independently of the coefficient complex.  The exceptions are
 ``dense_cohomology_map``, the induced map on cohomology through the dense
 subquotients of the full differentials, which is the reference the
-reduced-cone ``cohomology_map`` is compared against, and
-``blockwise_signed_sum``, the per-block ``IntMatrix`` form of
-``BlockHom.signed_sum``.  The natural-system oracles work on the library's
-own types: ``validate_full_table`` composes the whole action table over
-every composable pair of the factorization category, the definition that
+reduced-cone ``cohomology_map`` is compared against, and the blockwise
+forms of the column-native ``BlockHom``: ``block_hom`` builds one from
+blocks (refusing a key outside the factor counts or a block of the wrong
+shape), ``blockwise_signed_sum`` and ``blockwise_first_nonzero`` are the
+per-block ``IntMatrix`` forms of ``BlockHom.signed_sum`` and the zero check,
+and ``blockwise_differentials`` and ``blockwise_insertion_blocks`` assemble
+differentials and insertion sums with one ``IntMatrix`` per term.  The
+natural-system oracles work on the library's own types:
+``validate_full_table`` composes the whole action table over every
+composable pair of the factorization category, the definition that
 ``validate_natural_system`` checks on the one-sided presentation,
+``validate_bifunctor_full`` does the same for a functor on C^op x C, which
+``validate_bifunctor`` checks on its generators,
 ``validate_ab_nat`` and ``validate_pair_morphism`` check naturality and the
 shape of a pair morphism, and ``fullness_witness`` is the ordinary morphism
 two-morphic to a pair morphism.  The (co)localization generators at the
@@ -41,8 +48,8 @@ from bwcoh.fincat import (
 from bwcoh.intmat import DimensionMismatch, IntMatrix
 from bwcoh.localization import Colocalization, Localization
 from bwcoh.natsys import (
-    AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem, act_by_two_morphism,
-    constant_system, pullback_along_nat,
+    AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
+    act_by_two_morphism, constant_system, pullback_along_nat,
 )
 from bwcoh.nerve import Simplex, nerve_cells
 from bwcoh.randgen import InstanceGen
@@ -324,13 +331,75 @@ def dense_cohomology_map(cmap, n: int) -> GroupHom:
 
 
 # ---------------------------------------------------------------------------
-# chain-level sums, the blockwise way
+# block-hom maps, the blockwise way: each block its own IntMatrix
+
+def block_hom(src, dst, blocks) -> BlockHom:
+    """The ``BlockHom`` with the given ``blocks[(t, s)]``, each mapping the
+    generators of source factor s to those of target factor t.  A key
+    outside the factor counts or a block of the wrong shape raises
+    ``ShapeMismatch``; absent and all-zero blocks store nothing."""
+    for key in sorted(blocks):
+        if not (0 <= key[0] < len(dst.factors)
+                and 0 <= key[1] < len(src.factors)):
+            raise ShapeMismatch(
+                f"block {key} outside {len(dst.factors)} target and "
+                f"{len(src.factors)} source factors")
+    t_off, s_off = dst.gen_offsets, src.gen_offsets
+    cols: dict[int, dict[int, int]] = {}
+    for (t, s), m in blocks.items():
+        r0, c0, w = t_off[t], s_off[s], m.cols
+        if m.rows != t_off[t + 1] - r0 or w != s_off[s + 1] - c0:
+            raise ShapeMismatch(
+                f"block {(t, s)} is {m.rows}x{w}, its factors are "
+                f"{t_off[t + 1] - r0}x{s_off[s + 1] - c0}")
+        for k, v in enumerate(m.entries):
+            if v:
+                i, j = divmod(k, w)
+                col = cols.setdefault(c0 + j, {})
+                col[r0 + i] = col.get(r0 + i, 0) + v
+    return BlockHom(src, dst, {c: nz for c, col in cols.items()
+                               if (nz := {r: v for r, v in col.items()
+                                          if v})})
+
+
+def with_block(hom: BlockHom, key, m: IntMatrix) -> BlockHom:
+    """A copy of ``hom`` with block ``key`` replaced by ``m``."""
+    return block_hom(hom.src, hom.dst, {**hom.blocks, key: m})
+
+
+def blocks_to_matrix(src, dst, blocks) -> IntMatrix:
+    """The dense matrix of ``blocks``, placed block by block."""
+    rows, cols = dst.total_gens, src.total_gens
+    out = [0] * (rows * cols)
+    for (t, s), m in blocks.items():
+        rbase, cbase = dst.gen_offsets[t], src.gen_offsets[s]
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[(rbase + i) * cols + cbase + j] += m.at(i, j)
+    return IntMatrix(rows, cols, tuple(out))
+
+
+def blockwise_first_nonzero(hom: BlockHom, solutions=None):
+    """``BlockHom.first_nonzero_coordinate`` block by block: every stored
+    block, in key order, solved against the independent relations of its
+    target factor."""
+    blocks = hom.blocks
+    for (t, s) in sorted(blocks):
+        m = blocks[t, s]
+        if not any(m.entries):
+            continue
+        x = hom.dst.factors[t].injective.solver.solve_matrix(m)
+        if x is None:
+            return (t, s)
+        if solutions is not None:
+            solutions[(t, s)] = x
+    return None
+
 
 def blockwise_signed_sum(terms) -> BlockHom:
     """``BlockHom.signed_sum`` accumulated block by block: every product
     ``left[t, m] @ right[m, s]`` and every plain block is its own
-    ``IntMatrix``, added into the block ``(t, s)``.  Blocks whose entries
-    cancel are kept."""
+    ``IntMatrix``, added into the block ``(t, s)``."""
     blocks: dict[tuple[int, int], IntMatrix] = {}
     src = dst = None
     for sign, left, right in terms:
@@ -354,7 +423,76 @@ def blockwise_signed_sum(terms) -> BlockHom:
         for key, m in products:
             signed = m if sign == 1 else -m
             blocks[key] = blocks[key] + signed if key in blocks else signed
-    return BlockHom(src, dst, blocks)
+    return block_hom(src, dst, blocks)
+
+
+def _acc_block(acc: dict, ti: int, si: int, hom: GroupHom, sign: int) -> None:
+    m = hom.matrix if sign == 1 else hom.matrix.scale(sign)
+    acc[(ti, si)] = acc[(ti, si)] + m if (ti, si) in acc else m
+
+
+def blockwise_differentials(cx) -> list[dict]:
+    """The blocks of every differential of ``cx``, assembled face term by
+    face term with one ``IntMatrix`` per term: the head action, the merges
+    as identities (skipping identity merges on a normalized basis) and the
+    tail action.  Blocks whose terms cancel are kept."""
+    d, c, bases = cx.system, cx.system.base, cx.bases
+    out = []
+    for n in range(cx.max_degree):
+        idx = cx.index[n]
+        small = bases[n]
+        acc: dict[tuple[int, int], IntMatrix] = {}
+        for ti, tau in enumerate(bases[n + 1]):
+            m = tau.length
+            comp = tau.composite
+            s1 = tau.mors[0]
+            si = idx[("obj", tau.objects[1])] if m == 1 else idx[tau.mors[1:]]
+            sub = small[si]
+            _acc_block(acc, ti, si, d.act_pair(
+                sub.composite, comp, c.identity[c.mor_source[sub.composite]],
+                s1), 1)
+            ident = GroupHom.identity(d.value(comp))
+            for i in range(1, m):
+                merged = c.table[tau.mors[i]][tau.mors[i - 1]]
+                if cx.normalized and c.is_identity(merged):
+                    continue
+                key = tau.mors[:i - 1] + (merged,) + tau.mors[i + 1:]
+                _acc_block(acc, ti, idx[key], ident, -1 if i % 2 else 1)
+            sm = tau.mors[-1]
+            si = idx[("obj", tau.objects[0])] if m == 1 else idx[tau.mors[:-1]]
+            sub = small[si]
+            _acc_block(acc, ti, si, d.act_pair(
+                sub.composite, comp, sm,
+                c.identity[c.mor_target[sub.composite]]),
+                -1 if m % 2 else 1)
+        out.append(acc)
+    return out
+
+
+def blockwise_insertion_blocks(cx_src, cx_dst, n, functors, comps, k_hom
+                               ) -> dict:
+    """The blocks of ``bwcomplex._insertion_hom``, each cut adding the
+    (negated) coefficient matrix of its target sequence as a block."""
+    m = len(comps)
+    idx = cx_src.index[n + m]
+    cuts = [((0,) + c + (n,), sum(c) % 2)
+            for c in itertools.combinations_with_replacement(range(n + 1), m)]
+    blocks: dict[tuple[int, int], IntMatrix] = {}
+    for ti, tau in enumerate(cx_dst.bases[n]):
+        mat = k_hom(tau.composite).matrix
+        signed = (mat, -mat) if n and m else (mat,)
+        objs = tau.objects
+        images = [tuple([f.mor_map[s] for s in tau.mors]) for f in functors]
+        for b, odd in cuts:
+            key = images[0][:b[1]]
+            for k in range(m):
+                key += (comps[k][objs[b[k + 1]]],) \
+                    + images[k + 1][b[k + 1]:b[k + 2]]
+            si = idx[key] if key else idx["obj", functors[0].obj_map[objs[0]]]
+            blk = signed[odd]
+            blocks[ti, si] = blocks[ti, si] + blk if (ti, si) in blocks \
+                else blk
+    return blocks
 
 
 def kernel_cokernel(h: GroupHom) -> tuple[GroupInvariants, GroupInvariants]:
@@ -529,6 +667,39 @@ def validate_full_table(d: NaturalSystem) -> Report:
                 rep.violations.append(
                     f"functoriality fails composing {pair_name(i)} "
                     f"then {pair_name(j)}")
+    return rep
+
+
+def validate_bifunctor_full(f: AbFunctor) -> Report:
+    """Functoriality of a group-valued functor composed over every
+    composable pair of its category: the definition that
+    ``natsys.validate_bifunctor`` checks on the generators of C^op x C.
+    Reports only whether and where it fails, by morphism ids."""
+    rep = Report("group-valued functor")
+    c = f.category
+    if len(f.values) != c.n_objects or len(f.homs) != c.n_morphisms:
+        rep.violations.append("table sizes inconsistent")
+        return rep
+    for m in range(c.n_morphisms):
+        h = f.homs[m]
+        if h.source != f.values[c.mor_source[m]] or \
+                h.target != f.values[c.mor_target[m]]:
+            rep.violations.append(f"hom at morphism {m} has wrong groups")
+    if rep.violations:
+        return rep
+    for x in range(c.n_objects):
+        e = c.identity[x]
+        if not f.homs[e].equal_mod(GroupHom.identity(f.values[x])):
+            rep.violations.append(
+                f"identity morphism {e} not sent to identity")
+    for a in range(c.n_morphisms):
+        for b in range(c.n_morphisms):
+            if c.mor_target[a] != c.mor_source[b]:
+                continue
+            if not hom_compose(f.homs[b], f.homs[a]).equal_mod(
+                    f.homs[c.table[a][b]]):
+                rep.violations.append(
+                    f"functoriality fails on composable pair ({a},{b})")
     return rep
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import pytest
@@ -23,8 +24,8 @@ from bwcoh.natsys import (
 )
 from bwcoh.randgen import InstanceGen
 from oracles import (
-    bar_cohomology, fullness_witness, identity_morphism, matvec,
-    nerve_cohomology,
+    bar_cohomology, block_hom, fullness_witness, identity_morphism, matvec,
+    nerve_cohomology, with_block,
 )
 
 
@@ -103,9 +104,9 @@ def test_normalized_differential_is_the_restricted_full_one(seed):
     for n in range(3):
         restricted = {(pos[n + 1][t], pos[n][s]): m
                       for (t, s), m in full.diffs[n].blocks.items()
-                      if t in pos[n + 1] and s in pos[n] and not m.is_zero()}
+                      if t in pos[n + 1] and s in pos[n] and any(m.entries)}
         assert {k: m for k, m in norm.diffs[n].blocks.items()
-                if not m.is_zero()} == restricted
+                if any(m.entries)} == restricted
 
 
 def _preserves_normalized(hom, cx_src, n_src, cx_dst, n_dst) -> bool:
@@ -114,7 +115,7 @@ def _preserves_normalized(hom, cx_src, n_src, cx_dst, n_dst) -> bool:
     cochains to normalized cochains."""
     src = _nondegenerate(cx_src, n_src)
     dst = _nondegenerate(cx_dst, n_dst)
-    return all(m.is_zero() or not src[s] or dst[t]
+    return all(not any(m.entries) or not src[s] or dst[t]
                for (t, s), m in hom.blocks.items())
 
 
@@ -283,7 +284,7 @@ def test_homotopy_class_equal_reflexive_and_boundary():
                 for si in range(len(cx.bases[n])):
                     m = IntMatrix(1, 1, (rng.randint(-2, 2),))
                     blocks[(ti, si)] = m
-            r0[n] = BlockHom(cx.groups[n], cx.groups[n - 2], blocks)
+            r0[n] = block_hom(cx.groups[n], cx.groups[n - 2], blocks)
         maps2 = {}
         for n in (1, 2, 3):
             terms = [(1, h.maps[n], None)]
@@ -313,7 +314,7 @@ def test_homotopy_class_equal_detects_nonhomotopic():
                                 for n in (1, 2, 3)}, zero_map, zero_map)
     zero_h.check_boundary()
     blocks = {(0, 1): IntMatrix(1, 1, (1,))}
-    maps = {1: BlockHom(cx.groups[1], cx.groups[0], blocks),
+    maps = {1: block_hom(cx.groups[1], cx.groups[0], blocks),
             2: BlockHom(cx.groups[2], cx.groups[1], {}),
             3: BlockHom(cx.groups[3], cx.groups[2], {})}
     z = Homotopy1(cx, cx, maps, zero_map, zero_map)
@@ -394,6 +395,14 @@ def test_fullness_witness_induces_equal_cohomology_maps():
 # a corrupted block makes the defining identity fail, naming degree and
 # both coordinates
 
+def _with_map_block(cmap, n, key, m):
+    """A copy of the chain map ``cmap`` whose degree-n map has block
+    ``key`` replaced by ``m``."""
+    maps = list(cmap.maps)
+    maps[n] = with_block(maps[n], key, m)
+    return dataclasses.replace(cmap, maps=tuple(maps))
+
+
 def _arrow_identity_square():
     d = constant_system(arrow_category(), Z)
     cx = build_complex(d, 3)
@@ -403,7 +412,9 @@ def _arrow_identity_square():
 def test_corrupted_chain_map_is_caught():
     cx, two = _arrow_identity_square()
     p = induced_map_nat(two.src, cx, cx)
-    p.maps[1].blocks[(2, 2)] = IntMatrix(1, 1, (2,))   # (f) -> (f) doubled
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        p.maps[1].blocks[(2, 2)] = IntMatrix(1, 1, (2,))
+    p = _with_map_block(p, 1, (2, 2), IntMatrix(1, 1, (2,)))   # (f) doubled
     with pytest.raises(HomotopyIdentityError,
                        match=r"dp=pd fails at degree 0: "
                              r"target \(f\), source \(x\)$"):
@@ -413,7 +424,7 @@ def test_corrupted_chain_map_is_caught():
 def test_corrupted_homotopy_is_caught():
     cx, two = _arrow_identity_square()
     h = homotopy_h(two, cx, cx)
-    h.maps[2].blocks[(2, 2)] = IntMatrix(1, 1, (0,))   # was 1
+    h.maps[2] = with_block(h.maps[2], (2, 2), IntMatrix(1, 1, (0,)))  # was 1
     with pytest.raises(HomotopyIdentityError,
                        match=r"dh\+hd = -p\+q fails at degree 1: "
                              r"target \(f\), source \(id_y\)$"):
@@ -424,7 +435,7 @@ def test_corrupted_degree_minus_two_family_is_caught():
     cx, two = _arrow_identity_square()
     r = homotopy_r_vertical(two, two, cx, cx)
     h = homotopy_h(two, cx, cx)
-    r.maps[2].blocks[(0, 0)] = IntMatrix(1, 1, (2,))   # was 1
+    r.maps[2] = with_block(r.maps[2], (0, 0), IntMatrix(1, 1, (2,)))  # was 1
     with pytest.raises(HomotopyIdentityError,
                        match=r"dr-rd fails at degree 1: "
                              r"target \(x\), source \(id_x\)$"):
@@ -434,8 +445,9 @@ def test_corrupted_degree_minus_two_family_is_caught():
                                     (1, h.maps[n], None)], "dr-rd")
 
 
-# a block key outside the factor counts is refused when the hom is built;
-# each use below went wrong silently or with an IndexError before
+# a block key outside the factor counts is refused when a hom is built from
+# blocks (oracles.block_hom); each use below went wrong silently or with an
+# IndexError when block-built homs were stored as given
 
 def _check_boundary_with_stray(target):
     cx, two = _arrow_identity_square()
@@ -443,16 +455,14 @@ def _check_boundary_with_stray(target):
     t = next(i for i in range(len(cx.bases[1]))
              if cx.coordinate_name(1, i) == target)
     # degree 2 has four factors, so source index 4 is one past the last
-    blocks = {**h.maps[2].blocks, (t, 4): IntMatrix(1, 1, (1,))}
-    h.maps[2] = BlockHom(cx.groups[2], cx.groups[1], blocks)
+    h.maps[2] = with_block(h.maps[2], (t, 4), IntMatrix(1, 1, (1,)))
     h.check_boundary()
 
 
 def _to_matrix_with_stray():
     cx, two = _arrow_identity_square()
     h = homotopy_h(two, cx, cx)
-    blocks = {**h.maps[2].blocks, (1, 4): IntMatrix(1, 1, (5,))}
-    BlockHom(cx.groups[2], cx.groups[1], blocks).to_matrix()
+    with_block(h.maps[2], (1, 4), IntMatrix(1, 1, (5,))).to_matrix()
 
 
 @pytest.mark.parametrize("use", [
@@ -492,7 +502,7 @@ def test_cohomology_map_refuses_image_that_is_not_a_cocycle():
     # whose coboundary is nonzero on (f)
     cx, two = _arrow_identity_square()
     p = induced_map_nat(two.src, cx, cx)
-    p.maps[0].blocks[(0, 0)] = IntMatrix(1, 1, (2,))
+    p = _with_map_block(p, 0, (0, 0), IntMatrix(1, 1, (2,)))
     with pytest.raises(HomotopyIdentityError,
                        match=r"cocycle condition fails at degree 0: "
                              r"target \(f\)$"):

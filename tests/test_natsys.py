@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -15,16 +16,18 @@ from bwcoh.intmat import IntMatrix
 from bwcoh.natsys import (
     AbFunctor, AbNat, BifunctorInvalid, NatSysMorphism, NaturalSystem,
     act_by_two_morphism, compose_natsys_morphisms, constant_system,
-    from_bifunctor, pullback_along_nat, validate_natural_system, whisker,
+    from_bifunctor, pullback_along_nat, validate_bifunctor,
+    validate_natural_system, whisker,
 )
 from bwcoh.localization import colocal_characterization, local_characterization
+from bwcoh import randgen
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import (
     HEADER, category_text, group_text, load_workspace_file, parse_group,
 )
 from oracles import (
-    fullness_witness, identity_morphism, localization, validate_full_table,
-    validate_pair_morphism,
+    fullness_witness, identity_morphism, localization,
+    validate_bifunctor_full, validate_full_table, validate_pair_morphism,
 )
 from test_workspace_cli import run_cli
 
@@ -266,6 +269,41 @@ def test_from_bifunctor_rejects_invalid():
     bif = AbFunctor(prod.category, vals, tuple(homs))
     with pytest.raises(BifunctorInvalid):
         from_bifunctor(c, bif)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bifunctor_generators_agree_with_full_loop(seed, monkeypatch):
+    # the (category, bifunctor) pairs InstanceGen.hom_system builds, taken
+    # as it hands them to from_bifunctor
+    gen = InstanceGen(f"bifunctor-{seed}")
+    cats = [gen.category(6) for _ in range(3)] + [
+        arrow_category(), cyclic_group_category(3), indiscrete_category(2)]
+    pairs = []
+    with monkeypatch.context() as m:
+        m.setattr(randgen, "from_bifunctor",
+                  lambda c, bif: pairs.append((c, bif)))
+        for c in cats:
+            gen.hom_system(c, gen.rng.choice([0, 2, 4]))
+    rng = gen.rng
+    refused = 0
+    for c, bif in pairs:
+        assert validate_bifunctor(c, bif).ok
+        assert validate_bifunctor_full(bif).ok
+        for _ in range(6):
+            # a well-defined but possibly non-functorial action at one pair
+            m = rng.randrange(len(bif.homs))
+            h = bif.homs[m]
+            scale = rng.choice([0, -1, 2, 3])
+            homs = list(bif.homs)
+            homs[m] = GroupHom(h.source, h.target, h.matrix.scale(scale))
+            bad = dataclasses.replace(bif, homs=tuple(homs))
+            full = validate_bifunctor_full(bad).ok
+            assert validate_bifunctor(c, bad).ok == full
+            if not full:
+                refused += 1
+                with pytest.raises(BifunctorInvalid):
+                    from_bifunctor(c, bad)
+    assert refused
 
 
 @settings(max_examples=40, deadline=None)

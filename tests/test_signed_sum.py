@@ -1,10 +1,11 @@
 """Differential tests of ``BlockHom.signed_sum``.
 
-The sum runs over sparse columns in global generator coordinates and stores
-only the blocks it leaves nonzero; ``oracles.blockwise_signed_sum``, the
-per-block ``IntMatrix`` products, is the reference.  The two must agree block
-for block once the reference's all-zero blocks are dropped, and so must the
-zero check built on them (``first_nonzero_coordinate`` and its solutions).
+The sum runs over the stored sparse columns in global generator coordinates
+and keeps only the entries it leaves nonzero; ``oracles.blockwise_signed_sum``,
+the per-block ``IntMatrix`` products, is the reference.  The two must agree
+block for block, and so must the zero check built on them:
+``first_nonzero_coordinate`` and its solutions against
+``oracles.blockwise_first_nonzero``.
 """
 
 import random
@@ -16,7 +17,9 @@ from bwcoh.bwcomplex import BlockHom, ProductGroup, build_complex
 from bwcoh.fincat import ShapeMismatch
 from bwcoh.intmat import IntMatrix
 from bwcoh.randgen import InstanceGen
-from oracles import blockwise_signed_sum
+from oracles import (
+    block_hom, blockwise_first_nonzero, blockwise_signed_sum,
+)
 
 TRIVIAL = from_invariants(0)               # zero generators: 1x0, 0x0 blocks
 # Z/2 with the relations (2, 4), which are not independent
@@ -39,7 +42,7 @@ def random_hom(rng, src, dst, scale=1):
                     ft.generators, fs.generators,
                     tuple(scale * rng.choice([0, 0, 1, -1, 2, -3])
                           for _ in range(ft.generators * fs.generators)))
-    return BlockHom(src, dst, blocks)
+    return block_hom(src, dst, blocks)
 
 
 def random_terms(rng, dst_factors=FACTORS, scale=1):
@@ -65,10 +68,10 @@ def assert_agree(terms):
     ref = blockwise_signed_sum(terms)
     new = BlockHom.signed_sum(terms)
     assert new.blocks == {k: m for k, m in ref.blocks.items()
-                          if not m.is_zero()}
+                          if any(m.entries)}
     sol_ref, sol_new = {}, {}
     bad = new.first_nonzero_coordinate(sol_new)
-    assert bad == ref.first_nonzero_coordinate(sol_ref)
+    assert bad == blockwise_first_nonzero(ref, sol_ref)
     assert sol_new == sol_ref
     return new, bad
 
@@ -106,7 +109,7 @@ def test_dd_check_matches_blockwise_on_random_systems(seed):
         new, bad = assert_agree(terms)
         assert bad is None
         witness = {}
-        blockwise_signed_sum(terms).first_nonzero_coordinate(witness)
+        blockwise_first_nonzero(blockwise_signed_sum(terms), witness)
         assert cx.dd_witness[n] == witness
 
 
@@ -122,8 +125,8 @@ def test_shape_mismatches_are_refused_alike():
 
 
 def test_block_of_the_wrong_shape_is_refused():
+    # refused when the hom is built from its blocks, before any sum
     pg = ProductGroup((Z, from_invariants(2)))
-    bad = BlockHom(pg, pg, {(1, 0): IntMatrix(1, 1, (1,))})
     with pytest.raises(ShapeMismatch,
                        match=r"block \(1, 0\) is 1x1, its factors are 2x1"):
-        BlockHom.signed_sum([(1, bad, None)])
+        block_hom(pg, pg, {(1, 0): IntMatrix(1, 1, (1,))})

@@ -297,6 +297,27 @@ def test_bifunctor_action_that_is_not_a_homomorphism_exits_2(tmp_path):
         "act id_x f: matrix does not preserve relations from Z/4 to Z")
 
 
+def test_bifunctor_that_is_not_functorial_exits_2(tmp_path):
+    # every action well defined on Z, but (f,f) doubles while (f,id_y)
+    # and (id_x,f) are the identity, so (f,f) is not their composite
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    values = [f"  value {a} {b}: Z" for a in "xy" for b in "xy"]
+    acts = [f"  act {h} {k}: [[{2 if (h, k) == ('f', 'f') else 1}]]"
+            for h in ("id_x", "id_y", "f") for k in ("id_x", "id_y", "f")]
+    mutated = tmp_path / "arrow.bwcoh"
+    mutated.write_text("\n".join([text, "system twisted on arrow",
+                                  "  bifunctor:", *values, *acts, "end", ""]),
+                       encoding="utf-8")
+    for argv in (("validate", str(mutated)),
+                 ("cohomology", str(mutated), "arrow", "twisted"),
+                 ("localization-check", str(mutated), "loc_y", "twisted")):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert "system twisted: 2 violation(s)" in out
+        assert "functoriality fails composing (id_y,f) then (f,id_y)" in out
+        assert "Traceback" not in err
+
+
 def test_cli_cohomology_formats_and_values():
     ws = str(WORKSPACES / "cyclic.bwcoh")
     code, out, _ = run_cli("cohomology", ws, "z2", "z2_const_z",
