@@ -874,8 +874,11 @@ def homotopy_r_horizontal(a: NatFTwoMorphism, b: NatFTwoMorphism,
                           (tuple(phi.mor_map[f] for f in b.eps.components),
                            tuple(a.eps.components[x] for x in xi2.obj_map)),
                           cx_a, cx_b)
-    h_a = homotopy_h(a, cx_a, cx_mid)
-    h_b = homotopy_h(b, cx_mid, cx_b)
+    # a and b are validated above; only the new composite ab is checked again
+    h_a = _homotopy_h(a, cx_a, cx_mid, induced_map_2(a.src, cx_a, cx_mid),
+                      induced_map_2(a.dst, cx_a, cx_mid))
+    h_b = _homotopy_h(b, cx_mid, cx_b, induced_map_2(b.src, cx_mid, cx_b),
+                      induced_map_2(b.dst, cx_mid, cx_b))
     h_ab = homotopy_h(ab, cx_a, cx_b)
     # h_a.p is F*(alpha,t) and h_b.q is F*(beta',s')
     r.check_boundary(lambda n: [(-1, h_b.maps[n], h_a.p.maps[n]),

@@ -4,10 +4,21 @@ Each law draws its instances from ``InstanceGen`` seeded per case, runs the
 construction whose defining identity is checked exactly inside the library,
 and adds any cross-checks the law states beyond construction-time assertions.
 A failing case reports its replayable per-case seed and the failure detail.
+
+``run_law`` splits a law's cases over W = min(CPUs of the process's affinity
+mask, cases) workers: case i belongs to share ``i mod W``.  The parent is
+worker 0 and runs share 0 itself; W - 1 helpers forked from it run the other
+shares and send their ``CaseResult`` lists back over a pipe.  A helper that
+exits without sending fails every case of its share with the detail ``worker
+exited with code N``.  Each case is generated from its own seed
+(``case_seed``) and shares no state with any other case, and the results are
+merged by case index, so the report does not depend on W.  With one CPU, one
+case, or no ``fork`` start method, W = 1 and no helper is started.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -165,22 +176,79 @@ _LAW_FUNCS = {
 }
 
 
-def run_law(law: str, seed: int, cases: int, max_morphisms: int = 6,
-            max_degree: int = 3) -> LawReport:
-    if law not in _LAW_FUNCS:
-        raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+def _run_cases(law: str, seed: int, indices: range, max_morphisms: int,
+               max_degree: int) -> list[CaseResult]:
     func = _LAW_FUNCS[law]
-    report = LawReport(law, seed)
-    for i in range(cases):
+    out = []
+    for i in indices:
         cs = case_seed(seed, law, i)
         gen = InstanceGen(cs)
         try:
             func(gen, max_morphisms, max_degree)
-            report.cases.append(CaseResult(i, cs, True))
+            out.append(CaseResult(i, cs, True))
         except Exception as exc:   # noqa: BLE001 - reported, not swallowed
-            report.cases.append(CaseResult(i, cs, False,
-                                           f"{type(exc).__name__}: {exc}"))
-    return report
+            out.append(CaseResult(i, cs, False,
+                                  f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _helper(conn, *share) -> None:
+    import signal
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and terminates its helpers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    conn.send(_run_cases(*share))
+    conn.close()
+
+
+def _collect(proc, conn, law: str, seed: int,
+             indices: range) -> list[CaseResult]:
+    """The results a helper sent, or, if it exited without sending, one
+    failed case per index of its share."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        proc.join()
+        return [CaseResult(i, case_seed(seed, law, i), False,
+                           f"worker exited with code {proc.exitcode}")
+                for i in indices]
+
+
+def run_law(law: str, seed: int, cases: int, max_morphisms: int = 6,
+            max_degree: int = 3) -> LawReport:
+    if law not in _LAW_FUNCS:
+        raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = max(1, min(cpus, cases))
+    if workers > 1:
+        import multiprocessing
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:   # no fork start method on this platform
+            workers = 1
+    shares = [range(k, cases, workers) for k in range(workers)]
+    helpers = []
+    try:
+        for indices in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_helper, args=(
+                send, law, seed, indices, max_morphisms, max_degree))
+            proc.start()
+            send.close()   # the helper's exit is then EOF on ``recv``
+            helpers.append((proc, recv, indices))
+        results = _run_cases(law, seed, shares[0], max_morphisms, max_degree)
+        for proc, recv, indices in helpers:
+            results += _collect(proc, recv, law, seed, indices)
+    except BaseException:
+        for proc, _, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv, _ in helpers:
+            recv.close()
+            proc.join()
+    return LawReport(law, seed, sorted(results, key=lambda c: c.index))
 
 
 def run_laws(law: str, seed: int, cases: int, max_morphisms: int = 6,
