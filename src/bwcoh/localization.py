@@ -33,6 +33,11 @@ canonical comparison ``D => D∘F(alpha)`` is required to be a natural
 isomorphism (that is the operative locality hypothesis, and for every system
 this library constructs it coincides with the pointwise locality test) and
 conjugation by it transports the certificates to ``D`` itself.
+
+Each distinct piece of work is done once.  When ``D∘F(alpha)`` equals ``D``
+(compared with ``==``), one complex, with its reduction, serves both, and the
+statement map P is also P'.  Both two-morphisms of certificate (c) end at
+``(alpha, 1)``, so its chain map ``F*(alpha, 1)`` is built and checked once.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from dataclasses import dataclass, field
 
 from .abgroup import GroupHom, GroupInvariants, hom_inverse, is_iso
 from .bwcomplex import (
-    CochainMap, build_complex, cohomology_map, homotopy_h,
-    identity_cochain_map, induced_map_nat,
+    CochainMap, _homotopy_h, build_complex, cohomology_map, homotopy_h,
+    identity_cochain_map, induced_map_2, induced_map_nat,
 )
 from .factorization import factor_nat
 from .fincat import (
@@ -265,8 +270,9 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
     d_prime = nu.target_system                    # D∘F(alpha)
     e = pullback_along_nat(d, identity_nat(l.psi))  # D∘F(psi) on the small side
 
+    # D∘F(alpha) often equals D, and then one complex serves both
     cx_d = build_complex(d, max_degree)
-    cx_dp = build_complex(d_prime, max_degree)
+    cx_dp = cx_d if d_prime == d else build_complex(d_prime, max_degree)
     cx_e = build_complex(e, max_degree)
 
     # statement map P: F*(C, D) -> F*(small, E), and its D' version P'
@@ -277,7 +283,8 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
                    e.functor,
                    tuple(GroupHom.identity(v) for v in e.functor.values))
     pp_mor = NatSysMorphism(identity_nat(l.psi), d_prime, e, pp_nat)
-    pp_map = induced_map_nat(pp_mor, cx_dp, cx_e)
+    pp_map = (p_map if cx_dp is cx_d and pp_mor == p_mor
+              else induced_map_nat(pp_mor, cx_dp, cx_e))
 
     # inverse-inducing map Q': F*(small, E) -> F*(C, D') from the unit square
     one_xi = identity_nat(xi)
@@ -344,8 +351,10 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
         two_b = NatFTwoMorphism(one_mor_dp, alpha_mor, alpha, identity_nat(one_c))
         note = ("chained h-homotopies: h_(1_xi,alpha) - h_(alpha,1) "
                 "from the counit square")
+    # both two-morphisms end at (alpha, 1), so h_b takes F*(alpha, 1) from h_a
     h_a = homotopy_h(two_a, cx_dp, cx_dp)
-    h_b = homotopy_h(two_b, cx_dp, cx_dp)
+    h_b = _homotopy_h(two_b.require(), cx_dp, cx_dp,
+                      induced_map_2(one_mor_dp, cx_dp, cx_dp), h_a.q)
     hh = h_a.sub(h_b, p=big_composite, q=identity_cochain_map(cx_dp))
     if not h_a.p.equal_mod(big_composite):
         raise CertificateError(

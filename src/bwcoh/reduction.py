@@ -47,6 +47,13 @@ rank over Q, found by fraction-free elimination.  The free rank of ``H^n`` is
 of ``∂_{n-1}`` above 1.  Induced maps use ``ReducedCone.subquotient``,
 H^n as the subquotient of the two residue differentials around ``T^n``,
 whose kernel basis ``bwcomplex.cohomology_map`` lifts, maps and projects.
+The cone is free, so a row of the residue ``∂_n`` with a single entry
+forces that coordinate to zero in every cocycle; such columns are dropped
+with their rows until none is left, and the subquotient is taken on the
+rest.  At the top degree the relation cells of degree N have no partner
+and almost all of them go this way.  A boundary from ``∂_{n-1}`` that is
+nonzero at a dropped coordinate would break ``∂∘∂ = 0`` and raises
+``HomotopyIdentityError``.
 """
 
 from __future__ import annotations
@@ -109,9 +116,16 @@ class ReducedCone:
     def _residue(self, n: int) -> tuple[list[int], Subquotient]:
         if n not in self._subquotients:
             d_in, d_out = self.diffs[n], self.diffs[n + 1]
-            basis = sorted(d_out)
+            dropped = _forced_zero(d_out)
+            basis = sorted(j for j in d_out if j not in dropped)
             sources = sorted(j for j, c in d_in.items() if c)
-            targets = sorted({i for c in d_out.values() for i in c})
+            for j in sources:
+                for i in d_in[j]:
+                    if i in dropped:
+                        raise HomotopyIdentityError(
+                            f"residue ∂∘∂ != 0 into degree {n}: column {j} "
+                            f"is nonzero at the forced-zero row {i}")
+            targets = sorted({i for j in basis for i in d_out[j]})
             mid = _free(len(basis))
             sq = subquotient(
                 GroupHom(_free(len(sources)), mid,
@@ -175,6 +189,36 @@ class ReducedCone:
                     else:
                         v.pop(r, None)
         return [v.get(c, 0) for c in self._residue(n)[0]]
+
+
+def _forced_zero(cols: Columns) -> set[int]:
+    """The columns of a residue differential on which every cocycle
+    vanishes, found by peeling rows with a single entry: such a row forces
+    its column to zero, and dropping that column may leave other rows with
+    a single entry."""
+    rows = _rows(cols)
+    queue = [i for i, row in rows.items() if len(row) == 1]
+    dropped: set[int] = set()
+    while queue:
+        row = rows[queue.pop()]
+        if len(row) != 1:
+            continue
+        j = row.pop()
+        dropped.add(j)
+        for i in cols[j]:
+            rest = rows[i]
+            rest.discard(j)
+            if len(rest) == 1:
+                queue.append(i)
+    return dropped
+
+
+def _rows(cols: Columns) -> Rows:
+    rows: Rows = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    return rows
 
 
 def _free(rank: int) -> PresentedGroup:
@@ -262,13 +306,7 @@ def _check_square_zero(diffs: list[Columns]) -> None:
 
 def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
     """Eliminate ±1 pivots in place; the pivot log of each differential."""
-    rows: list[Rows] = []
-    for cols in diffs:
-        r: Rows = {}
-        for j, col in cols.items():
-            for i in col:
-                r.setdefault(i, set()).add(j)
-        rows.append(r)
+    rows = [_rows(cols) for cols in diffs]
     log: list[list[Pivot]] = [[] for _ in diffs]
     queue: list[tuple[int, int, int]] = []     # (kind, k, index); 0 col, 1 row
 
@@ -375,10 +413,7 @@ def _rank(cols: Columns) -> int:
     p*c - c[i]*col_j (by c - p*c[i]*col_j when p is ±1).  Works on a copy,
     so ``cols`` is left as it was."""
     cols = {j: _primitive(dict(c)) for j, c in cols.items() if c}
-    rows: Rows = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
+    rows = _rows(cols)
     heap = [(len(c), j) for j, c in cols.items()]
     heapq.heapify(heap)
     rank = 0

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import bwcoh.bwcomplex as bwcomplex
+import bwcoh.localization as localization_module
 from bwcoh.abgroup import GroupHom, GroupInvariants, Z, cyclic, trivial_group
 from bwcoh.factorization import FPair, build_factorization
 from bwcoh.fincat import (
@@ -258,3 +260,68 @@ def test_colocal_mirrors_to_local():
         assert validate_natural_system(md).ok
         assert colocal_characterization(d, coloc).pointwise_local == \
             local_characterization(md, mirror_loc).pointwise_local
+
+
+def sign_conjugated(d: NaturalSystem, signs: list[int]) -> NaturalSystem:
+    """``d`` transported along the natural isomorphism that multiplies the
+    value at each morphism f by ``signs[f]`` (±1): the same groups, with
+    every action multiplied by the signs at its two ends."""
+    homs = tuple(
+        GroupHom(h.source, h.target, h.matrix.scale(signs[p.src] * signs[p.dst]))
+        for p, h in zip(d.fc.pairs, d.functor.homs))
+    return NaturalSystem(d.fc, AbFunctor(d.fc.category, d.functor.values,
+                                         homs))
+
+
+def counted(monkeypatch, name, *modules):
+    """Count the calls of ``name`` made through each of ``modules``."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# seeds whose conjugated system differs from its pull-back D∘F(alpha)
+DIFFERING = {"localization": (0, 1, 3), "colocalization": (1, 2, 3, 5, 7)}
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERING))
+@pytest.mark.parametrize("seed", range(8))
+def test_one_complex_per_distinct_system(monkeypatch, kind, seed):
+    # a pulled-back system is its own pull-back D∘F(alpha), and one complex
+    # serves both; conjugating it by signs keeps it (co)local, and then the
+    # two systems differ whenever an action's signs change along alpha
+    gen = InstanceGen(f"conjugated-{seed}")
+    if kind == "localization":
+        loc = gen._chain_closure(3)
+        alpha, char = loc.unit, local_characterization
+        verify = verify_localization_theorem
+    else:
+        loc = gen._chain_interior(3)
+        alpha, char = loc.counit, colocal_characterization
+        verify = verify_colocalization_theorem
+    d = sign_conjugated(pullback_along_nat(gen.system(loc.big), alpha),
+                        [gen.rng.choice([1, -1])
+                         for _ in range(loc.big.n_morphisms)])
+    assert validate_natural_system(d).ok
+    shared = char(d, loc).canonical_map.target_system == d
+    assert shared == (seed not in DIFFERING[kind])
+    builds = counted(monkeypatch, "build_complex", localization_module)
+    assert verify(d, loc, 3).ok
+    assert len(builds) == (2 if shared else 3)
+
+
+def test_homotopy_route_builds_each_chain_map_once(monkeypatch):
+    # F*(alpha, 1) ends both two-morphisms of certificate (c); with the
+    # composite and the identity that makes three induced_map_2 calls
+    calls = counted(monkeypatch, "induced_map_2", bwcomplex,
+                    localization_module)
+    loc = arrow_localization()
+    assert verify_localization_theorem(constant_system(loc.big, Z), loc,
+                                       3).ok
+    assert len(calls) == 3

@@ -143,6 +143,20 @@ def test_corrupted_cone_entry_is_caught(monkeypatch):
             cx.cohomology(0)
 
 
+def test_boundary_at_forced_zero_coordinate_is_caught():
+    # every cocycle of the top residue vanishes on a dropped column, so a
+    # boundary with an entry there means ∂∘∂ != 0
+    red = build_complex(constant_system(cyclic_group_category(3), cyclic(3)),
+                        4).reduced()
+    dropped = reduction._forced_zero(red.diffs[4])
+    assert dropped
+    col = next(c for c in red.diffs[3].values() if c)
+    col[min(dropped)] = col.get(min(dropped), 0) + 1
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"residue ∂∘∂ != 0 into degree 3"):
+        red.subquotient(3)
+
+
 def test_differential_not_preserving_relations_is_caught():
     # Z ⊕ Z/2: sending the torsion generator to the free one maps the
     # relation 2·e1 to 2·e0, which is not a relation
@@ -249,12 +263,20 @@ def _product_system():
 
 
 @pytest.mark.parametrize("k", [2, 3, -1])
-@pytest.mark.parametrize("system, max_degree", [
-    (lambda: constant_system(cyclic_group_category(2), Z), 4),
-    (lambda: constant_system(cyclic_group_category(3), cyclic(6)), 3),
-    (lambda: twisted_z8(2), 4),
-    (_product_system, 3),
-    (lambda: constant_system(arrow_category(), NON_INJECTIVE[1]), 4),
-], ids=["free", "torsion", "twisted", "product", "non_injective"])
-def test_scalar_maps_match_dense(system, max_degree, k):
-    assert_map_matches_dense(scalar_endomorphism(system(), k, max_degree))
+@pytest.mark.parametrize("system, max_degree, top_residue", [
+    (lambda: constant_system(cyclic_group_category(2), Z), 4, None),
+    (lambda: constant_system(cyclic_group_category(3), cyclic(6)), 3, None),
+    (lambda: twisted_z8(2), 4, None),
+    (_product_system, 3, None),
+    (lambda: constant_system(arrow_category(), NON_INJECTIVE[1]), 4, None),
+    # the degree-4 relations keep 62 columns in the top residue, and all
+    # but 7 of them are forced to zero
+    (lambda: constant_system(cyclic_group_category(3), cyclic(3)), 4, (62, 7)),
+], ids=["free", "torsion", "twisted", "product", "non_injective", "tall"])
+def test_scalar_maps_match_dense(system, max_degree, top_residue, k):
+    cmap = scalar_endomorphism(system(), k, max_degree)
+    assert_map_matches_dense(cmap)
+    if top_residue:
+        red, top = cmap.source.reduced(), max_degree - 1
+        assert (len(red.diffs[top + 1]),
+                red.subquotient(top).ambient.generators) == top_residue
