@@ -5,19 +5,29 @@ construction whose defining identity is checked exactly inside the library,
 and adds any cross-checks the law states beyond construction-time assertions.
 A failing case reports its replayable per-case seed and the failure detail.
 
-``run_law`` splits a law's cases over W = min(CPUs of the process's affinity
-mask, cases) workers: case i belongs to share ``i mod W``.  The parent is
-worker 0 and runs share 0 itself; W - 1 helpers forked from it run the other
-shares and send their ``CaseResult`` lists back over a pipe.  A helper that
-exits without sending fails every case of its share with the detail ``worker
-exited with code N``.  Each case is generated from its own seed
-(``case_seed``) and shares no state with any other case, and the results are
-merged by case index, so the report does not depend on W.  With one CPU, one
-case, or no ``fork`` start method, W = 1 and no helper is started.
+``run_laws`` runs every case of every requested law from one shared queue,
+on W = min(CPUs of the process's affinity mask, total cases) processes.
+Before anything runs, the queue, an ``os.pipe``, is filled with fixed 4-byte
+records: one per case, or, when there are more than 1,024 cases, one per
+block of consecutive cases, so that the whole queue fits one pipe page and
+filling it never blocks.  The parent then forks W - 1 helpers with
+``os.fork``, and every process, the parent included, claims records until
+the queue is empty, so a slow process simply claims fewer.  A helper writes
+each record number it claims and then the pickled ``CaseResult`` of each of
+the record's cases to its own pipe; it ignores SIGINT and always ends in
+``os._exit``, since the benchmark runs ``check-laws`` in-process.  A claimed
+case that a helper did not report fails with the detail ``worker exited with
+code N`` (negative for a signal), while the other processes drain the queue.
+If the parent's own share raises, ``KeyboardInterrupt`` included, it
+terminates and reaps every helper before re-raising.  Each case is generated
+from its own seed (``case_seed``) and shares no state with any other case,
+and results are merged by (law, index), so the report does not depend on W
+or on timing.  ``run_law`` is ``run_laws`` on one law.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -35,6 +45,11 @@ from .natsys import pullback_along_nat, validate_natural_system
 from .randgen import InstanceGen
 
 LAW_NAMES = ("dd", "dh+hd", "dr-rd", "interchange", "2functor")
+
+# the case queue holds at most one pipe page of 4-byte records, so filling it
+# never blocks whatever the number of cases
+RECORD_BYTES = 4
+QUEUE_RECORDS = 4096 // RECORD_BYTES
 
 
 @dataclass
@@ -176,83 +191,169 @@ _LAW_FUNCS = {
 }
 
 
-def _run_cases(law: str, seed: int, indices: range, max_morphisms: int,
-               max_degree: int) -> list[CaseResult]:
-    func = _LAW_FUNCS[law]
-    out = []
-    for i in indices:
-        cs = case_seed(seed, law, i)
-        gen = InstanceGen(cs)
+class _Helper:
+    """A forked worker.  It claims records from ``queue`` until the queue is
+    empty, and for each one writes the claimed record number and then the
+    pickled ``CaseResult`` of each of its cases to its own pipe."""
+
+    def __init__(self, queue: int, run_record):
+        # imported only once a helper is forked, so that one-CPU runs and
+        # the other commands do not load them
+        import pickle
+        import signal
+        read, write = os.pipe()
         try:
-            func(gen, max_morphisms, max_degree)
-            out.append(CaseResult(i, cs, True))
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                # Ctrl-C reaches the whole process group; the parent alone
+                # handles it and terminates its helpers
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(read)
+                with open(write, "wb") as out:
+                    for k in _claims(queue):
+                        pickle.dump(k, out)
+                        out.flush()
+                        for result in run_record(k):
+                            pickle.dump(result, out)
+                            out.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        os.set_blocking(read, False)
+        self.fd = read
+        self.data = bytearray()
+        self.exitcode: int | None = None
+
+    def poll(self) -> None:
+        """Read what the helper has sent so far, without waiting."""
+        try:
+            while chunk := os.read(self.fd, 1 << 16):
+                self.data += chunk
+        except BlockingIOError:
+            pass
+
+    def finish(self) -> None:
+        """Read to the end of the helper's output and reap it."""
+        os.set_blocking(self.fd, True)
+        self.poll()
+        self.reap()
+
+    def terminate(self) -> None:
+        import signal
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGTERM)
+            self.reap()
+
+    def reap(self) -> None:
+        if self.exitcode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.exitcode = os.waitstatus_to_exitcode(status)
+
+    def collect(self, record_cases) -> tuple[list[int], list[CaseResult]]:
+        """The cases of the records the helper claimed, and the results it
+        reported for them, in order, up to the first incomplete message."""
+        import pickle
+        stream = io.BytesIO(self.data)
+        claimed: list[int] = []
+        reported: list[CaseResult] = []
+        while True:
+            try:
+                msg = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                return claimed, reported
+            if isinstance(msg, int):
+                claimed += record_cases(msg)
+            else:
+                reported.append(msg)
+
+
+def _claims(queue: int):
+    """The record numbers this process claims from the queue, until it is
+    empty."""
+    while record := os.read(queue, RECORD_BYTES):
+        yield int.from_bytes(record, "little")
+
+
+def run_laws(law: str, seed: int, cases: int, max_morphisms: int = 6,
+             max_degree: int = 3) -> list[LawReport]:
+    names = LAW_NAMES if law == "all" else (law,)
+    if law != "all" and law not in _LAW_FUNCS:
+        raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
+    # case t is case t % cases of law names[t // cases]; record k holds the
+    # consecutive cases t of range(k * per_record, ...)
+    total = len(names) * cases
+    per_record = max(1, -(-total // QUEUE_RECORDS))
+
+    def record_cases(k: int) -> range:
+        return range(k * per_record, min(total, (k + 1) * per_record))
+
+    def result(t: int, ok: bool, detail: str = "") -> CaseResult:
+        name, i = names[t // cases], t % cases
+        return CaseResult(i, case_seed(seed, name, i), ok, detail)
+
+    def run_case(t: int) -> CaseResult:
+        name, i = names[t // cases], t % cases
+        gen = InstanceGen(case_seed(seed, name, i))
+        try:
+            _LAW_FUNCS[name](gen, max_morphisms, max_degree)
         except Exception as exc:   # noqa: BLE001 - reported, not swallowed
-            out.append(CaseResult(i, cs, False,
-                                  f"{type(exc).__name__}: {exc}"))
-    return out
+            return result(t, False, f"{type(exc).__name__}: {exc}")
+        return result(t, True)
 
+    def run_record(k: int):
+        return (run_case(t) for t in record_cases(k))
 
-def _helper(conn, *share) -> None:
-    import signal
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and terminates its helpers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    conn.send(_run_cases(*share))
-    conn.close()
-
-
-def _collect(proc, conn, law: str, seed: int,
-             indices: range) -> list[CaseResult]:
-    """The results a helper sent, or, if it exited without sending, one
-    failed case per index of its share."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = max(1, min(cpus, total)) if hasattr(os, "fork") else 1
+    queue, fill = os.pipe()
     try:
-        return conn.recv()
-    except (EOFError, OSError):
-        proc.join()
-        return [CaseResult(i, case_seed(seed, law, i), False,
-                           f"worker exited with code {proc.exitcode}")
-                for i in indices]
+        # at most one pipe page, so this write cannot block
+        os.write(fill, b"".join(
+            k.to_bytes(RECORD_BYTES, "little")
+            for k in range(-(-total // per_record))))
+    finally:
+        os.close(fill)
+    results: dict[int, CaseResult] = {}
+    helpers: list[_Helper] = []
+    try:
+        for _ in range(workers - 1):
+            helpers.append(_Helper(queue, run_record))
+        for k in _claims(queue):
+            for t in record_cases(k):
+                results[t] = run_case(t)
+            for h in helpers:
+                h.poll()
+        for h in helpers:
+            h.finish()
+            claimed, reported = h.collect(record_cases)
+            results.update(zip(claimed, reported))
+            for t in claimed[len(reported):]:
+                results[t] = result(
+                    t, False, f"worker exited with code {h.exitcode}")
+    except BaseException:
+        for h in helpers:
+            h.terminate()
+        raise
+    finally:
+        os.close(queue)
+        for h in helpers:
+            os.close(h.fd)
+    return [LawReport(name, seed, [results[k * cases + i]
+                                   for i in range(cases)])
+            for k, name in enumerate(names)]
 
 
 def run_law(law: str, seed: int, cases: int, max_morphisms: int = 6,
             max_degree: int = 3) -> LawReport:
     if law not in _LAW_FUNCS:
         raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    workers = max(1, min(cpus, cases))
-    if workers > 1:
-        import multiprocessing
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:   # no fork start method on this platform
-            workers = 1
-    shares = [range(k, cases, workers) for k in range(workers)]
-    helpers = []
-    try:
-        for indices in shares[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_helper, args=(
-                send, law, seed, indices, max_morphisms, max_degree))
-            proc.start()
-            send.close()   # the helper's exit is then EOF on ``recv``
-            helpers.append((proc, recv, indices))
-        results = _run_cases(law, seed, shares[0], max_morphisms, max_degree)
-        for proc, recv, indices in helpers:
-            results += _collect(proc, recv, law, seed, indices)
-    except BaseException:
-        for proc, _, _ in helpers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv, _ in helpers:
-            recv.close()
-            proc.join()
-    return LawReport(law, seed, sorted(results, key=lambda c: c.index))
-
-
-def run_laws(law: str, seed: int, cases: int, max_morphisms: int = 6,
-             max_degree: int = 3) -> list[LawReport]:
-    names = LAW_NAMES if law == "all" else (law,)
-    return [run_law(n, seed, cases, max_morphisms, max_degree)
-            for n in names]
+    [report] = run_laws(law, seed, cases, max_morphisms, max_degree)
+    return report

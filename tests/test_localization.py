@@ -325,3 +325,25 @@ def test_homotopy_route_builds_each_chain_map_once(monkeypatch):
     assert verify_localization_theorem(constant_system(loc.big, Z), loc,
                                        3).ok
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("conjugate, calls_per_degree", [
+    (False, 2), (True, 4)], ids=["identity-nu", "conjugated"])
+def test_certificate_b_skips_the_identity_conjugation(monkeypatch, conjugate,
+                                                      calls_per_degree):
+    # with nu the identity, N^-1 is the identity and the round trips are the
+    # composites certified first: per degree, Q'∘P' and P on cohomology; a
+    # sign-conjugated system (D' != D) adds the two round trips through N^-1
+    gen = InstanceGen("conjugated-0")
+    loc = gen._chain_closure(3)
+    d = pullback_along_nat(gen.system(loc.big), loc.unit)
+    if conjugate:
+        d = sign_conjugated(d, [gen.rng.choice([1, -1])
+                                for _ in range(loc.big.n_morphisms)])
+    nu = local_characterization(d, loc).canonical_map
+    assert (nu.target_system != d) == conjugate
+    assert all(t == GroupHom.identity(t.source)
+               for t in nu.nat.components) != conjugate
+    calls = counted(monkeypatch, "cohomology_map", localization_module)
+    assert verify_localization_theorem(d, loc, 3).ok
+    assert len(calls) == 3 * calls_per_degree
