@@ -87,11 +87,9 @@ class PresentedGroup:
 
     @cached_property
     def invariants(self) -> GroupInvariants:
-        _, s, _ = smith_normal_form(self.relations)
-        diag = [s.at(i, i) for i in range(min(s.rows, s.cols))]
-        nonzero = [d for d in diag if d]
-        torsion = tuple(d for d in nonzero if d > 1)
-        return GroupInvariants(self.generators - len(nonzero), torsion)
+        diag = smith_normal_form(self.relations)
+        torsion = tuple(d for d in diag if d > 1)
+        return GroupInvariants(self.generators - len(diag), torsion)
 
     def is_trivial(self) -> bool:
         return self.invariants.is_trivial()

@@ -6,10 +6,13 @@ as relation matrices of free groups and as differentials out of empty degrees.
 
 Conventions fixed here and relied on everywhere else:
 
-* ``smith_normal_form(m)`` returns ``(u, s, v)`` with ``s == u @ m @ v``,
-  ``u`` and ``v`` unimodular, and ``s`` diagonal with nonnegative entries
-  each dividing the next.  Pivots are chosen with minimal absolute value,
-  which keeps intermediate entries small in practice.
+* ``smith_normal_form(m)`` returns the nonzero Smith invariants of ``m`` as
+  a list ``[d1, d2, ...]``: positive, each dividing the next, 1s included,
+  so its length is the rank.  No transforms are kept.  ``m`` is
+  diagonalized by row and column operations around pivots of minimal
+  absolute value, which keeps intermediate entries small in practice; the
+  diagonal is then put in divisibility order by replacing pairs with their
+  gcd and lcm.
 * ``hermite_normal_form(m)`` returns ``(h, u)`` with ``h == m @ u`` and ``u``
   unimodular.  ``h`` is in column echelon form: pivots are positive, pivot
   rows strictly increase left to right, zero columns sit at the right end,
@@ -23,6 +26,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 class DimensionMismatch(ValueError):
@@ -177,24 +181,15 @@ def _negate_col(a: list[list[int]], j: int) -> None:
         row[j] = -row[j]
 
 
-def _row_addmul(a: list[list[int]], idst: int, isrc: int, q: int) -> None:
-    src = a[isrc]
-    dst = a[idst]
-    for j, x in enumerate(src):
-        if x:
-            dst[j] += q * x
-
-
 def _eye_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (u, s, v) with s = u @ m @ v in Smith normal form."""
+def smith_normal_form(m: IntMatrix) -> list[int]:
+    """The nonzero Smith invariants of m: positive, each dividing the next."""
     r, c = m.rows, m.cols
     a = m.to_rows()
-    u = _eye_rows(r)
-    v = _eye_rows(c)
+    diag: list[int] = []
     t = 0
     while t < r and t < c:
         # minimal-absolute-value pivot in the trailing block
@@ -218,29 +213,24 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         i0, j0 = piv
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             _swap_cols(a, t, j0)
-            _swap_cols(v, t, j0)
 
         while True:
-            if a[t][t] < 0:
-                for j in range(c):
-                    a[t][j] = -a[t][j]
-                for j in range(r):
-                    u[t][j] = -u[t][j]
             restart = False
-            # clear column t by row operations
+            # clear column t by row operations; rows from t on are zero left
+            # of column t
             for i in range(t + 1, r):
-                x = a[i][t]
+                ai = a[i]
+                x = ai[t]
                 if x:
                     q = x // a[t][t]
                     if q:
-                        _row_addmul(a, i, t, -q)
-                        _row_addmul(u, i, t, -q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
+                        at = a[t]
+                        for j in range(t, c):
+                            ai[j] -= q * at[j]
+                    if ai[t]:
+                        a[t], a[i] = ai, a[t]
                         restart = True
                         break
             if restart:
@@ -252,35 +242,22 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     q = x // a[t][t]
                     if q:
                         _col_addmul(a, j, t, -q)
-                        _col_addmul(v, j, t, -q)
                     if a[t][j]:
                         _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
                         restart = True
                         break
-            if restart:
-                continue
-            # pivot must divide the remaining block for the divisor chain
-            p = a[t][t]
-            bad_row = None
-            for i in range(t + 1, r):
-                ai = a[i]
-                for j in range(t + 1, c):
-                    if ai[j] % p:
-                        bad_row = i
-                        break
-                if bad_row is not None:
-                    break
-            if bad_row is None:
+            if not restart:
                 break
-            _row_addmul(a, t, bad_row, 1)
-            _row_addmul(u, t, bad_row, 1)
+        p = a[t][t]
+        diag.append(abs(p))
         t += 1
-    return (
-        IntMatrix.from_rows(u) if r else IntMatrix(0, 0, ()),
-        IntMatrix.from_rows(a) if r else IntMatrix(0, c, ()),
-        IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ()),
-    )
+    # diag(x, y) and diag(gcd, lcm) have the same Smith form
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            g = gcd(x, y)
+            diag[i], diag[j] = g, x // g * y
+    return diag
 
 
 def _hnf_core(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:

@@ -40,11 +40,12 @@ A pivot of ``∂_n`` drops its column ``j`` from every later ``col_j`` of
 needs only one differential's log.
 
 Projection after lift is the identity on the residue, and both maps take
-cocycles to cocycles.  Invariants are read off the residue directly:
-``smith_normal_form`` below the top, and for the top differential only its
-rank over Q, found by fraction-free elimination.  The free rank of ``H^n`` is
-``dim T^n - rk ∂_n - rk ∂_{n-1}`` and its torsion is the elementary divisors
-of ``∂_{n-1}`` above 1.  Induced maps use ``ReducedCone.subquotient``,
+cocycles to cocycles.  Invariants are read off the residue directly: the
+Smith diagonal (``smith_normal_form``, which builds no transforms, so a tall
+residue costs only its own entries) below the top, and for the top
+differential only its rank over Q, found by fraction-free elimination.  The
+free rank of ``H^n`` is ``dim T^n - rk ∂_n - rk ∂_{n-1}`` and its torsion is
+the elementary divisors of ``∂_{n-1}`` above 1.  Induced maps use ``ReducedCone.subquotient``,
 H^n as the subquotient of the two residue differentials around ``T^n``,
 whose kernel basis ``bwcomplex.cohomology_map`` lifts, maps and projects.
 The cone is free, so a row of the residue ``∂_n`` with a single entry
@@ -400,11 +401,8 @@ def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
 def _elementary_divisors(cols: Columns) -> list[int]:
     """Nonzero Smith diagonal of the nonzero part of a residue."""
     col_ids = sorted(j for j, c in cols.items() if c)
-    if not col_ids:
-        return []
     row_ids = sorted({i for j in col_ids for i in cols[j]})
-    _, s, _ = smith_normal_form(_dense(cols, col_ids, row_ids))
-    return [d for d in (s.at(i, i) for i in range(min(s.rows, s.cols))) if d]
+    return smith_normal_form(_dense(cols, col_ids, row_ids))
 
 
 def _rank(cols: Columns) -> int:

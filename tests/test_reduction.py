@@ -9,7 +9,9 @@ full-complex references.
 """
 
 import dataclasses
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,9 @@ from bwcoh.bwcomplex import (
     HomotopyIdentityError, build_complex, cohomology_map, induced_map_2,
     induced_map_nat,
 )
-from bwcoh.fincat import arrow_category, cyclic_group_category
+from bwcoh.fincat import (
+    arrow_category, cyclic_group_category, monoid_category,
+)
 from bwcoh.intmat import IntMatrix, smith_normal_form
 from bwcoh.natsys import AbNat, constant_system
 from bwcoh.randgen import InstanceGen
@@ -30,6 +34,8 @@ from oracles import (
     bar_cohomology, dense_cohomology_map, identity_morphism, kernel_cokernel,
     with_block,
 )
+
+WORKSPACES = Path(__file__).resolve().parent.parent / "workspaces"
 
 # relation matrices that are not injective: Z/2, and Z/2 ⊕ Z
 NON_INJECTIVE = [
@@ -180,11 +186,43 @@ def test_rank_matches_smith(seed):
         return IntMatrix(r, c, tuple(rng.choice([0, 0, 0, 1, -1, 2, -3])
                                      for _ in range(r * c)))
     m = sparse_random(rows, mid) @ sparse_random(mid, cols)
-    _, s, _ = smith_normal_form(m)
-    rank = sum(1 for i in range(min(rows, cols)) if s.at(i, i))
+    rank = len(smith_normal_form(m))
     sparse = {j: {i: m.at(i, j) for i in range(rows) if m.at(i, j)}
               for j in range(cols)}
     assert reduction._rank(sparse) == rank
+
+
+# ---------------------------------------------------------------------------
+# closed forms of group cohomology, at degrees the bar oracle cannot reach
+
+def symmetric3():
+    """S3 as a one-object category: pabc is the permutation 0->a, 1->b,
+    2->c, and p then q is q∘p."""
+    perms = list(itertools.permutations(range(3)))
+    op = [[perms.index(tuple(q[p[i]] for i in range(3))) for q in perms]
+          for p in perms]
+    return monoid_category(op, 0, ["p" + "".join(map(str, p)) for p in perms])
+
+
+def test_symmetric3_workspace_holds_this_category():
+    text = (WORKSPACES / "symmetric3.bwcoh").read_text(encoding="utf-8")
+    assert category_text("s3", symmetric3()) in text
+
+
+# Baues-Wirsching cohomology of a group with constant coefficients is its
+# group cohomology (Brown, Cohomology of Groups, ch. III-IV)
+@pytest.mark.parametrize("cat, coeff, expected", [
+    # H^4 = Z/6 needs the pivots 2 and 3 merged into one invariant
+    (symmetric3(), Z, ["Z", "0", "Z/2", "0", "Z/6"]),
+    (symmetric3(), cyclic(2), ["Z/2"] * 5),
+    (symmetric3(), cyclic(3), ["Z/3", "0", "0", "Z/3"]),
+    # H^n(Z/k; Z/m) = Z/gcd(k, m) for n >= 1
+    (cyclic_group_category(6), cyclic(4), ["Z/4", "Z/2", "Z/2", "Z/2"]),
+], ids=["s3_z", "s3_z2", "s3_z3", "z6_z4"])
+def test_group_cohomology_closed_forms(cat, coeff, expected):
+    cx = build_complex(constant_system(cat, coeff), len(expected),
+                       normalized=True)
+    assert [cx.cohomology(n).human() for n in range(len(expected))] == expected
 
 
 # ---------------------------------------------------------------------------

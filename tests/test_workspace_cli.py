@@ -41,7 +41,8 @@ def test_parse_group_tokens():
 
 
 def test_load_all_sample_workspaces():
-    for name in ("arrow.bwcoh", "cyclic.bwcoh", "pseudo_circle.bwcoh"):
+    for name in ("arrow.bwcoh", "cyclic.bwcoh", "pseudo_circle.bwcoh",
+                 "symmetric3.bwcoh"):
         ws = load_workspace_file(str(WORKSPACES / name))
         for rep in ws.validate_all():
             assert rep.ok, rep
