@@ -15,6 +15,17 @@ inclusion is a quasi-isomorphism (Dold–Kan normalization), so it answers
 ``bwcoh cohomology``; its differential is the full one restricted to
 nondegenerate rows and columns, and the map constructors refuse it.
 
+What a complex needs of the nerve alone is computed once per category:
+``nerve_shape``, memoized on ``(category, max_degree, normalized)`` with at
+most ``NERVE_SHAPE_CACHE`` entries, returns the sequence bases, their
+indices and, for every sequence of each degree n+1, an integer face table:
+the index of its head and tail faces in degree n with the coefficient
+action of each, and the index of every merge face, whose sign its position
+gives.  Equal categories, however built, share one ``NerveShape``, and
+nothing ever changes it.  ``build_complex`` reads the table and only fills
+in the coefficients of its own system; the ``d∘d`` sum is still formed and
+checked for every complex.
+
 Every differential, chain map and homotopy is a ``BlockHom``: one map
 stored once, at construction, as global sparse columns ``{col: {row: int}}``
 over the generator coordinates of ``ProductGroup.gen_offsets``, holding only
@@ -87,9 +98,10 @@ other block is solved against the relations of its target factor.
 from __future__ import annotations
 
 import warnings
+from array import array
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
@@ -98,8 +110,8 @@ from .abgroup import (
     hom_compose, is_iso, subquotient,
 )
 from .fincat import (
-    Functor, MSeq, ShapeMismatch, compose_functors, enumerate_sequences,
-    identity_nat, sequence_index, vertical_compose,
+    FiniteCategory, Functor, MSeq, ShapeMismatch, compose_functors,
+    enumerate_sequences, identity_nat, sequence_index, vertical_compose,
 )
 from .intmat import IntMatrix, LatticeSolver
 from .natsys import (
@@ -128,6 +140,9 @@ class ScaleWarning(UserWarning):
 
 
 SEQUENCE_WARN_LIMIT = 10 ** 5
+
+# nerve shapes kept, one per (category, max degree, normalized)
+NERVE_SHAPE_CACHE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +440,17 @@ class CochainComplex:
     """Groups and differentials in degrees 0..max_degree; immutable after build."""
 
     def __init__(self, system: NaturalSystem, max_degree: int,
-                 bases: list[tuple[MSeq, ...]], groups: list[ProductGroup],
+                 shape: NerveShape, groups: list[ProductGroup],
                  diffs: list[BlockHom], normalized: bool = False):
         self.system = system
         self.max_degree = max_degree
         # bases hold only the nondegenerate sequences (build_complex)
         self.normalized = normalized
-        self.bases = bases
+        # shared with every complex on an equal category; never changed
+        self.bases = shape.bases
+        self.index = shape.index
         self.groups = groups
         self.diffs = diffs            # diffs[n]: degree n -> n+1, n < max_degree
-        self.index = [sequence_index(b) for b in bases]
         # dd_witness[n]: blocks of S_n with D_{n+1} D_n = R_{n+2} S_n, in the
         # independent relations of each degree n+2 factor; filled by the
         # d∘d check of build_complex, read by the reduction engine
@@ -496,6 +512,58 @@ def require_vanishing(total: BlockHom, label: str, cx_src: CochainComplex,
             f"source {cx_src.coordinate_name(n, bad[1])}")
 
 
+@dataclass(frozen=True)
+class NerveShape:
+    """What the complexes of one category share, whatever their
+    coefficients: the sequence bases, their indices and the face tables.
+
+    ``faces[n]`` lists, for each sequence τ of degree n+1 in basis order,
+    ``n + 4`` integers: the index in degree n of its head face and the
+    action of that face, the index of each merge face i = 1..n (its sign is
+    (-1)^i), or -1 where a normalized basis drops it, and the index of its
+    tail face and the action of that face.  An action indexes ``actions``,
+    the ``(src, dst, h, k)`` of ``NaturalSystem.act_pair``: ``D(1, s1)``
+    from the head face's composite, ``D(s_m, 1)`` from the tail face's."""
+    bases: tuple[tuple[MSeq, ...], ...]
+    index: tuple[dict, ...]
+    actions: tuple[tuple[int, int, int, int], ...]
+    faces: tuple[array, ...]
+
+
+@lru_cache(maxsize=NERVE_SHAPE_CACHE)
+def nerve_shape(c: FiniteCategory, max_degree: int,
+                normalized: bool) -> NerveShape:
+    """The ``NerveShape`` of ``c`` in degrees 0..max_degree, built once per
+    argument triple and shared; callers read it and never change it."""
+    bases = tuple(enumerate_sequences(c, n, nondegenerate=normalized)
+                  for n in range(max_degree + 1))
+    index = tuple(sequence_index(b) for b in bases)
+    actions: dict[tuple[int, int, int, int], int] = {}
+    ident, table = c.identity, c.table
+    faces = []
+    for n in range(max_degree):
+        idx, small = index[n], bases[n]
+        face = array("i")
+        for tau in bases[n + 1]:
+            mors, top = tau.mors, tau.composite
+            head = idx["obj", tau.objects[1]] if n == 0 else idx[mors[1:]]
+            sub = small[head].composite
+            face.append(head)
+            face.append(actions.setdefault(
+                (sub, top, ident[c.mor_source[sub]], mors[0]), len(actions)))
+            for i in range(1, n + 1):
+                merged = table[mors[i]][mors[i - 1]]
+                face.append(-1 if normalized and c.is_identity(merged) else
+                            idx[mors[:i - 1] + (merged,) + mors[i + 1:]])
+            tail = idx["obj", tau.objects[0]] if n == 0 else idx[mors[:-1]]
+            sub = small[tail].composite
+            face.append(tail)
+            face.append(actions.setdefault(
+                (sub, top, mors[-1], ident[c.mor_target[sub]]), len(actions)))
+        faces.append(face)
+    return NerveShape(bases, index, tuple(actions), tuple(faces))
+
+
 def build_complex(d: NaturalSystem, max_degree: int, *,
                   normalized: bool = False) -> CochainComplex:
     """The complex in degrees 0..max_degree, with ``d∘d = 0`` checked.
@@ -508,60 +576,44 @@ def build_complex(d: NaturalSystem, max_degree: int, *,
     nondegenerate."""
     if max_degree < 1:
         raise DegreeOutOfRange("max degree must be at least 1")
-    c = d.base
-    bases = [enumerate_sequences(c, n, nondegenerate=normalized)
-             for n in range(max_degree + 1)]
+    shape = nerve_shape(d.base, max_degree, normalized)
+    bases = shape.bases
     for n, b in enumerate(bases):
         if len(b) > SEQUENCE_WARN_LIMIT:
             warnings.warn(
                 f"degree {n} has {len(b)} sequences; expect heavy computation",
                 ScaleWarning, stacklevel=2)
-    groups = [ProductGroup(tuple(d.value(s.composite) for s in basis))
+    values = d.functor.values
+    groups = [ProductGroup(tuple([values[s.composite] for s in basis]))
               for basis in bases]
-    cx = CochainComplex(d, max_degree, bases, groups, [], normalized)
-    # the entries of D(1, s1) and D(s_m, 1) out of each sub-composite
-    head: dict[tuple[int, int], Entries] = {}
-    tail: dict[tuple[int, int], Entries] = {}
+    cx = CochainComplex(d, max_degree, shape, groups, [], normalized)
+    # the sparse entries of each face action, read off this system
+    acts = [_sparse(d.act_pair(*a).matrix) for a in shape.actions]
     for n in range(max_degree):
-        idx = cx.index[n]
-        small = bases[n]
+        face = shape.faces[n]
+        width = n + 4
+        tail_sign = 1 if n % 2 else -1     # (-1)^m for m = n + 1
         s_off, t_off = groups[n].gen_offsets, groups[n + 1].gen_offsets
         cols: Columns = {}
-        for ti, tau in enumerate(bases[n + 1]):
-            m = tau.length
+        for ti in range(len(bases[n + 1])):
+            at = ti * width
             r0 = t_off[ti]
             # head term: + D(1, s1) applied to the head-dropped coordinate
-            s1 = tau.mors[0]
-            si = idx[("obj", tau.objects[1])] if m == 1 else idx[tau.mors[1:]]
-            sub = small[si].composite
-            e = head.get((sub, s1))
-            if e is None:
-                e = head[sub, s1] = _sparse(d.act_pair(
-                    sub, tau.composite, c.identity[c.mor_source[sub]],
-                    s1).matrix)
-            _add(cols, s_off[si], r0, e, 1)
+            _add(cols, s_off[face[at]], r0, acts[face[at + 1]], 1)
             # merge terms: the identity of D(composite), signs from -1
             g = t_off[ti + 1] - r0
-            for i in range(1, m):
-                merged = c.table[tau.mors[i]][tau.mors[i - 1]]
-                if normalized and c.is_identity(merged):
+            for i in range(1, n + 1):
+                si = face[at + 1 + i]
+                if si < 0:
                     continue
-                c0 = s_off[idx[tau.mors[:i - 1] + (merged,)
-                               + tau.mors[i + 1:]]]
+                c0 = s_off[si]
                 sign = -1 if i % 2 else 1
                 for k in range(g):
                     col = cols.setdefault(c0 + k, {})
                     col[r0 + k] = col.get(r0 + k, 0) + sign
             # tail term: sign (-1)^m with D(s_m, 1)
-            sm = tau.mors[-1]
-            si = idx[("obj", tau.objects[0])] if m == 1 else idx[tau.mors[:-1]]
-            sub = small[si].composite
-            e = tail.get((sub, sm))
-            if e is None:
-                e = tail[sub, sm] = _sparse(d.act_pair(
-                    sub, tau.composite, sm,
-                    c.identity[c.mor_target[sub]]).matrix)
-            _add(cols, s_off[si], r0, e, -1 if m % 2 else 1)
+            _add(cols, s_off[face[at + n + 2]], r0, acts[face[at + n + 3]],
+                 tail_sign)
         cx.diffs.append(BlockHom(groups[n], groups[n + 1], _nonzero(cols)))
 
     diffs = cx.diffs

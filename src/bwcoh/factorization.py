@@ -51,41 +51,46 @@ class FactorizationCategory:
     pairs: tuple[FPair, ...]
 
     @cached_property
-    def pair_index(self) -> dict[FPair, int]:
-        return {p: i for i, p in enumerate(self.pairs)}
+    def pair_index(self) -> dict[tuple[int, int, int, int], int]:
+        """Pair id by plain ``(src, dst, h, k)``."""
+        return {(p.src, p.dst, p.h, p.k): i for i, p in enumerate(self.pairs)}
 
     def pair_id(self, src: int, dst: int, h: int, k: int) -> int:
-        return self.pair_index[FPair(src, dst, h, k)]
+        return self.pair_index[src, dst, h, k]
 
 
 @lru_cache(maxsize=None)
 def build_factorization(c: FiniteCategory) -> FactorizationCategory:
     n = c.n_morphisms
-    pairs: list[FPair] = []
+    table = c.table
+    into: list[list[int]] = [[] for _ in range(c.n_objects)]
+    out_of: list[list[int]] = [[] for _ in range(c.n_objects)]
+    for m in range(n):
+        into[c.mor_target[m]].append(m)
+        out_of[c.mor_source[m]].append(m)
+    # (f, k∘f∘h, h, k) for h into the source of f and k out of its target
+    keys = []
     for f in range(n):
-        sf, tf = c.mor_source[f], c.mor_target[f]
-        for h in range(n):
-            if c.mor_target[h] != sf:
-                continue
-            fh = c.table[h][f]
-            for k in range(n):
-                if c.mor_source[k] == tf:
-                    pairs.append(FPair(f, c.table[fh][k], h, k))
-    pairs.sort(key=lambda p: (p.src, p.dst, p.h, p.k))
-    index = {p: i for i, p in enumerate(pairs)}
+        after = out_of[c.mor_target[f]]
+        for h in into[c.mor_source[f]]:
+            row = table[table[h][f]]
+            keys.extend((f, row[k], h, k) for k in after)
+    keys.sort()
+    index = {p: i for i, p in enumerate(keys)}
 
     by_src: dict[int, list[int]] = {}
-    for i, p in enumerate(pairs):
-        by_src.setdefault(p.src, []).append(i)
+    for i, p in enumerate(keys):
+        by_src.setdefault(p[0], []).append(i)
     compose_pairs = {}
-    for i1, p1 in enumerate(pairs):
-        for i2 in by_src.get(p1.dst, ()):
-            p2 = pairs[i2]
-            hh = c.table[p2.h][p1.h]   # h1 ∘ h2
-            kk = c.table[p1.k][p2.k]   # k2 ∘ k1
-            compose_pairs[(i1, i2)] = index[FPair(p1.src, p2.dst, hh, kk)]
-    identity = [index[FPair(f, f, c.identity[c.mor_source[f]],
-                            c.identity[c.mor_target[f]])] for f in range(n)]
+    for i1, (src, dst1, h1, k1) in enumerate(keys):
+        for i2 in by_src.get(dst1, ()):
+            _, dst2, h2, k2 = keys[i2]
+            hh = table[h2][h1]   # h1 ∘ h2
+            kk = table[k1][k2]   # k2 ∘ k1
+            compose_pairs[i1, i2] = index[src, dst2, hh, kk]
+    identity = [index[f, f, c.identity[c.mor_source[f]],
+                      c.identity[c.mor_target[f]]] for f in range(n)]
+    pairs = tuple(FPair(*p) for p in keys)
     mor = [(p.src, p.dst) for p in pairs]
     # names stay free of ':', '->' and whitespace so exports re-parse
     names = [f"({c.morphism_name(p.h)},{c.morphism_name(p.k)})"
@@ -94,7 +99,7 @@ def build_factorization(c: FiniteCategory) -> FactorizationCategory:
     cat = make_category(n, mor, identity, compose_pairs,
                         object_names=[c.morphism_name(f) for f in range(n)],
                         morphism_names=names)
-    return FactorizationCategory(c, cat, tuple(pairs))
+    return FactorizationCategory(c, cat, pairs)
 
 
 def factor_functor(phi: Functor,

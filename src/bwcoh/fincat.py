@@ -11,11 +11,24 @@ i.e. ``target(s_{i+1}) == source(s_i)``; the composite ``s1...sn`` applies
 ``sn`` first.  A sequence of length 0 is an object, identified with its
 identity morphism.  All enumeration orders are lexicographic in ids, which
 makes downstream bases and matrices reproducible byte for byte.
+
+Every constructor that takes no randomness is memoized: the standard
+categories (``terminal_category``, ``arrow_category``,
+``discrete_category``, ``total_order_category``, ``cyclic_group_category``,
+``indiscrete_category``, ``pseudo_circle_category``), ``opposite`` and
+``product``.  Equal arguments return one shared object, which is frozen, so
+callers may rely on equality but must never change what they are handed.
+Each memo keeps at most ``CONSTRUCTOR_CACHE`` results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+# results each memoized constructor keeps; the law suite's instances are
+# drawn from a few dozen distinct categories
+CONSTRUCTOR_CACHE = 64
 
 
 class ShapeMismatch(ValueError):
@@ -352,6 +365,7 @@ def sequence_index(basis: tuple[MSeq, ...]) -> dict:
 # ---------------------------------------------------------------------------
 # opposite, product
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def opposite(c: FiniteCategory) -> FiniteCategory:
     n = c.n_morphisms
     table = [[-1] * n for _ in range(n)]
@@ -387,6 +401,7 @@ class ProductCategory:
         return divmod(m, self.right.n_morphisms)
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def product(c: FiniteCategory, d: FiniteCategory) -> ProductCategory:
     nm = c.n_morphisms * d.n_morphisms
     src = []
@@ -421,11 +436,13 @@ def product(c: FiniteCategory, d: FiniteCategory) -> ProductCategory:
 # ---------------------------------------------------------------------------
 # standard small categories
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def terminal_category() -> FiniteCategory:
     return make_category(1, [(0, 0)], [0], {(0, 0): 0},
                          object_names=["pt"], morphism_names=["id_pt"])
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def discrete_category(n: int) -> FiniteCategory:
     return make_category(
         n, [(x, x) for x in range(n)], list(range(n)),
@@ -433,6 +450,7 @@ def discrete_category(n: int) -> FiniteCategory:
     )
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def arrow_category() -> FiniteCategory:
     # objects x=0, y=1; morphisms id_x=0, id_y=1, f=2: x->y
     pairs = {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2}
@@ -441,6 +459,7 @@ def arrow_category() -> FiniteCategory:
                          morphism_names=["id_x", "id_y", "f"])
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def indiscrete_category(n: int) -> FiniteCategory:
     """Exactly one morphism between any ordered pair of objects."""
     mor = [(x, y) for x in range(n) for y in range(n)]
@@ -465,6 +484,7 @@ def monoid_category(op: list[list[int]], unit: int,
                          morphism_names=names)
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def cyclic_group_category(k: int) -> FiniteCategory:
     op = [[(a + b) % k for b in range(k)] for a in range(k)]
     return monoid_category(op, 0, [f"g{a}" for a in range(k)])
@@ -488,12 +508,14 @@ def poset_category(n: int, leq: set[tuple[int, int]],
                          object_names=object_names, morphism_names=names)
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def pseudo_circle_category() -> FiniteCategory:
     """Objects a,b,c,d with nonidentity arrows a->c, a->d, b->c, b->d."""
     leq = {(x, x) for x in range(4)} | {(0, 2), (0, 3), (1, 2), (1, 3)}
     return poset_category(4, leq, object_names=["a", "b", "c", "d"])
 
 
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def total_order_category(n: int) -> FiniteCategory:
     leq = {(x, y) for x in range(n) for y in range(n) if x <= y}
     return poset_category(n, leq)

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,15 @@ from bwcoh.abgroup import GroupInvariants, Z, cyclic
 from bwcoh.bwcomplex import (
     BlockHom, CochainMap, DegreeOutOfRange, DegreeTruncation, Homotopy1,
     HomotopyIdentityError, build_complex, cohomology_map,
-    homotopy_class_equal, homotopy_h, homotopy_r_vertical, induced_map_2,
-    induced_map_nat, is_cohomology_iso,
+    homotopy_class_equal, homotopy_h, homotopy_r_horizontal,
+    homotopy_r_vertical, induced_map_2, induced_map_nat, is_cohomology_iso,
 )
+from bwcoh.cli import main
+from bwcoh.factorization import build_factorization
 from bwcoh.fincat import (
     Functor, ShapeMismatch, arrow_category, cyclic_group_category,
-    discrete_category, identity_nat, indiscrete_category, terminal_category,
+    discrete_category, identity_nat, indiscrete_category, make_category,
+    terminal_category, total_order_category,
 )
 from bwcoh.intmat import IntMatrix
 from bwcoh.natsys import (
@@ -23,9 +27,11 @@ from bwcoh.natsys import (
     pullback_along_nat,
 )
 from bwcoh.randgen import InstanceGen
+from bwcoh.workspace import load_workspace
 from oracles import (
-    bar_cohomology, block_hom, fullness_witness, identity_morphism, matvec,
-    nerve_cohomology, with_block,
+    bar_cohomology, block_hom, blocks_to_matrix, blockwise_differentials,
+    fullness_witness, identity_morphism, matvec, nerve_cohomology,
+    with_block,
 )
 
 
@@ -507,3 +513,115 @@ def test_cohomology_map_refuses_image_that_is_not_a_cocycle():
                        match=r"cocycle condition fails at degree 0: "
                              r"target \(f\)$"):
         cohomology_map(p, 0)
+
+
+# ---------------------------------------------------------------------------
+# the nerve shape, shared by every complex on an equal category
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _separate_copy(c):
+    """A category equal to ``c``, built separately through make_category."""
+    n = c.n_morphisms
+    copy = make_category(
+        c.n_objects, list(zip(c.mor_source, c.mor_target)), list(c.identity),
+        {(f, g): c.table[f][g] for f in range(n) for g in range(n)
+         if c.table[f][g] >= 0},
+        c.object_names, c.morphism_names)
+    assert copy == c and copy is not c
+    return copy
+
+
+def _shape_of(cx):
+    return bwcomplex.nerve_shape(cx.system.base, cx.max_degree,
+                                 cx.normalized)
+
+
+def _snapshot(shape):
+    return (shape.bases, [list(i.items()) for i in shape.index],
+            shape.actions, [f.tobytes() for f in shape.faces])
+
+
+def _assert_matches_blockwise_assembly(cx):
+    oracle = blockwise_differentials(cx)
+    for n, d in enumerate(cx.diffs):
+        assert d.to_matrix() == blocks_to_matrix(d.src, d.dst, oracle[n]), n
+
+
+@pytest.mark.parametrize("normalized", [False, True],
+                         ids=["full", "normalized"])
+def test_equal_categories_share_one_exact_shape(normalized):
+    c1 = total_order_category(3)
+    c2 = _separate_copy(c1)
+    bwcomplex.nerve_shape.cache_clear()
+    build_factorization.cache_clear()
+    cx1 = build_complex(constant_system(c1, cyclic(4)), 3,
+                        normalized=normalized)
+    # a cold factorization cache, so that the second system lives on c2
+    build_factorization.cache_clear()
+    d2 = constant_system(c2, cyclic(4))
+    assert d2.base is c2
+    cx2 = build_complex(d2, 3, normalized=normalized)
+    info = bwcomplex.nerve_shape.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    shared = _shape_of(cx1)
+    assert _shape_of(cx2) is shared
+    assert cx2.bases is cx1.bases and cx2.index is cx1.index
+    for a, b in zip(cx1.diffs, cx2.diffs):
+        assert repr(a.columns) == repr(b.columns)
+    _assert_matches_blockwise_assembly(cx2)
+    # the same complex, from a shape built afresh on c2
+    bwcomplex.nerve_shape.cache_clear()
+    cx3 = build_complex(d2, 3, normalized=normalized)
+    assert cx3.bases is not shared.bases
+    assert _snapshot(_shape_of(cx3)) == _snapshot(shared)
+    for a, b in zip(cx1.diffs, cx3.diffs):
+        assert repr(a.columns) == repr(b.columns)
+
+
+def test_export_reads_a_shape_built_on_an_equal_category(tmp_path, capsys):
+    # the golden was written before shapes were shared; here export takes
+    # the shape that a separately built copy of its category left behind
+    workspace = ROOT / "workspaces" / "arrow.bwcoh"
+    ws = load_workspace(workspace.read_text(encoding="utf-8"))
+    copy = _separate_copy(ws.categories["arrow"])
+    bwcomplex.nerve_shape.cache_clear()
+    build_factorization.cache_clear()
+    build_complex(constant_system(copy, Z), 3)
+    target = tmp_path / "complex.txt"
+    assert main(["export", str(workspace), str(target), "--what", "complex",
+                 "--category", "arrow", "--system", "const_z4",
+                 "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    info = bwcomplex.nerve_shape.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    golden = ROOT / "tests" / "golden" / "arrow_const_z4_d3.txt"
+    assert target.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_maps_and_homotopies_leave_shared_shapes_unchanged(seed):
+    gen = InstanceGen(f"shared-shape-{seed}")
+    two_a, two_b, d, e = gen.vertical_instance()
+    h_a, h_b, hd, he, hg = gen.horizontal_instance()
+    systems = [d, e, hd, he, hg]
+    # a second system on each category, so every shape below is shared
+    systems += [constant_system(s.base, cyclic(2)) for s in systems]
+    cxs = [build_complex(s, 3) for s in systems]
+    shapes = {id(_shape_of(cx)): _shape_of(cx) for cx in cxs}
+    before = {k: _snapshot(s) for k, s in shapes.items()}
+    for cx in cxs:
+        _assert_matches_blockwise_assembly(cx)
+    cx_d, cx_e, cx_hd, cx_he, cx_hg = cxs[:5]
+    homotopy_r_vertical(two_a, two_b, cx_d, cx_e)
+    homotopy_r_horizontal(h_a, h_b, cx_hd, cx_he, cx_hg)
+    for cmap in (induced_map_2(two_a.src, cx_d, cx_e),
+                 induced_map_2(h_a.src, cx_hd, cx_he)):
+        for n in range(cmap.max_degree):
+            cohomology_map(cmap, n)
+    for k, s in shapes.items():
+        assert _snapshot(s) == before[k]
+    for cx in cxs:
+        assert cx.bases is _shape_of(cx).bases
+        assert cx.index is _shape_of(cx).index

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bwcoh import fincat
 from bwcoh.factorization import (
     FPair, SquareNotCommuting, build_factorization, factor_functor,
     factor_nat, factor_two_morphism, op_pair_product, projection_to_pair,
@@ -9,7 +10,8 @@ from bwcoh.factorization import (
 )
 from bwcoh.fincat import (
     arrow_category, compose_functors, cyclic_group_category, identity_functor,
-    identity_nat, terminal_category, validate_category, vertical_compose,
+    identity_nat, terminal_category, total_order_category, validate_category,
+    vertical_compose,
 )
 from bwcoh.randgen import InstanceGen
 
@@ -41,6 +43,15 @@ def test_factorization_always_validates(seed):
     fc = build_factorization(c)
     assert fc.category.n_objects == c.n_morphisms
     assert validate_category(fc.category).ok
+    # every (h, k) around every f, found by brute force, in key order
+    n = c.n_morphisms
+    assert [(p.src, p.dst, p.h, p.k) for p in fc.pairs] == sorted(
+        (f, c.table[c.table[h][f]][k], h, k)
+        for f in range(n) for h in range(n) for k in range(n)
+        if c.mor_target[h] == c.mor_source[f]
+        and c.mor_source[k] == c.mor_target[f])
+    assert all(fc.pair_id(p.src, p.dst, p.h, p.k) == i
+               for i, p in enumerate(fc.pairs))
 
 
 def test_factor_functor_identity_and_composition():
@@ -168,3 +179,33 @@ def test_projection_to_pair():
         for x in range(c.n_objects):
             e = c.identity[x]
             assert prod.obj_pair(proj.obj_map[e]) == (x, x)
+
+
+def test_hom_system_builds_the_op_pair_product_once():
+    # hom_system, validate_bifunctor and from_bifunctor all ask for C^op x C
+    for memo in (fincat.opposite, fincat.product,
+                 fincat.total_order_category):
+        memo.cache_clear()
+    c = total_order_category(7)
+    InstanceGen("x").hom_system(c)
+    assert fincat.product.cache_info().misses == 1
+    assert fincat.opposite.cache_info().misses == 1
+    assert op_pair_product(c) is op_pair_product(total_order_category(7))
+
+
+def test_pair_ids_allocate_no_pair(monkeypatch):
+    chain = InstanceGen(5).nat_chain(cyclic_group_category(2), 3)
+    alpha = chain.nats[0]
+    fc_dom = build_factorization(alpha.domain)
+    fc_tgt = build_factorization(alpha.codomain)
+    made = []
+    real = FPair.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(FPair, "__init__", counted)
+    p = fc_tgt.pairs[-1]
+    assert fc_tgt.pair_id(p.src, p.dst, p.h, p.k) == len(fc_tgt.pairs) - 1
+    assert factor_nat(alpha, fc_dom, fc_tgt).validate().ok
+    assert made == []

@@ -9,6 +9,7 @@ case depends on timing, so a test that makes a helper die first makes the
 parent wait, inside its own first case, until a helper has claimed a case.
 """
 
+import json
 import os
 import re
 import signal
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from bwcoh import laws
-from bwcoh.laws import CaseResult, case_seed, run_law, run_laws
+from bwcoh.laws import LAW_NAMES, CaseResult, case_seed, run_law, run_laws
 from bwcoh.randgen import InstanceGen
 
 from test_workspace_cli import run_cli
@@ -101,6 +102,35 @@ def test_reports_do_not_depend_on_worker_count(monkeypatch, forks):
     for k in (2, 3):
         assert [r.cases for r in runs[k]] == [r.cases for r in runs[1]]
         assert [r.lines() for r in runs[k]] == [r.lines() for r in runs[1]]
+
+
+def _report(rep):
+    return [rep.lines(),
+            [[c.index, c.seed, c.ok, c.detail] for c in rep.cases]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_law_reports_do_not_depend_on_what_is_cached(seed):
+    # categories, constructors and nerve shapes are memoized per process, so
+    # a law run alone, after the others or in a fresh interpreter must
+    # report exactly what it reports inside --law all
+    args = (seed, 6, 6, 4)
+    together = [_report(r) for r in run_laws("all", *args)]
+    assert [lines[0] for lines, _ in together] == \
+        [f"law {law}: 6/6 pass" for law in LAW_NAMES]
+    warm = [_report(run_law(law, *args)) for law in LAW_NAMES]
+    assert warm == together
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for law, expect in zip(LAW_NAMES, together):
+        code = ("import json\n"
+                "from bwcoh.laws import run_law\n"
+                f"rep = run_law({law!r}, *{args!r})\n"
+                "print(json.dumps([rep.lines(), [[c.index, c.seed, c.ok, "
+                "c.detail] for c in rep.cases]]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expect, law
 
 
 def test_one_case_starts_no_helper(monkeypatch, forks):
