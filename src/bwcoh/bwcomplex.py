@@ -43,15 +43,20 @@ each factor is resolved by ``0 -> Z^r -R-> Z^g`` with ``R`` made injective,
 and the cone ``T^n = Z^{g_n} ⊕ Z^{r_{n+1}}`` has differential
 ``(x, y) -> (D_n x + R_{n+1} y, -S_n x - Q_{n+1} y)``.  Its ``S_n``, with
 ``D_{n+1} D_n = R_{n+2} S_n``, is exactly what the ``d∘d`` check of
-``build_complex`` solves for block by block, so the check keeps those
-solutions in ``dd_witness`` instead of composing the differentials again
-later.  ``CochainComplex.cohomology`` reads the invariants of every degree
-off the reduced cone.  ``cohomology_map`` works on the small residue: the
-pivot log of the reduction lifts each generator of ``H^n`` of the source
-residue to a cone cocycle, its x part goes through the chain map sparsely
-(``BlockHom.apply``), the image is completed to a cone cocycle of the target
-and projected to the target residue, and the residue subquotient expresses
-it there.  ``cohomology_data``, the dense ``subquotient`` of the full
+``build_complex`` solves for column by column, so the check keeps those
+solution columns in ``dd_witness`` instead of composing the differentials
+again later.  Every such witness, ``S_n``, the ``Q_n`` of
+``BlockHom.to_witness`` and the y part of a projected cocycle, is solved by
+one routine, ``ProductGroup.solve_relations``: a sparse vector over a
+degree's generators is split by factor, each part solved against that
+factor's independent relations, and the solution returned in relation
+coordinates.  ``CochainComplex.cohomology`` reads the invariants of every
+degree off the reduced cone.  ``cohomology_map`` works on the small
+residue: the pivot log of the reduction lifts each generator of ``H^n`` of
+the source residue to a cone cocycle, its x part goes through the chain map
+sparsely (``BlockHom.apply``), the image is completed to a cone cocycle of
+the target and projected to the target residue, and the residue
+subquotient expresses it there.  ``cohomology_data``, the dense ``subquotient`` of the full
 differentials, is kept only as the test oracle.
 
 Induced chain maps and homotopy families are all insertion sums, built by
@@ -90,9 +95,11 @@ is written as one ``BlockHom.signed_sum`` of composites and checked by
 ``require_vanishing``, which reports the offending degree and the target and
 source coordinates on failure.  The sum runs entry by entry over the
 stored columns and keeps only the entries that do not cancel.
-``first_nonzero_coordinate`` then groups them by block: a block on a target
-factor without relations is refused as soon as it holds an entry, and any
-other block is solved against the relations of its target factor.
+``first_nonzero_coordinate`` then solves each stored column against the
+relations of the target (``ProductGroup.solve_relations``); a failure is
+reported at the least (target factor, source factor) among the columns
+that fail, so it names the same block whatever order the columns are
+stored in.
 """
 
 from __future__ import annotations
@@ -182,15 +189,42 @@ class ProductGroup:
     def group(self) -> PresentedGroup:
         return direct_product(list(self.factors))
 
-    def by_factor(self, x: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
-        """A sparse vector {generator coordinate: value} split by factor,
-        as {factor: [(coordinate within the factor, value), ...]}."""
-        offs, of = self.gen_offsets, self.gen_factor
-        out: dict[int, list[tuple[int, int]]] = {}
+    def relation_columns(self) -> Iterator[tuple[int, int, dict[int, int]]]:
+        """Every independent relation (``PresentedGroup.injective``) as
+        (factor, relation coordinate, its nonzero entries {generator
+        coordinate: value})."""
+        for s, f in enumerate(self.factors):
+            rels = f.injective.relations
+            g0, r0 = self.gen_offsets[s], self.injective_rel_offsets[s]
+            for j in range(rels.cols):
+                yield s, r0 + j, {g0 + i: v
+                                  for i, v in enumerate(rels.column(j)) if v}
+
+    def solve_relations(self, x: dict[int, int]
+                        ) -> tuple[dict[int, int], int | None]:
+        """y with R y = x, R the independent relations of every factor, for
+        a sparse vector x {generator coordinate: nonzero value}.
+
+        x is split by factor and each part solved by its factor's
+        ``injective.solver``; a factor without relations admits no nonzero
+        part.  Returns (y over ``injective_rel_offsets``, None), or ({}, t)
+        for the least factor t whose part is not a relation."""
+        offs, of, factors = self.gen_offsets, self.gen_factor, self.factors
+        parts: dict[int, list[int]] = {}
         for c, v in x.items():
-            f = of[c]
-            out.setdefault(f, []).append((c - offs[f], v))
-        return out
+            t = of[c]
+            if t not in parts:
+                parts[t] = [0] * factors[t].generators
+            parts[t][c - offs[t]] = v
+        y: dict[int, int] = {}
+        for t in sorted(parts):
+            f = factors[t].injective
+            sol = f.solver.solve(parts[t]) if f.relations.cols else None
+            if sol is None:
+                return {}, t
+            base = self.injective_rel_offsets[t]
+            y.update((base + k, a) for k, a in enumerate(sol) if a)
+        return y, None
 
 
 # (sign, left, right): sign·(left∘right), or sign·left when right is None
@@ -289,55 +323,28 @@ class BlockHom:
                     out[r] = out.get(r, 0) + a * v
         return {r: v for r, v in out.items() if v}
 
-    def _by_block(self, sources: Callable[[int], bool] | None = None
-                  ) -> dict[tuple[int, int], Entries]:
-        """The entries grouped by (target factor, source factor), in
-        coordinates local to their block; with ``sources``, only the source
-        factors it accepts."""
-        t_of, s_of = self.dst.gen_factor, self.src.gen_factor
-        t_off, s_off = self.dst.gen_offsets, self.src.gen_offsets
-        out: dict[tuple[int, int], Entries] = {}
-        for c, col in self.columns.items():
-            s = s_of[c]
-            if sources is not None and not sources(s):
-                continue
-            j = c - s_off[s]
-            for r, v in col.items():
-                t = t_of[r]
-                out.setdefault((t, s), []).append((r - t_off[t], j, v))
-        return out
-
-    def _block(self, t: int, s: int, entries: Entries) -> IntMatrix:
-        rows = self.dst.factors[t].generators
-        cols = self.src.factors[s].generators
-        flat = [0] * (rows * cols)
-        for i, j, v in entries:
-            flat[i * cols + j] = v
-        return IntMatrix(rows, cols, tuple(flat))
-
-    def first_nonzero_coordinate(self, solutions: dict | None = None
+    def first_nonzero_coordinate(self, solutions: Columns | None = None
                                  ) -> tuple[int, int] | None:
-        """(target factor, source factor) of the first block, in key order,
+        """(target factor, source factor) of the least block, in key order,
         not zero modulo relations.
 
-        A block on a target factor without relations is refused as soon as
-        it holds an entry.  Any other block M is solved as M = R X against
-        the independent relations R of its target factor
-        (``PresentedGroup.injective``); when ``solutions`` is given, the X
-        of every nonzero block is stored there."""
+        Each stored column M e_c is solved as R x against the independent
+        relations R of the target (``ProductGroup.solve_relations``).  When
+        ``solutions`` is given and every column solves, it receives the
+        nonzero columns of X with M = R X, over the target's
+        ``injective_rel_offsets``."""
         if not self.columns:
             return None
-        factors = self.dst.factors
-        for (t, s), entries in sorted(self._by_block().items()):
-            target = factors[t].injective
-            if not target.relations.cols:
-                return (t, s)
-            x = target.solver.solve_matrix(self._block(t, s, entries))
-            if x is None:
-                return (t, s)
-            if solutions is not None:
-                solutions[(t, s)] = x
-        return None
+        bad = None
+        s_of, solve = self.src.gen_factor, self.dst.solve_relations
+        for c, col in self.columns.items():
+            x, t = solve(col)
+            if t is not None:
+                if bad is None or (t, s_of[c]) < bad:
+                    bad = (t, s_of[c])
+            elif solutions is not None and x:
+                solutions[c] = x
+        return bad
 
     def to_matrix(self) -> IntMatrix:
         rows = self.dst.total_gens
@@ -348,28 +355,23 @@ class BlockHom:
                 out[r * cols + c] = v
         return IntMatrix(rows, cols, tuple(out))
 
-    def to_witness(self) -> tuple[dict[tuple[int, int], IntMatrix],
-                                  tuple[int, int] | None]:
-        """Blocks Q with M R_s = R_t Q in the independent relations of each
-        factor (``PresentedGroup.injective``), and the first (target factor,
-        source factor) whose M does not preserve relations, or None.  Blocks
-        from a source factor without relations need no Q and are not read."""
-        found: dict = {}
-        witness: dict[tuple[int, int], IntMatrix] = {}
-        sfac, tfac = self.src.factors, self.dst.factors
-        grouped = self._by_block(
-            lambda s: bool(sfac[s].injective.relations.cols))
-        for (t, s), entries in sorted(grouped.items()):
-            m = self._block(t, s, entries)
-            src, dst = sfac[s].injective, tfac[t].injective
-            key = (id(src), id(dst), m)
-            if key not in found:
-                found[key] = dst.solver.solve_matrix(m @ src.relations)
-            q = found[key]
-            if q is None:
-                return witness, (t, s)
-            witness[(t, s)] = q
-        return witness, None
+    def to_witness(self) -> tuple[Columns, tuple[int, int] | None]:
+        """Q with M R_src = R_dst Q in the independent relations of each
+        factor, as nonzero columns over the relation coordinates of ``src``
+        and ``dst`` (``ProductGroup.injective_rel_offsets``), and the least
+        (target factor, source factor) whose M does not preserve relations,
+        or None."""
+        witness: Columns = {}
+        bad = None
+        solve = self.dst.solve_relations
+        for s, j, rel in self.src.relation_columns():
+            q, t = solve(self.apply(rel))
+            if t is not None:
+                if bad is None or (t, s) < bad:
+                    bad = (t, s)
+            elif q:
+                witness[j] = q
+        return witness, bad
 
     def to_hom(self) -> GroupHom:
         return GroupHom(self.src.group, self.dst.group, self.to_matrix())
@@ -392,9 +394,13 @@ class _BlockView(Mapping):
         hom, (t, s) = self._hom, key
         r0, r1 = hom.dst.gen_offsets[t:t + 2]
         c0, c1 = hom.src.gen_offsets[s:s + 2]
-        entries = [(r - r0, c - c0, v) for c in range(c0, c1)
-                   for r, v in hom.columns.get(c, {}).items() if r0 <= r < r1]
-        return hom._block(t, s, entries)
+        cols = c1 - c0
+        flat = [0] * ((r1 - r0) * cols)
+        for c in range(c0, c1):
+            for r, v in hom.columns.get(c, {}).items():
+                if r0 <= r < r1:
+                    flat[(r - r0) * cols + c - c0] = v
+        return IntMatrix(r1 - r0, cols, tuple(flat))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._keys))
@@ -451,10 +457,11 @@ class CochainComplex:
         self.index = shape.index
         self.groups = groups
         self.diffs = diffs            # diffs[n]: degree n -> n+1, n < max_degree
-        # dd_witness[n]: blocks of S_n with D_{n+1} D_n = R_{n+2} S_n, in the
-        # independent relations of each degree n+2 factor; filled by the
-        # d∘d check of build_complex, read by the reduction engine
-        self.dd_witness: list[dict[tuple[int, int], IntMatrix]] = []
+        # dd_witness[n]: S_n with D_{n+1} D_n = R_{n+2} S_n, as columns over
+        # the generators of degree n and the independent relations of degree
+        # n+2; filled by the d∘d check of build_complex, read by the
+        # reduction engine
+        self.dd_witness: list[Columns] = []
         self._cohom: dict[int, Subquotient] = {}
         self._reduced: ReducedCone | None = None
 
@@ -499,7 +506,7 @@ class CochainComplex:
 
 def require_vanishing(total: BlockHom, label: str, cx_src: CochainComplex,
                       n: int, cx_dst: CochainComplex, m: int,
-                      solutions: dict | None = None) -> None:
+                      solutions: Columns | None = None) -> None:
     """Raise ``HomotopyIdentityError`` unless ``total``, a map from degree n
     of ``cx_src`` to degree m of ``cx_dst``, is zero modulo relations; the
     message names the degree and the first offending target and source
@@ -618,7 +625,7 @@ def build_complex(d: NaturalSystem, max_degree: int, *,
 
     diffs = cx.diffs
     for n in range(max_degree - 1):
-        witness: dict[tuple[int, int], IntMatrix] = {}
+        witness: Columns = {}
         require_vanishing(BlockHom.signed_sum([(1, diffs[n + 1], diffs[n])]),
                           "d∘d = 0", cx, n, cx, n + 2, witness)
         cx.dd_witness.append(witness)

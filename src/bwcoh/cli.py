@@ -13,7 +13,7 @@ import sys
 
 from .bwcomplex import build_complex
 from .factorization import build_factorization
-from .fincat import Report
+from .fincat import Report, enumerate_sequences
 from .laws import LAW_NAMES, run_laws
 from .localization import (
     NotLocal, CertificateError, validate_colocalization,
@@ -21,7 +21,6 @@ from .localization import (
     verify_localization_theorem,
 )
 from .natsys import validate_natural_system
-from .nerve import nerve_cells
 from .workspace import (
     InvalidWorkspace, ParseError, Workspace, category_text, group_text,
     load_workspace_file,
@@ -195,16 +194,19 @@ def cmd_export(args) -> int:
         cat = _require(ws, ws.categories, "category", args.category)
         out = [f"nerve of {args.category}, dimensions 0..{args.max_degree}"]
         for n in range(args.max_degree + 1):
-            cells = nerve_cells(cat, n)
-            out.append(f"dimension {n}: {len(cells)} cell(s)")
-            for s in cells:
-                flag = "degenerate" if s.is_degenerate(cat) else "nondegenerate"
-                if n == 0:
-                    out.append(f"  ({cat.object_name(s.vertices[0])}) "
-                               f"{flag}")
-                else:
-                    arrows = ",".join(cat.morphism_name(g) for g in s.arrows)
-                    out.append(f"  ({arrows}) {flag}")
+            seqs = enumerate_sequences(cat, n)
+            out.append(f"dimension {n}: {len(seqs)} cell(s)")
+            if n == 0:
+                out += [f"  ({cat.object_name(s.objects[0])}) nondegenerate"
+                        for s in seqs]
+                continue
+            # a cell X_0 -> ... -> X_n is a sequence read backwards, listed
+            # lexicographically in arrow ids
+            for arrows in sorted(s.mors[::-1] for s in seqs):
+                flag = ("degenerate" if any(map(cat.is_identity, arrows))
+                        else "nondegenerate")
+                out.append(f"  ({','.join(map(cat.morphism_name, arrows))}) "
+                           f"{flag}")
         text = "\n".join(out) + "\n"
     elif args.what == "complex":
         if not (args.category and args.system):

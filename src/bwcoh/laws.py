@@ -63,7 +63,6 @@ class CaseResult:
 @dataclass
 class LawReport:
     law: str
-    seed: int
     cases: list[CaseResult] = field(default_factory=list)
 
     @property
@@ -346,8 +345,7 @@ def run_laws(law: str, seed: int, cases: int, max_morphisms: int = 6,
         os.close(queue)
         for h in helpers:
             os.close(h.fd)
-    return [LawReport(name, seed, [results[k * cases + i]
-                                   for i in range(cases)])
+    return [LawReport(name, [results[k * cases + i] for i in range(cases)])
             for k, name in enumerate(names)]
 
 

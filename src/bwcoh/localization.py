@@ -219,7 +219,6 @@ class DegreeVerdict:
 
 @dataclass
 class TheoremReport:
-    local: Characterization
     degrees: list[DegreeVerdict] = field(default_factory=list)
     composite_on_small_is_identity: bool = False
     composites_induce_identity: bool = False
@@ -261,7 +260,7 @@ def _theorem_certificates(d: NaturalSystem, l, unit_side: bool,
     alpha = l.unit if unit_side else l.counit
     char = (local_characterization(d, l) if unit_side
             else colocal_characterization(d, l))
-    report = TheoremReport(local=char)
+    report = TheoremReport()
     if not char.canonical_map_iso:
         kind = "local" if unit_side else "colocal"
         raise NotLocal(f"coefficient system is not {kind}: {char.witness}")

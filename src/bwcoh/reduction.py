@@ -14,8 +14,10 @@ differential ``∂_{N-1}`` keeps only its first component.  ``H^n(T)`` is
 (``D_n x`` a relation) is the ``x`` part of exactly one cone cocycle, whose
 ``y`` solves ``R_{n+1} y = -D_n x``.  ``S_n`` comes from the ``d∘d`` check of
 ``build_complex`` (``CochainComplex.dd_witness``) and ``Q_n`` from
-``BlockHom.to_witness``, which solves it block by block in the factors'
-independent relations.
+``BlockHom.to_witness``, which solves ``D_n`` applied to each relation
+column.  Both are sparse columns in relation coordinates, found, like the
+``y`` of ``ReducedCone.project``, by ``ProductGroup.solve_relations``, so
+the cone only shifts them into place.
 
 The cone is checked for ``∂∘∂ = 0`` exactly, then shrunk by elimination on
 ±1 pivots: a pivot ``p`` at row ``i``, column ``j`` of ``∂_{n-1}`` splits off
@@ -160,25 +162,16 @@ class ReducedCone:
         independent relations; ``HomotopyIdentityError`` names the first
         degree n+1 coordinate where ``D_n x`` is not a relation."""
         cx = self.cx
+        y, bad = cx.groups[n + 1].solve_relations(
+            {r: -a for r, a in cx.diffs[n].apply(x).items()})
+        if bad is not None:
+            raise HomotopyIdentityError(
+                f"cocycle condition fails at degree {n}: "
+                f"target {cx.coordinate_name(n + 1, bad)}")
         v = dict(x)
         y0 = cx.groups[n].total_gens
-        group = cx.groups[n + 1]
-        rel_offsets = group.injective_rel_offsets
-        for t, entries in sorted(group.by_factor(
-                cx.diffs[n].apply(x)).items()):
-            f = group.factors[t].injective
-            rhs = [0] * f.generators
-            for c, a in entries:
-                rhs[c] = -a
-            y = f.solver.solve(rhs) if f.relations.cols else None
-            if y is None:
-                raise HomotopyIdentityError(
-                    f"cocycle condition fails at degree {n}: "
-                    f"target {cx.coordinate_name(n + 1, t)}")
-            base = y0 + rel_offsets[t]
-            for k, a in enumerate(y):
-                if a:
-                    v[base + k] = a
+        for r, a in y.items():
+            v[y0 + r] = a
         for i, j, p, col, coeffs in self.log[n]:
             a = v.pop(i, 0)
             if a:
@@ -245,12 +238,9 @@ def _dense(cols: Columns, col_ids: list[int], row_ids: list[int]
 def _cone(cx: CochainComplex) -> list[Columns]:
     """∂_{-1}, ..., ∂_{N-1} of the free cone, as sparse columns."""
     top = cx.max_degree
-    inj = [tuple(f.injective for f in g.factors) for g in cx.groups]
-    gens = [g.gen_offsets for g in cx.groups]
-    rels = [g.injective_rel_offsets for g in cx.groups]
     # T^n for n = -1..N: x part at 0, y part (relations of degree n+1) after it
-    x_size = [0] + [g[-1] for g in gens]
-    y_size = [r[-1] for r in rels] + [0]
+    x_size = [0] + [g.total_gens for g in cx.groups]
+    y_size = [g.injective_rel_offsets[-1] for g in cx.groups] + [0]
     diffs: list[Columns] = []
     for n in range(-1, top):
         diffs.append({j: {} for j in range(x_size[n + 1] + y_size[n + 1])})
@@ -262,10 +252,10 @@ def _cone(cx: CochainComplex) -> list[Columns]:
             for j, col in cx.diffs[n].columns.items():            # D_n x
                 cols[j].update(col)
         if 0 <= n < top - 1:
-            for (t, s), x in cx.dd_witness[n].items():            # -S_n x
-                _put(cols, gens[n][s], below + rels[n + 2][t], x, -1)
-        for s, f in enumerate(inj[n + 1]):                        # R_{n+1} y
-            _put(cols, y0 + rels[n + 1][s], gens[n + 1][s], f.relations, 1)
+            for j, col in cx.dd_witness[n].items():               # -S_n x
+                _shift(cols[j], below, col)
+        for _, j, col in cx.groups[n + 1].relation_columns():     # R_{n+1} y
+            cols[y0 + j].update(col)
         if n < top - 1:
             witness, bad = cx.diffs[n + 1].to_witness()           # -Q_{n+1} y
             if bad is not None:
@@ -273,20 +263,15 @@ def _cone(cx: CochainComplex) -> list[Columns]:
                     f"differential from degree {n + 1} does not preserve "
                     f"relations: target {cx.coordinate_name(n + 2, bad[0])}, "
                     f"source {cx.coordinate_name(n + 1, bad[1])}")
-            for (t, s), q in witness.items():
-                _put(cols, y0 + rels[n + 1][s], below + rels[n + 2][t], q, -1)
+            for j, col in witness.items():
+                _shift(cols[y0 + j], below, col)
     return diffs
 
 
-def _put(cols: Columns, col0: int, row0: int, m: IntMatrix, sign: int) -> None:
-    """Write sign * m into the columns with its corner at (row0, col0)."""
-    c, e = m.cols, m.entries
-    for i in range(m.rows):
-        base = i * c
-        for j in range(c):
-            v = e[base + j]
-            if v:
-                cols[col0 + j][row0 + i] = sign * v
+def _shift(col: dict[int, int], row0: int, entries: dict[int, int]) -> None:
+    """Write the negated ``entries`` into ``col``, moved down by ``row0``."""
+    for r, v in entries.items():
+        col[row0 + r] = -v
 
 
 def _check_square_zero(diffs: list[Columns]) -> None:

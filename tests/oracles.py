@@ -8,16 +8,20 @@ lattice membership is a row-style basis kept in the style of hand-rolled
 lattice code, group structure is recovered from element order statistics,
 and the bar complex is written directly from tuples.  ``nerve_cohomology``
 computes constant-coefficient cohomology from the simplicial face maps of
-the nerve, independently of the coefficient complex.  The exceptions are
-``dense_cohomology_map``, the induced map on cohomology through the dense
-subquotients of the full differentials, which is the reference the
-reduced-cone ``cohomology_map`` is compared against, and the blockwise
-forms of the column-native ``BlockHom``: ``block_hom`` builds one from
-blocks (refusing a key outside the factor counts or a block of the wrong
-shape), ``blockwise_signed_sum`` and ``blockwise_first_nonzero`` are the
-per-block ``IntMatrix`` forms of ``BlockHom.signed_sum`` and the zero check,
-and ``blockwise_differentials`` and ``blockwise_insertion_blocks`` assemble
-differentials and insertion sums with one ``IntMatrix`` per term.  The
+the nerve, whose cells ``nerve_cells`` enumerates on its own, independently
+of the coefficient complex and of ``fincat.enumerate_sequences``.  The
+exceptions are ``dense_cohomology_map``, the induced map on cohomology
+through the dense subquotients of the full differentials, which is the
+reference the reduced-cone ``cohomology_map`` is compared against, and the
+blockwise forms of the column-native ``BlockHom``: ``block_hom`` builds one
+from blocks (refusing a key outside the factor counts or a block of the
+wrong shape), ``blockwise_signed_sum`` and ``blockwise_first_nonzero`` are
+the per-block ``IntMatrix`` forms of ``BlockHom.signed_sum`` and the zero
+check, ``blocks_to_columns`` places blockwise witnesses as the columns the
+library returns, ``assert_q_witness`` checks ``BlockHom.to_witness``
+against dense products, and ``blockwise_differentials`` and
+``blockwise_insertion_blocks`` assemble differentials and insertion sums
+with one ``IntMatrix`` per term.  The
 natural-system oracles work on the library's own types:
 ``validate_full_table`` composes the whole action table over every
 composable pair of the factorization category, the definition that
@@ -34,6 +38,7 @@ instance.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
 from bwcoh.abgroup import (
@@ -51,7 +56,6 @@ from bwcoh.natsys import (
     AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
     act_by_two_morphism, constant_system, pullback_along_nat,
 )
-from bwcoh.nerve import Simplex, nerve_cells
 from bwcoh.randgen import InstanceGen
 
 
@@ -396,6 +400,63 @@ def blockwise_first_nonzero(hom: BlockHom, solutions=None):
     return None
 
 
+def blocks_to_columns(blocks, row_offsets, col_offsets) -> dict:
+    """The nonzero entries of ``blocks[(t, s)]`` as global sparse columns
+    ``{col: {row: value}}``, block (t, s) placed at ``row_offsets[t]``,
+    ``col_offsets[s]``: the form of the witnesses ``BlockHom`` returns
+    (``first_nonzero_coordinate``'s solutions, ``to_witness``)."""
+    cols: dict[int, dict[int, int]] = {}
+    for (t, s), m in blocks.items():
+        for k, v in enumerate(m.entries):
+            if v:
+                i, j = divmod(k, m.cols)
+                cols.setdefault(col_offsets[s] + j, {})[row_offsets[t] + i] = v
+    return cols
+
+
+def relation_matrix(pg) -> IntMatrix:
+    """The independent relations (``PresentedGroup.injective``) of every
+    factor of ``pg``, placed block-diagonally."""
+    rels = [f.injective.relations for f in pg.factors]
+    rows, cols = pg.total_gens, sum(m.cols for m in rels)
+    out = [0] * (rows * cols)
+    r0 = c0 = 0
+    for m in rels:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[(r0 + i) * cols + c0 + j] = m.at(i, j)
+        r0, c0 = r0 + m.rows, c0 + m.cols
+    return IntMatrix(rows, cols, tuple(out))
+
+
+def assert_q_witness(hom: BlockHom):
+    """``BlockHom.to_witness`` against the blocks: the failure it names is
+    the least (t, s) whose ``M R_s`` is not in the lattice of ``R_t``, and
+    without one ``M R_src == R_dst Q`` holds exactly, column by column.
+    Returns the failure."""
+    witness, bad = hom.to_witness()
+    ref = None
+    for (t, s), m in sorted(hom.blocks.items()):
+        rs = hom.src.factors[s].injective.relations
+        if rs.cols and hom.dst.factors[t].injective.solver.solve_matrix(
+                m @ rs) is None:
+            ref = (t, s)
+            break
+    assert bad == ref
+    if bad is None:
+        r_src, r_dst = relation_matrix(hom.src), relation_matrix(hom.dst)
+        q = [0] * (r_dst.cols * r_src.cols)
+        for j, col in witness.items():
+            for i, v in col.items():
+                assert v
+                q[i * r_src.cols + j] = v
+        lhs = hom.to_matrix() @ r_src
+        rhs = r_dst @ IntMatrix(r_dst.cols, r_src.cols, tuple(q))
+        for j in range(r_src.cols):
+            assert lhs.column(j) == rhs.column(j), j
+    return bad
+
+
 def blockwise_signed_sum(terms) -> BlockHom:
     """``BlockHom.signed_sum`` accumulated block by block: every product
     ``left[t, m] @ right[m, s]`` and every plain block is its own
@@ -565,6 +626,29 @@ def bar_cohomology(k: int, coeff: PresentedGroup, degrees: int
 
 # ---------------------------------------------------------------------------
 # simplicial cochain complex of the nerve, constant coefficients
+
+@dataclass(frozen=True)
+class Simplex:
+    """An n-simplex of the nerve: the forward chain
+    X_0 --g1--> X_1 --g2--> ... --gn--> X_n, read in the opposite order
+    from the sequences of ``fincat.enumerate_sequences``."""
+    arrows: tuple[int, ...]    # g1..gn, forward composable
+    vertices: tuple[int, ...]  # X_0..X_n
+
+
+def nerve_cells(c: FiniteCategory, n: int) -> tuple[Simplex, ...]:
+    """All n-simplices of the nerve, degenerate ones included,
+    lexicographic in arrow ids."""
+    if n == 0:
+        return tuple(Simplex((), (x,)) for x in range(c.n_objects))
+    cells = [Simplex((g,), (c.mor_source[g], c.mor_target[g]))
+             for g in range(c.n_morphisms)]
+    for _ in range(n - 1):
+        cells = [Simplex(s.arrows + (g,), s.vertices + (c.mor_target[g],))
+                 for s in cells for g in range(c.n_morphisms)
+                 if c.mor_source[g] == s.vertices[-1]]
+    return tuple(cells)
+
 
 def face(c: FiniteCategory, s: Simplex, i: int) -> Simplex:
     """The i-th face: drop vertex i, composing through it when interior."""

@@ -31,8 +31,8 @@ from bwcoh.natsys import AbNat, constant_system
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import HEADER, category_text, load_workspace
 from oracles import (
-    bar_cohomology, dense_cohomology_map, identity_morphism, kernel_cokernel,
-    with_block,
+    assert_q_witness, bar_cohomology, dense_cohomology_map, identity_morphism,
+    kernel_cokernel, with_block,
 )
 
 WORKSPACES = Path(__file__).resolve().parent.parent / "workspaces"
@@ -99,9 +99,9 @@ def twisted_z8(k):
 def test_twisted_system_needs_dd_witness(k, max_degree):
     d = twisted_z8(k)
     cx = build_complex(d, max_degree)
-    assert any(any(x.entries) for w in cx.dd_witness for x in w.values())
+    assert any(cx.dd_witness)
     norm = assert_matches_dense(d, max_degree)
-    assert any(any(x.entries) for w in norm.dd_witness for x in w.values())
+    assert any(norm.dd_witness)
 
 
 # the dense oracle on Z/4 at max-degree 4 takes seconds, so Z/4 stops at 3
@@ -174,6 +174,53 @@ def test_differential_not_preserving_relations_is_caught():
                        match=r"from degree 1 does not preserve relations: "
                              r"target \(g0,g0\), source \(g0\)"):
         cx.cohomology(0)
+
+
+def test_least_block_not_preserving_relations_is_named():
+    # two blocks of the differential from degree 1 break relations; the
+    # error names the least (target, source) in key order, (1, 1), not
+    # (2, 0), whose source column comes first
+    cx = build_complex(
+        constant_system(cyclic_group_category(2), from_invariants(1, (2,))), 3)
+    breaks = IntMatrix.from_rows([[0, 1], [0, 0]])
+    cx.diffs[1] = with_block(with_block(cx.diffs[1], (2, 0), breaks),
+                             (1, 1), breaks)
+    with pytest.raises(HomotopyIdentityError,
+                       match=r"from degree 1 does not preserve relations: "
+                             r"target \(g0,g1\), source \(g1\)"):
+        cx.cohomology(0)
+
+
+# the cone's Q_n, with D_n R_n = R_{n+1} Q_n, against dense products
+
+@pytest.mark.parametrize("seed", range(24))
+def test_q_witness_on_random_systems(seed):
+    gen = InstanceGen(seed)
+    c = gen.category(6)
+    cx = build_complex(gen.system(c), 3 + seed % 2)
+    for diff in cx.diffs:
+        assert assert_q_witness(diff) is None
+
+
+@pytest.mark.parametrize("kind", ["torsion", "sign", "twisted", "z2", "z2+z"])
+def test_q_witness_on_torsion_twisted_and_non_injective(kind):
+    z2 = cyclic_group_category(2)
+    d = {
+        "torsion": lambda: constant_system(cyclic_group_category(3),
+                                           cyclic(6)),
+        # the sign module of the cyclic workspace, on Z/4 instead of Z
+        "sign": lambda: load_workspace(
+            (WORKSPACES / "cyclic.bwcoh").read_text().replace(
+                "value s s: Z\n", "value s s: Z/4\n")).systems["z2_sign"],
+        "twisted": lambda: twisted_z8(2),
+        "z2": lambda: constant_system(z2, NON_INJECTIVE[0]),
+        "z2+z": lambda: constant_system(z2, NON_INJECTIVE[1]),
+    }[kind]()
+    for normalized in (False, True):
+        cx = build_complex(d, 4, normalized=normalized)
+        for diff in cx.diffs:
+            assert assert_q_witness(diff) is None
+        assert any(diff.to_witness()[0] for diff in cx.diffs)
 
 
 @pytest.mark.parametrize("seed", range(20))

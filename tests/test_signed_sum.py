@@ -4,8 +4,12 @@ The sum runs over the stored sparse columns in global generator coordinates
 and keeps only the entries it leaves nonzero; ``oracles.blockwise_signed_sum``,
 the per-block ``IntMatrix`` products, is the reference.  The two must agree
 block for block, and so must the zero check built on them:
-``first_nonzero_coordinate`` and its solutions against
-``oracles.blockwise_first_nonzero``.
+``first_nonzero_coordinate`` against ``oracles.blockwise_first_nonzero``,
+and, when the check passes, its solution columns against the blockwise
+solutions placed by ``oracles.blocks_to_columns``.  On a failure only the
+failing coordinate is compared: the check raises there, so no solution is
+read.  ``BlockHom.to_witness``, the cone's ``Q`` with ``M R_src = R_dst Q``,
+is checked by ``oracles.assert_q_witness`` on random homs.
 """
 
 import random
@@ -18,7 +22,8 @@ from bwcoh.fincat import ShapeMismatch
 from bwcoh.intmat import IntMatrix
 from bwcoh.randgen import InstanceGen
 from oracles import (
-    block_hom, blockwise_first_nonzero, blockwise_signed_sum,
+    assert_q_witness, block_hom, blocks_to_columns, blockwise_first_nonzero,
+    blockwise_signed_sum,
 )
 
 TRIVIAL = from_invariants(0)               # zero generators: 1x0, 0x0 blocks
@@ -72,8 +77,16 @@ def assert_agree(terms):
     sol_ref, sol_new = {}, {}
     bad = new.first_nonzero_coordinate(sol_new)
     assert bad == blockwise_first_nonzero(ref, sol_ref)
-    assert sol_new == sol_ref
+    if bad is None:
+        assert sol_new == witness_columns(new, sol_ref)
     return new, bad
+
+
+def witness_columns(hom, solutions):
+    """Blockwise solutions X of ``hom`` = R X as the columns
+    ``first_nonzero_coordinate`` fills."""
+    return blocks_to_columns(solutions, hom.dst.injective_rel_offsets,
+                             hom.src.gen_offsets)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -109,8 +122,42 @@ def test_dd_check_matches_blockwise_on_random_systems(seed):
         new, bad = assert_agree(terms)
         assert bad is None
         witness = {}
-        blockwise_first_nonzero(blockwise_signed_sum(terms), witness)
-        assert cx.dd_witness[n] == witness
+        ref = blockwise_signed_sum(terms)
+        blockwise_first_nonzero(ref, witness)
+        assert cx.dd_witness[n] == witness_columns(ref, witness)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_q_witness_matches_blocks_on_random_homs(seed):
+    # torsion, free and non-injective factors on both sides; a hom that
+    # breaks relations is named at the same block as the blockwise check
+    rng = random.Random(3000 + seed)
+    src, dst = random_product(rng, FACTORS), random_product(rng, FACTORS)
+    assert_q_witness(random_hom(rng, src, dst))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_q_witness_into_torsion_targets(seed):
+    # entries that are multiples of 6 map every relation into the
+    # relations of each torsion target, so Q exists
+    rng = random.Random(4000 + seed)
+    src, dst = random_product(rng, FACTORS), random_product(rng, TORSION)
+    assert assert_q_witness(random_hom(rng, src, dst, scale=6)) is None
+
+
+def test_least_failing_block_is_named():
+    # (2, 0) and (1, 1) send a Z/2 generator to a free one: no relation
+    # there, and a relation sent to 2, which is none.  Column order meets
+    # (2, 0) first; both checks name (1, 1), the least key.  (0, 0) lands
+    # in the relations of Z/2, and (0, 2) has a free source.
+    src = ProductGroup((cyclic(2), Z2_TWICE, Z))
+    dst = ProductGroup((cyclic(2), Z, Z))
+    one, two = IntMatrix(1, 1, (1,)), IntMatrix(1, 1, (2,))
+    hom = block_hom(src, dst, {(0, 0): two, (2, 0): one, (1, 1): one,
+                               (0, 2): two})
+    assert hom.first_nonzero_coordinate() == (1, 1)
+    assert blockwise_first_nonzero(hom) == (1, 1)
+    assert assert_q_witness(hom) == (1, 1)
 
 
 def test_shape_mismatches_are_refused_alike():
