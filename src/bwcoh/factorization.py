@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .fincat import (
-    FiniteCategory, Functor, NaturalTransformation, ProductCategory,
-    ShapeMismatch, make_category, opposite, product, vertical_compose,
+    CONSTRUCTOR_CACHE, FiniteCategory, Functor, NaturalTransformation,
+    ProductCategory, ShapeMismatch, make_category, opposite, product,
+    vertical_compose,
 )
 
 
@@ -59,22 +60,20 @@ class FactorizationCategory:
         return self.pair_index[src, dst, h, k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def build_factorization(c: FiniteCategory) -> FactorizationCategory:
     n = c.n_morphisms
     table = c.table
     into: list[list[int]] = [[] for _ in range(c.n_objects)]
-    out_of: list[list[int]] = [[] for _ in range(c.n_objects)]
     for m in range(n):
         into[c.mor_target[m]].append(m)
-        out_of[c.mor_source[m]].append(m)
-    # (f, k∘f∘h, h, k) for h into the source of f and k out of its target
+    # (f, k∘f∘h, h, k) for h into the source of f and k out of its target;
+    # the row of f∘h holds exactly those k
     keys = []
     for f in range(n):
-        after = out_of[c.mor_target[f]]
         for h in into[c.mor_source[f]]:
-            row = table[table[h][f]]
-            keys.extend((f, row[k], h, k) for k in after)
+            keys.extend((f, kfh, h, k)
+                        for k, kfh in table[table[h][f]].items())
     keys.sort()
     index = {p: i for i, p in enumerate(keys)}
 

@@ -1,8 +1,10 @@
 """Finite categories, functors, natural transformations, morphism sequences.
 
-Objects and morphisms are dense integer ids; every table is total.  The
-composition table is stored as ``table[f][g] = g∘f`` ("first f, then g",
-the juxtaposition ``gf``), with ``-1`` marking non-composable pairs.
+Objects and morphisms are dense integer ids.  The composition table
+holds the composable pairs only: row ``table[f]`` maps each morphism g with
+``source(g) == target(f)`` to ``g∘f`` ("first f, then g", the juxtaposition
+``gf``), in ascending g, and has no entry for any other g.  So a category
+costs memory in its composable pairs, not in the square of its morphisms.
 Composable sequences follow the pattern
 
     . <-s1- . <-s2- ... <-sn- .
@@ -24,7 +26,7 @@ Each memo keeps at most ``CONSTRUCTOR_CACHE`` results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 # results each memoized constructor keeps; the law suite's instances are
 # drawn from a few dozen distinct categories
@@ -63,9 +65,20 @@ class FiniteCategory:
     mor_source: tuple[int, ...]
     mor_target: tuple[int, ...]
     identity: tuple[int, ...]            # object -> morphism id
-    table: tuple[tuple[int, ...], ...]   # table[f][g] = g∘f, -1 if undefined
+    table: tuple[dict[int, int], ...]    # table[f][g] = g∘f, composable g only
     object_names: tuple[str, ...] | None = None
     morphism_names: tuple[str, ...] | None = None
+
+    @cached_property
+    def _content_hash(self) -> int:
+        # integers only, so the value does not depend on the string hash
+        # seed; each row is hashed as a set, as dict equality ignores order
+        return hash((self.n_objects, self.mor_source, self.mor_target,
+                     self.identity,
+                     tuple(hash(frozenset(row.items())) for row in self.table)))
+
+    def __hash__(self):
+        return self._content_hash
 
     @property
     def n_morphisms(self) -> int:
@@ -76,9 +89,8 @@ class FiniteCategory:
 
     def is_invertible(self, f: int) -> bool:
         x, y = self.mor_source[f], self.mor_target[f]
-        for g in range(self.n_morphisms):
-            if self.mor_source[g] == y and self.mor_target[g] == x \
-                    and self.table[f][g] == self.identity[x] \
+        for g, gf in self.table[f].items():
+            if self.mor_target[g] == x and gf == self.identity[x] \
                     and self.table[g][f] == self.identity[y]:
                 return True
         return False
@@ -104,18 +116,18 @@ def make_category(n_objects: int,
                   object_names=None, morphism_names=None) -> FiniteCategory:
     """Assemble a category from (source, target) pairs and a pair->composite map.
 
-    ``compose_pairs[(f, g)] = g∘f`` must cover exactly the composable pairs.
+    ``compose_pairs[(f, g)] = g∘f`` must cover exactly the composable pairs;
+    ``validate_category`` reports any pair missing or not composable.
     """
-    n = len(mor)
-    table = [[-1] * n for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in mor]
     for (f, g), h in compose_pairs.items():
-        table[f][g] = h
+        rows[f][g] = h
     return FiniteCategory(
         n_objects,
         tuple(s for s, _ in mor),
         tuple(t for _, t in mor),
         tuple(identity),
-        tuple(tuple(row) for row in table),
+        tuple(dict(sorted(row.items())) for row in rows),
         tuple(object_names) if object_names else None,
         tuple(morphism_names) if morphism_names else None,
     )
@@ -124,26 +136,26 @@ def make_category(n_objects: int,
 def validate_category(c: FiniteCategory) -> Report:
     rep = Report("category")
     n = c.n_morphisms
-    if len(c.mor_target) != n or len(c.identity) != c.n_objects:
+    if len(c.mor_target) != n or len(c.identity) != c.n_objects \
+            or len(c.table) != n:
         rep.violations.append("table sizes inconsistent")
         return rep
     for x in range(c.n_objects):
         e = c.identity[x]
         if not (0 <= e < n) or c.mor_source[e] != x or c.mor_target[e] != x:
             rep.violations.append(f"identity of object {x} is not an endomorphism")
-    for f in range(n):
-        row = c.table[f]
-        if len(row) != n:
-            rep.violations.append(f"table row {f} has wrong length")
-            continue
-        for g in range(n):
-            h = row[g]
-            comp = c.mor_target[f] == c.mor_source[g]
-            if comp and h < 0:
+    out_of: list[list[int]] = [[] for _ in range(c.n_objects)]
+    for g in range(n):
+        out_of[c.mor_source[g]].append(g)
+    for f, row in enumerate(c.table):
+        composable = out_of[c.mor_target[f]]
+        for g in sorted(row.keys() | composable):
+            if g not in row:
                 rep.violations.append(f"missing composite for ({f},{g})")
-            elif not comp and h >= 0:
+            elif not (0 <= g < n) or c.mor_target[f] != c.mor_source[g]:
                 rep.violations.append(f"composite defined for non-composable ({f},{g})")
-            elif comp:
+            else:
+                h = row[g]
                 if not (0 <= h < n):
                     rep.violations.append(f"composite of ({f},{g}) out of range")
                 elif c.mor_source[h] != c.mor_source[f] or \
@@ -159,15 +171,11 @@ def validate_category(c: FiniteCategory) -> Report:
             rep.violations.append(f"identity not right-neutral at morphism {f}")
         if c.table[f][lt] != f:
             rep.violations.append(f"identity not left-neutral at morphism {f}")
-    for f in range(n):
-        for g in range(n):
-            if c.mor_target[f] != c.mor_source[g]:
-                continue
-            gf = c.table[f][g]
-            for h in range(n):
-                if c.mor_target[g] != c.mor_source[h]:
-                    continue
-                if c.table[gf][h] != c.table[f][c.table[g][h]]:
+    for f, row in enumerate(c.table):
+        for g, gf in row.items():
+            after_gf = c.table[gf]
+            for h, hg in c.table[g].items():
+                if after_gf[h] != row[hg]:
                     rep.violations.append(
                         f"associativity fails on ({f},{g},{h})")
     return rep
@@ -197,13 +205,12 @@ class Functor:
         for x in range(c.n_objects):
             if self.mor_map[c.identity[x]] != d.identity[self.obj_map[x]]:
                 rep.violations.append(f"identity of object {x} not preserved")
-        for f in range(c.n_morphisms):
-            for g in range(c.n_morphisms):
-                if c.mor_target[f] == c.mor_source[g]:
-                    if self.mor_map[c.table[f][g]] != \
-                            d.table[self.mor_map[f]][self.mor_map[g]]:
-                        rep.violations.append(
-                            f"composition not preserved on ({f},{g})")
+        for f, row in enumerate(c.table):
+            after = d.table[self.mor_map[f]]
+            for g, gf in row.items():
+                if self.mor_map[gf] != after.get(self.mor_map[g]):
+                    rep.violations.append(
+                        f"composition not preserved on ({f},{g})")
         return rep
 
 
@@ -253,8 +260,8 @@ class NaturalTransformation:
         for f in range(c.n_morphisms):
             x, y = c.mor_source[f], c.mor_target[f]
             # psi(f) ∘ a_X == a_Y ∘ phi(f)
-            left = d.table[self.components[x]][psi.mor_map[f]]
-            right = d.table[phi.mor_map[f]][self.components[y]]
+            left = d.table[self.components[x]].get(psi.mor_map[f])
+            right = d.table[phi.mor_map[f]].get(self.components[y])
             if left != right:
                 rep.violations.append(f"naturality square fails at morphism {f}")
         return rep
@@ -367,17 +374,15 @@ def sequence_index(basis: tuple[MSeq, ...]) -> dict:
 
 @lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def opposite(c: FiniteCategory) -> FiniteCategory:
-    n = c.n_morphisms
-    table = [[-1] * n for _ in range(n)]
-    for f in range(n):
-        for g in range(n):
-            # compose_op(f, g) is defined iff source(f) == target(g) in c,
-            # and equals the c-composite f∘g.
-            if c.mor_source[f] == c.mor_target[g]:
-                table[f][g] = c.table[g][f]
+    into: list[list[int]] = [[] for _ in range(c.n_objects)]
+    for g in range(c.n_morphisms):
+        into[c.mor_target[g]].append(g)
+    # compose_op(f, g) is defined iff source(f) == target(g) in c, and
+    # equals the c-composite f∘g
     return FiniteCategory(
         c.n_objects, c.mor_target, c.mor_source, c.identity,
-        tuple(tuple(row) for row in table),
+        tuple({g: c.table[g][f] for g in into[c.mor_source[f]]}
+              for f in range(c.n_morphisms)),
         c.object_names, c.morphism_names,
     )
 
@@ -403,7 +408,7 @@ class ProductCategory:
 
 @lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def product(c: FiniteCategory, d: FiniteCategory) -> ProductCategory:
-    nm = c.n_morphisms * d.n_morphisms
+    nd = d.n_morphisms
     src = []
     tgt = []
     for f in range(c.n_morphisms):
@@ -414,21 +419,15 @@ def product(c: FiniteCategory, d: FiniteCategory) -> ProductCategory:
     for x in range(c.n_objects):
         for y in range(d.n_objects):
             ident.append(c.identity[x] * d.n_morphisms + d.identity[y])
-    table = [[-1] * nm for _ in range(nm)]
-    for f1 in range(c.n_morphisms):
-        for g1 in range(d.n_morphisms):
-            m1 = f1 * d.n_morphisms + g1
-            for f2 in range(c.n_morphisms):
-                if c.mor_target[f1] != c.mor_source[f2]:
-                    continue
-                cf = c.table[f1][f2]
-                for g2 in range(d.n_morphisms):
-                    if d.mor_target[g1] == d.mor_source[g2]:
-                        table[m1][f2 * d.n_morphisms + g2] = \
-                            cf * d.n_morphisms + d.table[g1][g2]
+    # (f1, g1) then (f2, g2) composes iff both factors do; ascending rows
+    # of the factors give ascending rows here
+    table = tuple(
+        {f2 * nd + g2: cf * nd + dg
+         for f2, cf in c.table[f1].items() for g2, dg in d.table[g1].items()}
+        for f1 in range(c.n_morphisms) for g1 in range(nd))
     cat = FiniteCategory(
         c.n_objects * d.n_objects, tuple(src), tuple(tgt), tuple(ident),
-        tuple(tuple(row) for row in table),
+        table,
     )
     return ProductCategory(c, d, cat)
 

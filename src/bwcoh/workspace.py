@@ -731,11 +731,9 @@ def category_text(name: str, c: FiniteCategory) -> str:
     for x in range(c.n_objects):
         out.append(f"  identity {c.object_name(x)}: "
                    f"{c.morphism_name(c.identity[x])}")
-    for f in range(c.n_morphisms):
-        for g in range(c.n_morphisms):
-            h = c.table[f][g]
-            if h >= 0:
-                out.append(f"  compose {c.morphism_name(f)} "
-                           f"{c.morphism_name(g)} = {c.morphism_name(h)}")
+    for f, row in enumerate(c.table):
+        for g, h in row.items():
+            out.append(f"  compose {c.morphism_name(f)} "
+                       f"{c.morphism_name(g)} = {c.morphism_name(h)}")
     out.append("end")
     return "\n".join(out) + "\n"

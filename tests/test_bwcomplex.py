@@ -523,11 +523,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _separate_copy(c):
     """A category equal to ``c``, built separately through make_category."""
-    n = c.n_morphisms
     copy = make_category(
         c.n_objects, list(zip(c.mor_source, c.mor_target)), list(c.identity),
-        {(f, g): c.table[f][g] for f in range(n) for g in range(n)
-         if c.table[f][g] >= 0},
+        {(f, g): h for f, row in enumerate(c.table) for g, h in row.items()},
         c.object_names, c.morphism_names)
     assert copy == c and copy is not c
     return copy

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -191,6 +193,35 @@ def test_hom_system_builds_the_op_pair_product_once():
     assert fincat.product.cache_info().misses == 1
     assert fincat.opposite.cache_info().misses == 1
     assert op_pair_product(c) is op_pair_product(total_order_category(7))
+
+
+def _traced_peak_mb(build, c) -> float:
+    tracemalloc.start()
+    try:
+        build(c)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_composition_tables_cost_their_composable_pairs():
+    # a dense n x n table made F(C) of the 16-object order (3,876
+    # morphisms, 54,264 composable pairs) peak near 250 MB, and C^op x C
+    # of the 7-object order (784 morphisms, 7,056 pairs) near 10 MB
+    for memo in (build_factorization, fincat.opposite, fincat.product):
+        memo.cache_clear()
+    c = total_order_category(16)
+    assert _traced_peak_mb(build_factorization, c) < 20
+    fc = build_factorization(c).category
+    assert (fc.n_morphisms, sum(map(len, fc.table))) == (3876, 54264)
+    c = total_order_category(7)
+    assert _traced_peak_mb(op_pair_product, c) < 2
+    prod = op_pair_product(c).category
+    assert (prod.n_morphisms, sum(map(len, prod.table))) == (784, 7056)
+
+
+def test_factorization_memo_is_bounded():
+    assert build_factorization.cache_info().maxsize == fincat.CONSTRUCTOR_CACHE
 
 
 def test_pair_ids_allocate_no_pair(monkeypatch):

@@ -25,7 +25,8 @@ def test_compose_identity_law():
     c = arrow_category()   # morphisms id_x=0, id_y=1, f=2
     assert c.table[0][2] == 2         # f ∘ id_x = f
     assert c.table[2][1] == 2         # id_y ∘ f = f
-    assert c.table[1][2] == -1        # f after id_y does not compose
+    assert 2 not in c.table[1]        # f after id_y does not compose
+    assert c.table[1] == {1: 1}       # the row of id_y: composable pairs only
 
 
 def test_z2_monoid_table():
@@ -56,6 +57,30 @@ def test_validation_catches_planted_violations():
     bad_op = [[0, 1, 2], [1, 2, 0], [2, 1, 1]]
     bad = monoid_category(bad_op, 0)
     assert not validate_category(bad).ok
+
+
+def test_non_composable_pairs_are_reported():
+    # id_y then f does not compose; neither does a pair naming no morphism
+    for extra, g in (((1, 2), 2), ((1, 7), 7)):
+        broken = make_category(2, [(0, 0), (1, 1), (0, 1)], [0, 1],
+                               {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2,
+                                extra: 2})
+        assert validate_category(broken).violations == [
+            f"composite defined for non-composable (1,{g})"]
+
+
+def test_rows_ascend_and_equal_categories_share_memo_entries():
+    c = total_order_category(4)
+    pairs = [((f, g), h) for f, row in enumerate(c.table)
+             for g, h in row.items()]
+    copy = make_category(c.n_objects, list(zip(c.mor_source, c.mor_target)),
+                         list(c.identity), dict(reversed(pairs)))
+    assert all(list(row) == sorted(row) for row in copy.table)
+    assert all(c.mor_target[f] == c.mor_source[g]
+               for f, row in enumerate(copy.table) for g in row)
+    assert copy == c and copy is not c and hash(copy) == hash(c)
+    assert opposite(copy) is opposite(c)
+    assert product(copy, copy) is product(c, c)
 
 
 def test_functor_validator_catches_mutations():

@@ -197,6 +197,24 @@ def test_incomplete_composition_table_exits_2_on_every_command(tmp_path):
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_non_composable_compose_line_exits_2(tmp_path):
+    # id_y then f does not compose; the table has no place for the pair
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    assert "  compose id_y id_y = id_y\n" in text
+    mutated = tmp_path / "arrow.bwcoh"
+    mutated.write_text(text.replace("  compose id_y id_y = id_y\n",
+                                    "  compose id_y id_y = id_y\n"
+                                    "  compose id_y f = f\n", 1),
+                       encoding="utf-8")
+    for argv in (("validate", str(mutated)),
+                 ("cohomology", str(mutated), "arrow", "const_z")):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert "category arrow: 1 violation(s)" in out
+        assert "composite defined for non-composable (1,2)" in out
+        assert "Traceback" not in err
+
+
 def test_localization_check_validates_the_system(tmp_path):
     # the right actions of g1 multiply by 2 but D(g1,g1)∘D(g1,g1) must be 1;
     # localization-check used to run the certificates on it and fail d∘d = 0
