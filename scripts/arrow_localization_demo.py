@@ -15,7 +15,7 @@ from bwcoh.fincat import (
 from bwcoh.intmat import IntMatrix
 from bwcoh.localization import (
     Localization, NotLocal, local_characterization,
-    verify_localization_theorem,
+    verify_transport_theorem,
 )
 from bwcoh.natsys import AbFunctor, NaturalSystem, constant_system
 
@@ -56,7 +56,7 @@ def main():
         print(f"pointwise local: {ch.pointwise_local}; "
               f"canonical comparison invertible: {ch.canonical_map_iso}")
         try:
-            report = verify_localization_theorem(d, loc, 3)
+            report = verify_transport_theorem(d, loc, 3)
         except NotLocal as exc:
             print(f"skipped transport: {exc}")
             print()

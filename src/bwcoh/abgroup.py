@@ -14,7 +14,7 @@ point or modular shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .intmat import IntMatrix, LatticeSolver, smith_normal_form
@@ -227,10 +227,8 @@ class Subquotient:
     ambient: PresentedGroup
     basis: IntMatrix       # ambient.generators x k
     group: PresentedGroup  # Z^k / W
-
-    @cached_property
-    def basis_solver(self) -> LatticeSolver:
-        return LatticeSolver(self.basis)
+    # the Hermite form of ``basis``, built once to find W and kept for express
+    basis_solver: LatticeSolver = field(compare=False, repr=False)
 
     def express(self, vectors: IntMatrix) -> IntMatrix:
         """Coordinates of ambient vectors (known to lie in K) in the basis."""
@@ -248,7 +246,8 @@ def subquotient(d_in: GroupHom, d_out: GroupHom) -> Subquotient:
     mid = d_in.target
     k_basis = preimage_lattice_basis(d_out.matrix, d_out.target.relations)
     boundaries = d_in.matrix.hstack(mid.relations)
-    w = LatticeSolver(k_basis).solve_matrix(boundaries)
+    solver = LatticeSolver(k_basis)
+    w = solver.solve_matrix(boundaries)
     if w is None:
         raise IllDefinedHom("boundaries escape the kernel lattice")
-    return Subquotient(mid, k_basis, PresentedGroup(k_basis.cols, w))
+    return Subquotient(mid, k_basis, PresentedGroup(k_basis.cols, w), solver)

@@ -120,7 +120,7 @@ from .fincat import (
     FiniteCategory, Functor, MSeq, ShapeMismatch, compose_functors,
     enumerate_sequences, identity_nat, sequence_index, vertical_compose,
 )
-from .intmat import IntMatrix, LatticeSolver
+from .intmat import IntMatrix, LatticeSolver, divisibility_chain
 from .natsys import (
     NatFTwoMorphism, NatSysMorphism, NaturalSystem, horizontal_compose_two,
     identity_two_morphism, vertical_compose_two,
@@ -188,6 +188,16 @@ class ProductGroup:
     @cached_property
     def group(self) -> PresentedGroup:
         return direct_product(list(self.factors))
+
+    @cached_property
+    def invariants(self) -> GroupInvariants:
+        """``group.invariants`` from the factors' own, without reducing the
+        block-diagonal relations: free ranks add, and the torsion
+        coefficients merge into one divisibility chain."""
+        invs = [f.invariants for f in self.factors]
+        chain = divisibility_chain([d for i in invs for d in i.torsion])
+        return GroupInvariants(sum(i.free_rank for i in invs),
+                               tuple(d for d in chain if d > 1))
 
     def relation_columns(self) -> Iterator[tuple[int, int, dict[int, int]]]:
         """Every independent relation (``PresentedGroup.injective``) as

@@ -12,7 +12,7 @@ Conventions fixed here and relied on everywhere else:
   diagonalized by row and column operations around pivots of minimal
   absolute value, which keeps intermediate entries small in practice; the
   diagonal is then put in divisibility order by replacing pairs with their
-  gcd and lcm.
+  gcd and lcm (``divisibility_chain``).
 * ``hermite_normal_form(m)`` returns ``(h, u)`` with ``h == m @ u`` and ``u``
   unimodular.  ``h`` is in column echelon form: pivots are positive, pivot
   rows strictly increase left to right, zero columns sit at the right end,
@@ -251,13 +251,20 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
         p = a[t][t]
         diag.append(abs(p))
         t += 1
-    # diag(x, y) and diag(gcd, lcm) have the same Smith form
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            x, y = diag[i], diag[j]
+    return divisibility_chain(diag)
+
+
+def divisibility_chain(ds: list[int]) -> list[int]:
+    """``ds``, positive integers, rearranged in place into the Smith form of
+    ``diag(ds)``, each dividing the next, and returned.
+
+    diag(x, y) and diag(gcd, lcm) have the same Smith form."""
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            x, y = ds[i], ds[j]
             g = gcd(x, y)
-            diag[i], diag[j] = g, x // g * y
-    return diag
+            ds[i], ds[j] = g, x // g * y
+    return ds
 
 
 def _hnf_core(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:

@@ -51,7 +51,7 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free):
       counit x: f
     end
 
-    task NAME: cohomology CAT SYSTEM max-degree=3
+    task NAME: cohomology CAT SYSTEM max-degree=3   # the one option, N >= 1
     task NAME: localization-check LOC SYSTEM max-degree=3
 
 Explicit systems list actions only for the one-sided generating pairs; the
@@ -60,7 +60,8 @@ relations, and completes the full action table by composing the two sides.
 
 What is checked, and where:
 
-* on load, every cross-reference must resolve (``ParseError``), and every
+* on load, every cross-reference must resolve and every task option must
+  be ``max-degree=N`` with N >= 1 (``ParseError``), and every
   category must pass ``validate_category``, every declared action matrix
   must preserve relations, and a ``bifunctor:`` system must pass
   ``validate_bifunctor`` (all ``InvalidWorkspace``);
@@ -82,13 +83,14 @@ from dataclasses import dataclass, field
 from .abgroup import (
     GroupHom, IllDefinedHom, PresentedGroup, from_invariants, hom_compose,
 )
+from .bwcomplex import ProductGroup
 from .factorization import build_factorization, op_pair_product
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, compose_functors,
     identity_functor, make_category,
 )
 from .intmat import IntMatrix
-from .localization import Colocalization, Localization, validate_colocalization, validate_localization
+from .localization import Colocalization, Localization, validate_adjoint_pair
 from .natsys import (
     AbFunctor, BifunctorInvalid, NaturalSystem, from_bifunctor,
     validate_natural_system,
@@ -118,7 +120,7 @@ class Task:
     name: str
     command: str
     args: list[str]
-    options: dict[str, str]
+    max_degree: int | None    # the one option, max-degree=N, N >= 1
 
 
 @dataclass
@@ -150,13 +152,10 @@ class Workspace:
             r = validate_natural_system(s)
             r.subject = f"system {name}"
             reports.append(r)
-        for name, l in self.localizations.items():
-            r = validate_localization(l)
-            r.subject = f"localization {name}"
-            reports.append(r)
-        for name, l in self.colocalizations.items():
-            r = validate_colocalization(l)
-            r.subject = f"colocalization {name}"
+        for name, l in [*self.localizations.items(),
+                        *self.colocalizations.items()]:
+            r = validate_adjoint_pair(l)
+            r.subject = f"{l.kind} {name}"
             reports.append(r)
         return reports
 
@@ -189,7 +188,8 @@ def parse_group(text: str, line_no: int) -> PresentedGroup:
     return from_invariants(rank, tuple(torsion))
 
 
-def group_text(g: PresentedGroup) -> str:
+def group_text(g: PresentedGroup | ProductGroup) -> str:
+    """A group's invariants in workspace spelling, e.g. ``Z^2 + Z/2``."""
     inv = g.invariants
     parts = []
     if inv.free_rank == 1:
@@ -635,14 +635,23 @@ def _parse_task(block: _Block, ws: Workspace) -> Task:
         raise ParseError(block.line_no, "task needs a command")
     command = words[0]
     args = []
-    options = {}
+    max_degree = None
     for w in words[1:]:
-        if "=" in w:
-            k, v = w.split("=", 1)
-            options[k] = v
-        else:
+        if "=" not in w:
             args.append(w)
-    task = Task(name.strip(), command, args, options)
+            continue
+        k, v = w.split("=", 1)
+        if k != "max-degree" or max_degree is not None:
+            raise ParseError(block.line_no, f"bad task option {w!r}: a task "
+                             f"takes one option, max-degree=N")
+        try:
+            max_degree = int(v)
+        except ValueError:
+            max_degree = 0
+        if max_degree < 1:
+            raise ParseError(block.line_no, f"bad task option {w!r}: "
+                             f"max-degree must be an integer of at least 1")
+    task = Task(name.strip(), command, args, max_degree)
     # cross-reference checks
     if command == "cohomology":
         if len(args) != 2:

@@ -20,9 +20,7 @@ from bwcoh.intmat import IntMatrix, hermite_normal_form, \
     smith_normal_form, LatticeSolver
 from bwcoh.laws import run_law
 from bwcoh.localization import (
-    local_characterization, verify_colocalization_theorem,
-    verify_localization_theorem, validate_localization,
-    validate_colocalization,
+    local_characterization, validate_adjoint_pair, verify_transport_theorem,
 )
 from bwcoh.natsys import (
     AbNat, NatSysMorphism, constant_system, pullback_along_nat,
@@ -130,25 +128,27 @@ def test_nerve_oracle():
 def test_localization_theorem_bulk():
     with criterion("localization transport (arrow + 50 generated, "
                    "three certificates)"):
-        from test_localization import arrow_localization, arrow_colocalization
-        loc = arrow_localization()
-        assert verify_localization_theorem(
-            constant_system(loc.big, Z), loc, 3).ok
-        coloc = arrow_colocalization()
-        assert verify_colocalization_theorem(
-            constant_system(coloc.big, Z), coloc, 3).ok
+        from test_localization import (
+            arrow_colocalization, arrow_localization, cohomology,
+        )
+        for l in (arrow_localization(), arrow_colocalization()):
+            d = constant_system(l.big, Z)
+            assert verify_transport_theorem(d, l, 3).invariants == \
+                (inv(1), inv(0), inv(0))
         for i in range(50):
             gen = InstanceGen(6000 + i)
             l = localization(gen)
-            assert validate_localization(l).ok
+            assert validate_adjoint_pair(l).ok
             d = local_system(gen, l)
-            assert verify_localization_theorem(d, l, 2).ok
+            assert verify_transport_theorem(d, l, 2).invariants == \
+                cohomology(d, 2)
         for i in range(50):
             gen = InstanceGen(7000 + i)
             l = colocalization(gen)
-            assert validate_colocalization(l).ok
+            assert validate_adjoint_pair(l).ok
             d = colocal_system(gen, l)
-            assert verify_colocalization_theorem(d, l, 2).ok
+            assert verify_transport_theorem(d, l, 2).invariants == \
+                cohomology(d, 2)
 
 
 def test_local_characterization_equivalence():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import warnings
 from pathlib import Path
 
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bwcoh import bwcomplex
-from bwcoh.abgroup import GroupInvariants, Z, cyclic
+from bwcoh.abgroup import (
+    GroupInvariants, PresentedGroup, Z, cyclic, from_invariants,
+)
 from bwcoh.bwcomplex import (
     BlockHom, CochainMap, DegreeOutOfRange, DegreeTruncation, Homotopy1,
-    HomotopyIdentityError, build_complex, cohomology_map,
+    HomotopyIdentityError, ProductGroup, build_complex, cohomology_map,
     homotopy_class_equal, homotopy_h, homotopy_r_horizontal,
     homotopy_r_vertical, induced_map_2, induced_map_nat, is_cohomology_iso,
 )
@@ -46,6 +49,31 @@ def test_terminal_complex():
     assert cx.cohomology(0) == inv(1)
     for n in range(1, 4):
         assert cx.cohomology(n) == inv(0)
+
+
+def test_product_group_invariants_examples():
+    # coprime torsion merges, 1s are dropped, free ranks add
+    assert ProductGroup((cyclic(2), cyclic(3))).invariants == inv(0, 6)
+    assert ProductGroup((cyclic(4), Z, cyclic(6), from_invariants(2))
+                        ).invariants == inv(3, 2, 12)
+    assert ProductGroup(()).invariants == inv(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_product_group_invariants_match_the_block_diagonal(seed):
+    # the factors' invariants give what reducing the block-diagonal
+    # relations of their direct product gives
+    rng = random.Random(seed)
+    factors = []
+    for _ in range(rng.randint(1, 5)):
+        g, r = rng.randint(0, 3), rng.randint(0, 3)
+        rels = IntMatrix.from_rows(
+            [[rng.randint(-6, 6) for _ in range(r)] for _ in range(g)]
+        ) if g and r else IntMatrix.zeros(g, r)
+        factors.append(PresentedGroup(g, rels))
+    pg = ProductGroup(tuple(factors))
+    assert pg.invariants == pg.group.invariants
 
 
 def test_degree_zero_differential_on_arrow():

@@ -17,7 +17,7 @@ import pytest
 from bwcoh.abgroup import cyclic
 from bwcoh.cli import main
 from bwcoh.fincat import cyclic_group_category
-from bwcoh.localization import verify_localization_theorem
+from bwcoh.localization import verify_transport_theorem
 from bwcoh.natsys import constant_system
 from bwcoh.randgen import InstanceGen
 
@@ -43,8 +43,8 @@ def test_product_closure_report_matches_golden():
     loc = gen._product_localization(gen._chain_closure(3),
                                     cyclic_group_category(2))
     assert (loc.big.n_objects, loc.small.n_objects) == (3, 2)
-    rep = verify_localization_theorem(constant_system(loc.big, cyclic(2)),
-                                      loc, 4)
+    rep = verify_transport_theorem(constant_system(loc.big, cyclic(2)),
+                                   loc, 4)
     golden = GOLDEN / "localization_closure3_x_z2_d4.txt"
     assert ("\n".join(rep.lines()) + "\n").encode("utf-8") == \
         golden.read_bytes()

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import bwcoh.bwcomplex as bwcomplex
 import bwcoh.localization as localization_module
+from bwcoh.cli import main
 from bwcoh.abgroup import GroupHom, GroupInvariants, Z, cyclic, trivial_group
 from bwcoh.factorization import FPair, build_factorization
 from bwcoh.fincat import (
@@ -14,16 +17,18 @@ from bwcoh.fincat import (
 from bwcoh.intmat import IntMatrix
 from bwcoh.localization import (
     Colocalization, Localization, NotLocal, colocal_characterization,
-    inverted_morphisms, local_characterization, validate_colocalization,
-    validate_localization, verify_colocalization_theorem,
-    verify_localization_theorem,
+    inverted_morphisms, local_characterization, validate_adjoint_pair,
+    verify_transport_theorem,
 )
 from bwcoh.natsys import (
-    AbFunctor, NaturalSystem, constant_system, pullback_along_nat,
-    validate_natural_system,
+    AbFunctor, NaturalSystem, TwoMorphismInvalid, constant_system,
+    pullback_along_nat, validate_natural_system,
 )
 from bwcoh.randgen import InstanceGen
 from oracles import colocal_system, colocalization, local_system, localization
+
+ARROW = str(Path(__file__).resolve().parent.parent / "workspaces"
+            / "arrow.bwcoh")
 
 
 def arrow_localization():
@@ -47,8 +52,8 @@ def arrow_colocalization():
 
 
 def test_validate_arrow_examples():
-    assert validate_localization(arrow_localization()).ok
-    assert validate_colocalization(arrow_colocalization()).ok
+    assert validate_adjoint_pair(arrow_localization()).ok
+    assert validate_adjoint_pair(arrow_colocalization()).ok
 
 
 def test_identity_adjunction_both_ways():
@@ -56,8 +61,8 @@ def test_identity_adjunction_both_ways():
     one = identity_functor(c)
     loc = Localization(c, c, one, one, identity_nat(one))
     coloc = Colocalization(c, c, one, one, identity_nat(one))
-    assert validate_localization(loc).ok
-    assert validate_colocalization(coloc).ok
+    assert validate_adjoint_pair(loc).ok
+    assert validate_adjoint_pair(coloc).ok
 
 
 def test_validation_catches_broken_triangles():
@@ -68,7 +73,7 @@ def test_validation_catches_broken_triangles():
     unit = NaturalTransformation(identity_functor(c),
                                  compose_functors(psi, phi), (0, 0))
     bad = Localization(c, pt, phi, psi, unit)
-    rep = validate_localization(bad)
+    rep = validate_adjoint_pair(bad)
     assert not rep.ok
 
 
@@ -89,7 +94,7 @@ def test_unit_is_idempotent_on_components():
     for seed in range(12):
         gen = InstanceGen(seed)
         loc = localization(gen)
-        assert validate_localization(loc).ok
+        assert validate_adjoint_pair(loc).ok
         c = loc.big
         xi = compose_functors(loc.psi, loc.phi)
         for x in range(c.n_objects):
@@ -99,6 +104,13 @@ def test_unit_is_idempotent_on_components():
                 c.identity[xi.obj_map[x]]
             assert xi.mor_map[loc.unit.components[x]] == \
                 c.identity[xi.obj_map[x]]
+
+
+def cohomology(d, max_degree):
+    """H^0..H^(max_degree-1) of d, from the normalized complex, which the
+    transport check does not build."""
+    cx = bwcomplex.build_complex(d, max_degree, normalized=True)
+    return tuple(cx.cohomology(n) for n in range(max_degree))
 
 
 def zzero_system(c):
@@ -135,21 +147,18 @@ def test_local_characterization_routes_agree():
 
 def test_arrow_localization_theorem_constant_z():
     loc = arrow_localization()
-    rep = verify_localization_theorem(constant_system(loc.big, Z), loc, 3)
-    assert rep.ok
-    assert [v.big_side for v in rep.degrees] == \
-        [GroupInvariants(1, ()), GroupInvariants(0, ()), GroupInvariants(0, ())]
-    assert rep.composite_on_small_is_identity
-    assert rep.homotopy_certificate
+    rep = verify_transport_theorem(constant_system(loc.big, Z), loc, 3)
+    assert rep.invariants == (GroupInvariants(1, ()), GroupInvariants(0, ()),
+                              GroupInvariants(0, ()))
+    assert rep.homotopy_note.endswith("from the unit square")
 
 
 def test_arrow_colocalization_theorem_constant_z():
     coloc = arrow_colocalization()
-    rep = verify_colocalization_theorem(constant_system(coloc.big, Z),
-                                        coloc, 3)
-    assert rep.ok
-    assert [v.big_side for v in rep.degrees] == \
-        [GroupInvariants(1, ()), GroupInvariants(0, ()), GroupInvariants(0, ())]
+    rep = verify_transport_theorem(constant_system(coloc.big, Z), coloc, 3)
+    assert rep.invariants == (GroupInvariants(1, ()), GroupInvariants(0, ()),
+                              GroupInvariants(0, ()))
+    assert rep.homotopy_note.endswith("from the counit square")
 
 
 def test_arrow_localization_nonconstant_local_system():
@@ -169,9 +178,9 @@ def test_arrow_localization_nonconstant_local_system():
     assert validate_natural_system(d).ok
     loc = arrow_localization()
     assert local_characterization(d, loc).pointwise_local
-    rep = verify_localization_theorem(d, loc, 3)
-    assert rep.ok
-    assert rep.degrees[0].big_side == GroupInvariants(0, (4,))
+    rep = verify_transport_theorem(d, loc, 3)
+    assert rep.invariants == (GroupInvariants(0, (4,)),
+                              GroupInvariants(0, ()), GroupInvariants(0, ()))
 
 
 def test_arrow_colocalization_nonconstant_colocal_system():
@@ -191,15 +200,15 @@ def test_arrow_colocalization_nonconstant_colocal_system():
     assert validate_natural_system(d).ok
     coloc = arrow_colocalization()
     assert colocal_characterization(d, coloc).pointwise_local
-    rep = verify_colocalization_theorem(d, coloc, 3)
-    assert rep.ok
-    assert rep.degrees[0].big_side == GroupInvariants(0, (4,))
+    rep = verify_transport_theorem(d, coloc, 3)
+    assert rep.invariants == (GroupInvariants(0, (4,)),
+                              GroupInvariants(0, ()), GroupInvariants(0, ()))
 
 
 def test_not_local_is_distinct_error():
     loc = arrow_localization()
     with pytest.raises(NotLocal):
-        verify_localization_theorem(zzero_system(loc.big), loc, 2)
+        verify_transport_theorem(zzero_system(loc.big), loc, 2)
 
 
 def test_identity_localization_any_system():
@@ -208,8 +217,7 @@ def test_identity_localization_any_system():
     one = identity_functor(c)
     loc = Localization(c, c, one, one, identity_nat(one))
     d = gen.system(c)
-    rep = verify_localization_theorem(d, loc, 2)
-    assert rep.ok
+    assert verify_transport_theorem(d, loc, 2).invariants == cohomology(d, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -218,8 +226,7 @@ def test_generated_localization_theorem(seed):
     gen = InstanceGen(seed)
     loc = localization(gen)
     d = local_system(gen, loc)
-    rep = verify_localization_theorem(d, loc, 2)
-    assert rep.ok
+    assert verify_transport_theorem(d, loc, 2).invariants == cohomology(d, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -228,8 +235,7 @@ def test_generated_colocalization_theorem(seed):
     gen = InstanceGen(seed)
     coloc = colocalization(gen)
     d = colocal_system(gen, coloc)
-    rep = verify_colocalization_theorem(d, coloc, 2)
-    assert rep.ok
+    assert verify_transport_theorem(d, coloc, 2).invariants == cohomology(d, 2)
 
 
 def mirror_system(d: NaturalSystem, c_op) -> NaturalSystem:
@@ -255,7 +261,7 @@ def test_colocal_mirrors_to_local():
             identity_functor(c_op), compose_functors(psi_op, phi_op),
             coloc.counit.components)
         mirror_loc = Localization(c_op, small_op, phi_op, psi_op, unit_op)
-        assert validate_localization(mirror_loc).ok
+        assert validate_adjoint_pair(mirror_loc).ok
         md = mirror_system(d, c_op)
         assert validate_natural_system(md).ok
         assert colocal_characterization(d, coloc).pointwise_local == \
@@ -300,11 +306,9 @@ def test_one_complex_per_distinct_system(monkeypatch, kind, seed):
     if kind == "localization":
         loc = gen._chain_closure(3)
         alpha, char = loc.unit, local_characterization
-        verify = verify_localization_theorem
     else:
         loc = gen._chain_interior(3)
         alpha, char = loc.counit, colocal_characterization
-        verify = verify_colocalization_theorem
     d = sign_conjugated(pullback_along_nat(gen.system(loc.big), alpha),
                         [gen.rng.choice([1, -1])
                          for _ in range(loc.big.n_morphisms)])
@@ -312,8 +316,9 @@ def test_one_complex_per_distinct_system(monkeypatch, kind, seed):
     shared = char(d, loc).canonical_map.target_system == d
     assert shared == (seed not in DIFFERING[kind])
     builds = counted(monkeypatch, "build_complex", localization_module)
-    assert verify(d, loc, 3).ok
+    rep = verify_transport_theorem(d, loc, 3)
     assert len(builds) == (2 if shared else 3)
+    assert rep.invariants == cohomology(d, 3)
 
 
 def test_homotopy_route_builds_each_chain_map_once(monkeypatch):
@@ -322,8 +327,7 @@ def test_homotopy_route_builds_each_chain_map_once(monkeypatch):
     calls = counted(monkeypatch, "induced_map_2", bwcomplex,
                     localization_module)
     loc = arrow_localization()
-    assert verify_localization_theorem(constant_system(loc.big, Z), loc,
-                                       3).ok
+    verify_transport_theorem(constant_system(loc.big, Z), loc, 3)
     assert len(calls) == 3
 
 
@@ -345,5 +349,43 @@ def test_certificate_b_skips_the_identity_conjugation(monkeypatch, conjugate,
     assert all(t == GroupHom.identity(t.source)
                for t in nu.nat.components) != conjugate
     calls = counted(monkeypatch, "cohomology_map", localization_module)
-    assert verify_localization_theorem(d, loc, 3).ok
+    rep = verify_transport_theorem(d, loc, 3)
     assert len(calls) == 3 * calls_per_degree
+    assert rep.invariants == cohomology(d, 3)
+
+
+def corrupt_one_entry(real):
+    """``real`` with one entry of its homotopy's degree-1 map moved by 1."""
+    def corrupted(*args):
+        h = real(*args)
+        m = h.maps[1]
+        cols = {c: dict(col) for c, col in m.columns.items()}
+        col = cols.setdefault(0, {})
+        col[0] = col.get(0, 0) + 1
+        if not col[0]:
+            del col[0]
+        h.maps[1] = bwcomplex.BlockHom(m.src, m.dst, cols)
+        return h
+    return corrupted
+
+
+def refuse(*args):
+    raise TwoMorphismInvalid("two-morphism: coherence fails")
+
+
+@pytest.mark.parametrize("name, replacement, message", [
+    ("_homotopy_h", corrupt_one_entry(localization_module._homotopy_h),
+     "certificate-failure: dh+hd = -p+q fails at degree "),
+    ("homotopy_h", refuse,
+     "certificate-failure: two-morphism: coherence fails\n"),
+], ids=["chain-identity", "two-morphism"])
+def test_certificate_c_failure_exits_1(monkeypatch, capsys, name,
+                                       replacement, message):
+    # a chain identity or a coherence that fails inside certificate (c) is
+    # reported as a certificate failure, not raised out of the CLI
+    monkeypatch.setattr(localization_module, name, replacement)
+    code = main(["localization-check", ARROW, "loc_y", "const_z4",
+                 "--max-degree", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("\n") == 1 and out.startswith(message)

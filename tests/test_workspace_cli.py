@@ -77,7 +77,7 @@ task job: cohomology point konst max-degree=2
     assert "unit" in ws.nats
     assert ws.nats["unit"].validate().ok
     assert ws.tasks["job"].command == "cohomology"
-    assert ws.tasks["job"].options["max-degree"] == "2"
+    assert ws.tasks["job"].max_degree == 2
 
 
 def test_parse_errors_have_line_numbers():
@@ -170,6 +170,24 @@ def test_negative_rank_is_a_parse_error(tmp_path, group):
     code, out, err = run_cli("validate", str(path))
     assert code == 3
     assert f"line {line}: bad group token" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", [
+    "max-degree=banana", "max-degree=0", "max-degree=-2", "maxdegree=3",
+    "max-degree=3 max-degree=4", "seed=1"])
+def test_task_options_are_checked_on_load(tmp_path, option):
+    # any key=value used to be accepted, so max-degree=banana validated
+    text = (WORKSPACES / "arrow.bwcoh").read_text(encoding="utf-8")
+    first = "task transport: localization-check loc_y const_z max-degree=3\n"
+    assert first in text
+    line = text[:text.index(first)].count("\n") + 1
+    path = tmp_path / "arrow.bwcoh"
+    path.write_text(text.replace(first, first.replace("max-degree=3", option)),
+                    encoding="utf-8")
+    code, out, err = run_cli("validate", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {path}: line {line}: bad task option ")
     assert "Traceback" not in err
 
 
