@@ -13,24 +13,18 @@ import argparse
 
 from bwcoh.abgroup import GroupHom, Z, cyclic
 from bwcoh.bwcomplex import build_complex
-from bwcoh.factorization import op_pair_product
 from bwcoh.fincat import cyclic_group_category
 from bwcoh.intmat import IntMatrix
-from bwcoh.natsys import AbFunctor, constant_system, from_bifunctor
+from bwcoh.natsys import constant_system, from_bifunctor
 
 
 def sign_system(k: int):
     """Z with the order-k generator acting by -1 (only sensible for k = 2)."""
     c = cyclic_group_category(k)
-    prod = op_pair_product(c)
-    homs = []
-    for m in range(prod.category.n_morphisms):
-        _, right = prod.mor_pair(m)
-        sign = -1 if right % 2 else 1
-        homs.append(GroupHom.create(Z, Z, IntMatrix(1, 1, (sign,))))
-    bif = AbFunctor(prod.category, (Z,) * prod.category.n_objects,
-                    tuple(homs))
-    return from_bifunctor(c, bif)
+    mors = range(c.n_morphisms)
+    acts = {(h, g): GroupHom.create(Z, Z, IntMatrix(1, 1, ((-1) ** g,)))
+            for h in mors for g in mors}
+    return from_bifunctor(c, {(0, 0): Z}, acts)
 
 
 def positive(text: str) -> int:

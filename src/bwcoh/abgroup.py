@@ -160,7 +160,8 @@ class GroupHom:
             return False
         if self.target is not other.target and self.target != other.target:
             return False
-        return self.target.solver.contains_matrix(self.matrix - other.matrix)
+        return self.matrix == other.matrix or \
+            self.target.solver.contains_matrix(self.matrix - other.matrix)
 
 
 def hom_compose(g: GroupHom, f: GroupHom) -> GroupHom:

@@ -200,7 +200,7 @@ def cmd_export(args) -> int:
                 out.append(f"  ({','.join(map(cat.morphism_name, arrows))}) "
                            f"{flag}")
         text = "\n".join(out) + "\n"
-    elif args.what == "complex":
+    else:   # "complex", the last choice argparse allows for --what
         if not (args.category and args.system):
             print("error: --category and --system required", file=sys.stderr)
             return EXIT_PARSE
@@ -227,9 +227,6 @@ def cmd_export(args) -> int:
             out.append(f"differential {n} -> {n + 1}: {m.rows}x{m.cols} "
                        f"row-major {list(m.entries)}")
         text = "\n".join(out) + "\n"
-    else:
-        print(f"error: unknown export kind {args.what!r}", file=sys.stderr)
-        return EXIT_PARSE
     try:
         with open(args.target, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -12,9 +12,10 @@ cochain bases reproducible.
 On top of the category itself this module provides the action of the
 factorization construction on functors (``factor_functor``), on natural
 transformations regarded as generalized morphisms (``factor_nat``), and on
-commuting squares of natural transformations (``factor_two_morphism``),
-together with the projection to the product category used for
-bifunctor-induced coefficient systems.
+commuting squares of natural transformations (``factor_two_morphism``).
+The functor F(C) -> C^op x C, f: X -> Y to (X, Y) and (h, k) to (h, k),
+through which a bifunctor gives a natural system, is never built:
+``natsys.from_bifunctor`` reads the system off the bifunctor's keys.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from functools import cached_property, lru_cache
 
 from .fincat import (
     CONSTRUCTOR_CACHE, FiniteCategory, Functor, NaturalTransformation,
-    ProductCategory, ShapeMismatch, make_category, opposite, product,
-    vertical_compose,
+    ShapeMismatch, make_category, vertical_compose,
 )
 
 
@@ -173,21 +173,3 @@ def factor_two_morphism(alpha: NaturalTransformation,
         for f in range(a.n_morphisms)
     )
     return NaturalTransformation(fa, fb, comps)
-
-
-def projection_to_pair(c: FiniteCategory,
-                       fc: FactorizationCategory,
-                       prod: ProductCategory) -> Functor:
-    """FC -> C^op x C sending f: X -> Y to (X, Y) and (h, k) to (h, k)."""
-    if fc.base != c or prod.left != opposite(c) or prod.right != c:
-        raise ShapeMismatch("projection expects the product of C^op with C")
-    obj_map = tuple(
-        prod.obj_id(c.mor_source[f], c.mor_target[f])
-        for f in range(c.n_morphisms)
-    )
-    mor_map = tuple(prod.mor_id(p.h, p.k) for p in fc.pairs)
-    return Functor(fc.category, prod.category, obj_map, mor_map)
-
-
-def op_pair_product(c: FiniteCategory) -> ProductCategory:
-    return product(opposite(c), c)

@@ -17,10 +17,12 @@ makes downstream bases and matrices reproducible byte for byte.
 Every constructor that takes no randomness is memoized: the standard
 categories (``terminal_category``, ``arrow_category``,
 ``discrete_category``, ``total_order_category``, ``cyclic_group_category``,
-``indiscrete_category``, ``pseudo_circle_category``), ``opposite`` and
-``product``.  Equal arguments return one shared object, which is frozen, so
-callers may rely on equality but must never change what they are handed.
-Each memo keeps at most ``CONSTRUCTOR_CACHE`` results.
+``indiscrete_category``, ``pseudo_circle_category``) and ``product``.
+Equal arguments return one shared object, which is frozen, so callers may
+rely on equality but must never change what they are handed.  Each memo
+keeps at most ``CONSTRUCTOR_CACHE`` results.  No C^op is built: a functor
+on C^op x C is keyed by pairs of objects and of morphisms of C itself
+(``natsys.from_bifunctor``).
 """
 
 from __future__ import annotations
@@ -370,22 +372,7 @@ def sequence_index(basis: tuple[MSeq, ...]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# opposite, product
-
-@lru_cache(maxsize=CONSTRUCTOR_CACHE)
-def opposite(c: FiniteCategory) -> FiniteCategory:
-    into: list[list[int]] = [[] for _ in range(c.n_objects)]
-    for g in range(c.n_morphisms):
-        into[c.mor_target[g]].append(g)
-    # compose_op(f, g) is defined iff source(f) == target(g) in c, and
-    # equals the c-composite f∘g
-    return FiniteCategory(
-        c.n_objects, c.mor_target, c.mor_source, c.identity,
-        tuple({g: c.table[g][f] for g in into[c.mor_source[f]]}
-              for f in range(c.n_morphisms)),
-        c.object_names, c.morphism_names,
-    )
-
+# product
 
 @dataclass(frozen=True)
 class ProductCategory:

@@ -280,8 +280,8 @@ def _claims(queue: int):
         yield int.from_bytes(record, "little")
 
 
-def run_laws(law: str, seed: int, cases: int, max_morphisms: int = 6,
-             max_degree: int = 3) -> list[LawReport]:
+def run_laws(law: str, seed: int, cases: int, max_morphisms: int,
+             max_degree: int) -> list[LawReport]:
     names = LAW_NAMES if law == "all" else (law,)
     if law != "all" and law not in _LAW_FUNCS:
         raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
@@ -349,8 +349,8 @@ def run_laws(law: str, seed: int, cases: int, max_morphisms: int = 6,
             for k, name in enumerate(names)]
 
 
-def run_law(law: str, seed: int, cases: int, max_morphisms: int = 6,
-            max_degree: int = 3) -> LawReport:
+def run_law(law: str, seed: int, cases: int, max_morphisms: int,
+            max_degree: int) -> LawReport:
     if law not in _LAW_FUNCS:
         raise ValueError(f"unknown law {law!r}; known: {', '.join(LAW_NAMES)}")
     [report] = run_laws(law, seed, cases, max_morphisms, max_degree)

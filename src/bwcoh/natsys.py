@@ -10,9 +10,12 @@ well-defined generators, identity pairs acting as the identity, the
 composition relations of the left and of the right actions, and the tie of
 every pair's action to both one-sided composites.  Together these imply
 functoriality on the whole factorization category without composing it.
-Likewise ``validate_bifunctor`` checks a functor on C^op x C on its
-generators ``(h, 1)`` and ``(1, k)`` before ``from_bifunctor`` pulls it back
-to a natural system.
+A functor on C^op x C is given keyed by C itself, its groups by pairs of
+objects and its actions by pairs of morphisms; ``validate_bifunctor`` checks
+it on its generators ``(h, 1)`` and ``(1, k)`` with C's own composition
+table, and ``from_bifunctor`` reads the natural system off it, D(f) at the
+pair (source f, target f) and D(h, k) at (h, k), without building the
+product category.
 
 Morphisms of pairs (C, D) -> (D', E) carry a natural transformation
 ``alpha: phi => psi`` between functors D' -> C as their anchor and a
@@ -35,8 +38,7 @@ from .fincat import (
 )
 from .factorization import (
     FactorizationCategory, build_factorization, factor_nat,
-    factor_two_morphism, projection_to_pair, two_morphism_target,
-    op_pair_product,
+    factor_two_morphism, two_morphism_target,
 )
 
 
@@ -223,7 +225,8 @@ def validate_natural_system(d: NaturalSystem) -> Report:
             fh = c.table[h][f]
             for h2 in into[c.mor_source[h]]:
                 hh2 = c.table[h2][h]
-                if not _composes_to(left[f, h], left[fh, h2], left[f, hh2]):
+                if not hom_compose(left[fh, h2], left[f, h]).equal_mod(
+                        left[f, hh2]):
                     rep.violations.append(
                         f"functoriality fails: act {name(f)} -| {name(h)} "
                         f"then act {name(fh)} -| {name(h2)} differs from "
@@ -232,8 +235,8 @@ def validate_natural_system(d: NaturalSystem) -> Report:
             kf = c.table[f][k]
             for k2 in out_of[c.mor_target[k]]:
                 k2k = c.table[k][k2]
-                if not _composes_to(right[f, k], right[kf, k2],
-                                    right[f, k2k]):
+                if not hom_compose(right[kf, k2], right[f, k]).equal_mod(
+                        right[f, k2k]):
                     rep.violations.append(
                         f"functoriality fails: act {name(f)} |- {name(k)} "
                         f"then act {name(kf)} |- {name(k2)} differs from "
@@ -244,18 +247,13 @@ def validate_natural_system(d: NaturalSystem) -> Report:
         p = d.fc.pairs[i]
         fh = c.table[p.h][p.src]
         kf = c.table[p.src][p.k]
-        if not _composes_to(left[p.src, p.h], right[fh, p.k], homs[i]) or \
-                not _composes_to(right[p.src, p.k], left[kf, p.h], homs[i]):
+        whole = homs[i]
+        if not hom_compose(right[fh, p.k], left[p.src, p.h]).equal_mod(whole) \
+                or not hom_compose(left[kf, p.h],
+                                   right[p.src, p.k]).equal_mod(whole):
             rep.violations.append(
                 f"one-sided factorizations disagree at {pair_name(i)}")
     return rep
-
-
-def _composes_to(first: GroupHom, then: GroupHom, whole: GroupHom) -> bool:
-    """``then∘first == whole`` modulo the relations of whole's target."""
-    m = then.matrix @ first.matrix
-    return m == whole.matrix or \
-        whole.target.solver.contains_matrix(m - whole.matrix)
 
 
 def constant_system(c: FiniteCategory, g: PresentedGroup) -> NaturalSystem:
@@ -266,79 +264,84 @@ def constant_system(c: FiniteCategory, g: PresentedGroup) -> NaturalSystem:
     return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
 
 
-def validate_bifunctor(c: FiniteCategory, bif: AbFunctor) -> Report:
+def validate_bifunctor(c: FiniteCategory,
+                       values: dict[tuple[int, int], PresentedGroup],
+                       acts: dict[tuple[int, int], GroupHom]) -> Report:
     """Check a group-valued functor on C^op x C on its generators.
 
-    Every morphism (h, k) of C^op x C is (h, 1) after (1, k) and (1, k)
-    after (h, 1).  So after the table sizes and the groups of every action,
-    only these composites are compared with the table, modulo the target's
-    relations: each identity goes to the identity; (h', 1)∘(h, 1) and
-    (1, k')∘(1, k) for composable non-identity legs (functoriality in each
-    variable); and both factorizations of every (h, k) with non-identity
-    legs (the generators commute, and tie every action to them).  Together
-    they give ``F(b)∘F(a) = F(b∘a)`` on every composable pair without
-    composing them all."""
+    The functor is keyed by C itself: ``values[x, y]`` at each pair of
+    objects, and ``acts[h, k]``: ``values[x, y] -> values[x', y']`` along
+    each pair of morphisms h: x' -> x and k: y -> y' of C.  Every morphism
+    (h, k) of C^op x C is (h, 1) after (1, k) and (1, k) after (h, 1), and
+    (h2, k2)∘(h1, k1) = (h1∘h2, k2∘k1).  So after the keys and the groups
+    of every action, only these composites are compared with the table,
+    modulo the target's relations: each identity goes to the identity;
+    (h', 1)∘(h, 1) and (1, k')∘(1, k) for composable non-identity legs
+    (functoriality in each variable); and both factorizations of every
+    (h, k) with non-identity legs (the generators commute, and tie every
+    action to them).  Together they give ``F(b)∘F(a) = F(b∘a)`` on every
+    composable pair without composing them all."""
     rep = Report("bifunctor")
-    prod = op_pair_product(c)
-    cat = prod.category
-    if bif.category != cat or len(bif.values) != cat.n_objects or \
-            len(bif.homs) != cat.n_morphisms:
+    objects, mors = range(c.n_objects), range(c.n_morphisms)
+    if any((x, y) not in values for x in objects for y in objects) or \
+            any((h, k) not in acts for h in mors for k in mors):
         rep.violations.append("bifunctor not defined on C^op x C")
         return rep
-    values, homs = bif.values, bif.homs
+    src, tgt, ident, table = c.mor_source, c.mor_target, c.identity, c.table
 
-    def name(m: int) -> str:
-        h, k = prod.mor_pair(m)
+    def name(h: int, k: int) -> str:
         return f"({c.morphism_name(h)},{c.morphism_name(k)})"
 
-    for m in range(cat.n_morphisms):
-        if homs[m].source != values[cat.mor_source[m]] or \
-                homs[m].target != values[cat.mor_target[m]]:
-            rep.violations.append(
-                f"action at {name(m)} connects the wrong groups")
+    for h in mors:
+        for k in mors:
+            if acts[h, k].source != values[tgt[h], src[k]] or \
+                    acts[h, k].target != values[src[h], tgt[k]]:
+                rep.violations.append(
+                    f"action at {name(h, k)} connects the wrong groups")
     if rep.violations:
         return rep
-    for o in range(cat.n_objects):
-        e = cat.identity[o]
-        if not homs[e].equal_mod(GroupHom.identity(values[o])):
-            rep.violations.append(f"{name(e)} does not act as the identity")
-    moving = [f for f in range(c.n_morphisms) if not c.is_identity(f)]
-    ident = c.identity
-    pairs = []      # composable (a, b): b∘a is checked against the table
+    for x in objects:
+        for y in objects:
+            if not acts[ident[x], ident[y]].equal_mod(
+                    GroupHom.identity(values[x, y])):
+                rep.violations.append(
+                    f"{name(ident[x], ident[y])} does not act as the identity")
+    moving = [f for f in mors if not c.is_identity(f)]
+    pairs = []      # composable ((h1, k1), (h2, k2)), (h1, k1) applied first
     for f1 in moving:
         for f2 in moving:
-            if c.mor_target[f2] == c.mor_source[f1]:   # f1 then f2 in C^op
-                pairs.extend((prod.mor_id(f1, ident[y]),
-                              prod.mor_id(f2, ident[y]))
-                             for y in range(c.n_objects))
-            if c.mor_target[f1] == c.mor_source[f2]:   # f1 then f2 in C
-                pairs.extend((prod.mor_id(ident[x], f1),
-                              prod.mor_id(ident[x], f2))
-                             for x in range(c.n_objects))
+            if tgt[f2] == src[f1]:   # f1 then f2 in C^op
+                pairs.extend(((f1, ident[y]), (f2, ident[y])) for y in objects)
+            if tgt[f1] == src[f2]:   # f1 then f2 in C
+                pairs.extend(((ident[x], f1), (ident[x], f2)) for x in objects)
     for h in moving:
         for k in moving:
-            # h: X' -> X in C is X -> X' in C^op
-            x, x2 = c.mor_target[h], c.mor_source[h]
-            y, y2 = c.mor_source[k], c.mor_target[k]
-            pairs.append((prod.mor_id(ident[x], k), prod.mor_id(h, ident[y2])))
-            pairs.append((prod.mor_id(h, ident[y]), prod.mor_id(ident[x2], k)))
-    for a, b in pairs:
-        if not hom_compose(homs[b], homs[a]).equal_mod(homs[cat.table[a][b]]):
+            pairs.append(((ident[tgt[h]], k), (h, ident[tgt[k]])))
+            pairs.append(((h, ident[src[k]]), (ident[src[h]], k)))
+    for (h1, k1), (h2, k2) in pairs:
+        if not hom_compose(acts[h2, k2], acts[h1, k1]).equal_mod(
+                acts[table[h2][h1], table[k1][k2]]):
             rep.violations.append(
-                f"functoriality fails composing {name(a)} then {name(b)}")
+                f"functoriality fails composing {name(h1, k1)} "
+                f"then {name(h2, k2)}")
     return rep
 
 
-def from_bifunctor(c: FiniteCategory, bif: AbFunctor) -> NaturalSystem:
-    """Natural system induced by a functor on C^op x C via the projection;
-    ``BifunctorInvalid`` carries the report of ``validate_bifunctor``."""
-    rep = validate_bifunctor(c, bif)
+def from_bifunctor(c: FiniteCategory,
+                   values: dict[tuple[int, int], PresentedGroup],
+                   acts: dict[tuple[int, int], GroupHom]) -> NaturalSystem:
+    """The natural system D(f) = ``values[source f, target f]``, D(h, k) =
+    ``acts[h, k]`` induced by a functor on C^op x C, keyed as in
+    ``validate_bifunctor``; ``BifunctorInvalid`` carries its report."""
+    rep = validate_bifunctor(c, values, acts)
     if not rep.ok:
         raise BifunctorInvalid(rep)
-    prod = op_pair_product(c)
     fc = build_factorization(c)
-    proj = projection_to_pair(c, fc, prod)
-    return NaturalSystem(fc, bif.pullback(proj))
+    return NaturalSystem(fc, AbFunctor(
+        fc.category,
+        tuple(values[c.mor_source[f], c.mor_target[f]]
+              for f in range(c.n_morphisms)),
+        tuple(acts[p.h, p.k] for p in fc.pairs)))
 
 
 def pullback_along_nat(d: NaturalSystem,
@@ -427,11 +430,11 @@ def act_by_two_morphism(d: NaturalSystem,
     beta = two_morphism_target(alpha, eps, gam)
     fc_dom = build_factorization(alpha.domain)
     ft = factor_two_morphism(alpha, beta, eps, gam, fc_dom, d.fc)
-    src = pullback_along_nat(d, alpha)
-    dst = pullback_along_nat(d, beta)
+    src = d.functor.pullback(ft.source_functor)
+    dst = NaturalSystem(fc_dom, d.functor.pullback(ft.target_functor))
     comps = tuple(d.act(ft.components[sigma])
                   for sigma in range(alpha.domain.n_morphisms))
-    return NatSysMorphism(beta, d, dst, AbNat(src.functor, dst.functor, comps))
+    return NatSysMorphism(beta, d, dst, AbNat(src, dst.functor, comps))
 
 
 @dataclass(frozen=True)

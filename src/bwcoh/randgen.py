@@ -35,7 +35,6 @@ from .fincat import (
     identity_functor, indiscrete_category, poset_category, product,
     pseudo_circle_category, terminal_category, total_order_category,
 )
-from .factorization import op_pair_product
 from .intmat import IntMatrix
 from .natsys import (
     AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
@@ -115,33 +114,27 @@ class InstanceGen:
     # -- coefficient systems -------------------------------------------------
 
     def hom_system(self, c: FiniteCategory, modulus: int = 0) -> NaturalSystem:
-        prod = op_pair_product(c)
         base_group = Z if modulus == 0 else cyclic(modulus)
-        values = []
-        bases = []
-        for o in range(prod.category.n_objects):
-            x, y = prod.obj_pair(o)
-            hom = [u for u in range(c.n_morphisms)
-                   if c.mor_source[u] == x and c.mor_target[u] == y]
-            bases.append(hom)
-            values.append(direct_product([base_group] * len(hom)))
-        homs = []
-        for m in range(prod.category.n_morphisms):
-            a, b = prod.mor_pair(m)     # a: X' -> X in c, b: Y -> Y' in c
-            o_src = prod.category.mor_source[m]
-            o_dst = prod.category.mor_target[m]
-            src_basis = bases[o_src]
-            dst_basis = bases[o_dst]
-            rows = len(dst_basis)
-            cols = len(src_basis)
-            ent = [0] * (rows * cols)
-            for j, u in enumerate(src_basis):
-                image = c.table[a][c.table[u][b]]   # b∘u∘a
-                ent[dst_basis.index(image) * cols + j] = 1
-            homs.append(GroupHom.create(values[o_src], values[o_dst],
-                                        IntMatrix(rows, cols, tuple(ent))))
-        bif = AbFunctor(prod.category, tuple(values), tuple(homs))
-        return from_bifunctor(c, bif)
+        objects, mors = range(c.n_objects), range(c.n_morphisms)
+        bases = {(x, y): [u for u in mors
+                          if c.mor_source[u] == x and c.mor_target[u] == y]
+                 for x in objects for y in objects}
+        values = {xy: direct_product([base_group] * len(hom))
+                  for xy, hom in bases.items()}
+        acts = {}
+        for a in mors:          # a: X' -> X in c, b: Y -> Y' in c
+            for b in mors:
+                src = c.mor_target[a], c.mor_source[b]
+                dst = c.mor_source[a], c.mor_target[b]
+                src_basis, dst_basis = bases[src], bases[dst]
+                rows, cols = len(dst_basis), len(src_basis)
+                ent = [0] * (rows * cols)
+                for j, u in enumerate(src_basis):
+                    image = c.table[a][c.table[u][b]]   # b∘u∘a
+                    ent[dst_basis.index(image) * cols + j] = 1
+                acts[a, b] = GroupHom.create(values[src], values[dst],
+                                             IntMatrix(rows, cols, tuple(ent)))
+        return from_bifunctor(c, values, acts)
 
     def representable_system(self, c: FiniteCategory, covariant: bool
                              ) -> NaturalSystem:
@@ -350,16 +343,10 @@ class InstanceGen:
     def h_instance(self) -> tuple[NatFTwoMorphism, NaturalSystem, NaturalSystem]:
         dom = self.chain_domain()
         chain = self.nat_chain(dom, 4)
-        eps, alpha, gam = chain.nats
         d = self.system(chain.target)
-        act = act_by_two_morphism(d, alpha, eps, gam)
-        e_sys = act.target_system
-        t_mor = NatSysMorphism(alpha, d, e_sys, act.nat)
-        s_mor = NatSysMorphism(act.alpha, d, e_sys,
-                               AbNat.identity(e_sys.functor))
-        t_mor, s_mor = self._scalar_twist(e_sys, t_mor, s_mor)
-        two = NatFTwoMorphism(t_mor, s_mor, eps, gam)
-        return two, d, t_mor.target_system
+        two, e_sys = self._two_from_chain(chain, d)
+        t_mor, s_mor = self._scalar_twist(e_sys, two.src, two.dst)
+        return NatFTwoMorphism(t_mor, s_mor, two.eps, two.gam), d, e_sys
 
     def vertical_instance(self) -> tuple[NatFTwoMorphism, NatFTwoMorphism,
                                          NaturalSystem, NaturalSystem]:

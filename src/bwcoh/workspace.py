@@ -84,7 +84,7 @@ from .abgroup import (
     GroupHom, IllDefinedHom, PresentedGroup, from_invariants, hom_compose,
 )
 from .bwcomplex import ProductGroup
-from .factorization import build_factorization, op_pair_product
+from .factorization import build_factorization
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, compose_functors,
     identity_functor, make_category,
@@ -224,19 +224,19 @@ class _Block:
     lines: list[tuple[int, str]]
 
 
-def _split_blocks(text: str) -> tuple[str, list[_Block]]:
+def _split_blocks(text: str) -> list[_Block]:
     lines = text.splitlines()
-    header = None
+    seen_header = False
     blocks = []
     current: _Block | None = None
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
+        if not seen_header:
             if line != HEADER:
                 raise ParseError(i, f"expected header {HEADER!r}")
-            header = line
+            seen_header = True
             continue
         if current is None:
             if line == "end":
@@ -256,11 +256,11 @@ def _split_blocks(text: str) -> tuple[str, list[_Block]]:
             current = None
         else:
             current.lines.append((i, line))
-    if header is None:
+    if not seen_header:
         raise ParseError(1, f"missing header {HEADER!r}")
     if current is not None:
         raise ParseError(current.line_no, f"unterminated {current.kind} block")
-    return header, blocks
+    return blocks
 
 
 def _parse_category(block: _Block) -> tuple[str, FiniteCategory]:
@@ -492,31 +492,29 @@ def _action(subject: str, what: str, src: PresentedGroup,
 
 def _assemble_bifunctor(cat, bif_values, bif_acts, line_no, subject
                         ) -> NaturalSystem:
-    prod = op_pair_product(cat)
-    vals = []
-    for o in range(prod.category.n_objects):
-        x, y = prod.obj_pair(o)
-        if (x, y) not in bif_values:
-            raise ParseError(line_no,
-                             f"bifunctor value missing at object pair "
-                             f"({cat.object_name(x)},{cat.object_name(y)})")
-        vals.append(bif_values[(x, y)])
-    homs = []
-    for m in range(prod.category.n_morphisms):
-        a, b = prod.mor_pair(m)
-        if (a, b) not in bif_acts:
-            raise ParseError(line_no,
-                             f"bifunctor action missing at "
-                             f"({cat.morphism_name(a)},{cat.morphism_name(b)})")
-        src = vals[prod.category.mor_source[m]]
-        dst = vals[prod.category.mor_target[m]]
-        rowsm = bif_acts[(a, b)]
-        homs.append(_action(subject, f"{cat.morphism_name(a)} "
-                            f"{cat.morphism_name(b)}", src, dst,
-                            _matrix_of(rowsm, dst, src, line_no)))
-    bif = AbFunctor(prod.category, tuple(vals), tuple(homs))
+    objects, mors = range(cat.n_objects), range(cat.n_morphisms)
+    for x in objects:
+        for y in objects:
+            if (x, y) not in bif_values:
+                raise ParseError(line_no,
+                                 f"bifunctor value missing at object pair "
+                                 f"({cat.object_name(x)},"
+                                 f"{cat.object_name(y)})")
+    acts = {}
+    for h in mors:      # h: x' -> x and k: y -> y' act (x, y) -> (x', y')
+        for k in mors:
+            if (h, k) not in bif_acts:
+                raise ParseError(line_no,
+                                 f"bifunctor action missing at "
+                                 f"({cat.morphism_name(h)},"
+                                 f"{cat.morphism_name(k)})")
+            src = bif_values[cat.mor_target[h], cat.mor_source[k]]
+            dst = bif_values[cat.mor_source[h], cat.mor_target[k]]
+            acts[h, k] = _action(
+                subject, f"{cat.morphism_name(h)} {cat.morphism_name(k)}",
+                src, dst, _matrix_of(bif_acts[h, k], dst, src, line_no))
     try:
-        return from_bifunctor(cat, bif)
+        return from_bifunctor(cat, bif_values, acts)
     except BifunctorInvalid as exc:
         raise InvalidWorkspace(Report(subject, exc.report.violations)) \
             from None
@@ -679,7 +677,7 @@ def _parse_task(block: _Block, ws: Workspace) -> Task:
 
 
 def load_workspace(text: str) -> Workspace:
-    _, blocks = _split_blocks(text)
+    blocks = _split_blocks(text)
     ws = Workspace()
     for block in blocks:
         if block.kind == "category":

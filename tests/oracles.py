@@ -27,7 +27,10 @@ natural-system oracles work on the library's own types:
 composable pair of the factorization category, the definition that
 ``validate_natural_system`` checks on the one-sided presentation,
 ``validate_bifunctor_full`` does the same for a functor on C^op x C, which
-``validate_bifunctor`` checks on its generators,
+``validate_bifunctor`` checks on its generators; ``opposite``,
+``op_pair_product`` and ``bifunctor_on_product`` materialize C^op x C and a
+bifunctor on it, and ``system_via_projection`` pulls that functor back
+along ``projection_to_pair``, the construction ``from_bifunctor`` skips,
 ``validate_ab_nat`` and ``validate_pair_morphism`` check naturality and the
 shape of a pair morphism, and ``fullness_witness`` is the ordinary morphism
 two-morphic to a pair morphism.  The (co)localization generators at the
@@ -46,9 +49,10 @@ from bwcoh.abgroup import (
     subquotient, trivial_group,
 )
 from bwcoh.bwcomplex import BlockHom
+from bwcoh.factorization import build_factorization
 from bwcoh.fincat import (
-    FiniteCategory, Report, ShapeMismatch, cyclic_group_category,
-    identity_functor, identity_nat,
+    FiniteCategory, Functor, ProductCategory, Report, ShapeMismatch,
+    cyclic_group_category, identity_functor, identity_nat, product,
 )
 from bwcoh.intmat import DimensionMismatch, IntMatrix
 from bwcoh.localization import Colocalization, Localization
@@ -752,6 +756,57 @@ def validate_full_table(d: NaturalSystem) -> Report:
                     f"functoriality fails composing {pair_name(i)} "
                     f"then {pair_name(j)}")
     return rep
+
+
+def opposite(c: FiniteCategory) -> FiniteCategory:
+    """C^op: the ids of C with sources and targets swapped, where f then g
+    composes to the C-composite f∘g."""
+    into: list[list[int]] = [[] for _ in range(c.n_objects)]
+    for g in range(c.n_morphisms):
+        into[c.mor_target[g]].append(g)
+    return FiniteCategory(
+        c.n_objects, c.mor_target, c.mor_source, c.identity,
+        tuple({g: c.table[g][f] for g in into[c.mor_source[f]]}
+              for f in range(c.n_morphisms)),
+        c.object_names, c.morphism_names,
+    )
+
+
+def op_pair_product(c: FiniteCategory) -> ProductCategory:
+    return product(opposite(c), c)
+
+
+def bifunctor_on_product(c: FiniteCategory, values: dict, acts: dict
+                         ) -> AbFunctor:
+    """A bifunctor keyed by C, as ``from_bifunctor`` takes it, as a functor
+    on the materialized C^op x C."""
+    prod = op_pair_product(c)
+    return AbFunctor(
+        prod.category,
+        tuple(values[prod.obj_pair(o)]
+              for o in range(prod.category.n_objects)),
+        tuple(acts[prod.mor_pair(m)]
+              for m in range(prod.category.n_morphisms)))
+
+
+def projection_to_pair(c: FiniteCategory) -> Functor:
+    """F(C) -> C^op x C sending f: X -> Y to (X, Y) and (h, k) to (h, k)."""
+    fc = build_factorization(c)
+    prod = op_pair_product(c)
+    return Functor(
+        fc.category, prod.category,
+        tuple(prod.obj_id(c.mor_source[f], c.mor_target[f])
+              for f in range(c.n_morphisms)),
+        tuple(prod.mor_id(p.h, p.k) for p in fc.pairs))
+
+
+def system_via_projection(c: FiniteCategory, values: dict, acts: dict
+                          ) -> NaturalSystem:
+    """The natural system of a bifunctor built through C^op x C: the functor
+    on the product pulled back along ``projection_to_pair``."""
+    return NaturalSystem(build_factorization(c),
+                         bifunctor_on_product(c, values, acts).pullback(
+                             projection_to_pair(c)))
 
 
 def validate_bifunctor_full(f: AbFunctor) -> Report:

@@ -7,8 +7,7 @@ import hypothesis.strategies as st
 from bwcoh import fincat
 from bwcoh.factorization import (
     FPair, SquareNotCommuting, build_factorization, factor_functor,
-    factor_nat, factor_two_morphism, op_pair_product, projection_to_pair,
-    two_morphism_target,
+    factor_nat, factor_two_morphism, two_morphism_target,
 )
 from bwcoh.fincat import (
     arrow_category, compose_functors, cyclic_group_category, identity_functor,
@@ -172,27 +171,11 @@ def test_factor_two_morphism_rejects_bad_square():
             factor_two_morphism(alpha, wrong, eps, gam, fc, fc)
 
 
-def test_projection_to_pair():
-    for c in (terminal_category(), arrow_category()):
-        fc = build_factorization(c)
-        prod = op_pair_product(c)
-        proj = projection_to_pair(c, fc, prod)
-        assert proj.validate().ok
-        for x in range(c.n_objects):
-            e = c.identity[x]
-            assert prod.obj_pair(proj.obj_map[e]) == (x, x)
-
-
-def test_hom_system_builds_the_op_pair_product_once():
-    # hom_system, validate_bifunctor and from_bifunctor all ask for C^op x C
-    for memo in (fincat.opposite, fincat.product,
-                 fincat.total_order_category):
-        memo.cache_clear()
-    c = total_order_category(7)
-    InstanceGen("x").hom_system(c)
-    assert fincat.product.cache_info().misses == 1
-    assert fincat.opposite.cache_info().misses == 1
-    assert op_pair_product(c) is op_pair_product(total_order_category(7))
+def test_hom_system_builds_no_product():
+    # a bifunctor is keyed by C itself, so no C^op x C is materialized
+    fincat.product.cache_clear()
+    InstanceGen("x").hom_system(total_order_category(7))
+    assert fincat.product.cache_info().misses == 0
 
 
 def _traced_peak_mb(build, c) -> float:
@@ -206,17 +189,17 @@ def _traced_peak_mb(build, c) -> float:
 
 def test_composition_tables_cost_their_composable_pairs():
     # a dense n x n table made F(C) of the 16-object order (3,876
-    # morphisms, 54,264 composable pairs) peak near 250 MB, and C^op x C
-    # of the 7-object order (784 morphisms, 7,056 pairs) near 10 MB
-    for memo in (build_factorization, fincat.opposite, fincat.product):
+    # morphisms, 54,264 composable pairs) peak near 250 MB, and C x C of
+    # the 7-object order (784 morphisms, 7,056 pairs) near 10 MB
+    for memo in (build_factorization, fincat.product):
         memo.cache_clear()
     c = total_order_category(16)
     assert _traced_peak_mb(build_factorization, c) < 20
     fc = build_factorization(c).category
     assert (fc.n_morphisms, sum(map(len, fc.table))) == (3876, 54264)
     c = total_order_category(7)
-    assert _traced_peak_mb(op_pair_product, c) < 2
-    prod = op_pair_product(c).category
+    assert _traced_peak_mb(lambda c: fincat.product(c, c), c) < 2
+    prod = fincat.product(c, c).category
     assert (prod.n_morphisms, sum(map(len, prod.table))) == (784, 7056)
 
 

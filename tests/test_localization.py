@@ -12,7 +12,7 @@ from bwcoh.factorization import FPair, build_factorization
 from bwcoh.fincat import (
     Functor, NaturalTransformation, arrow_category, compose_functors,
     cyclic_group_category, discrete_category, identity_functor, identity_nat,
-    opposite, terminal_category,
+    terminal_category,
 )
 from bwcoh.intmat import IntMatrix
 from bwcoh.localization import (
@@ -25,7 +25,9 @@ from bwcoh.natsys import (
     pullback_along_nat, validate_natural_system,
 )
 from bwcoh.randgen import InstanceGen
-from oracles import colocal_system, colocalization, local_system, localization
+from oracles import (
+    colocal_system, colocalization, local_system, localization, opposite,
+)
 
 ARROW = str(Path(__file__).resolve().parent.parent / "workspaces"
             / "arrow.bwcoh")

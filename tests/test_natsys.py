@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -26,7 +25,8 @@ from bwcoh.workspace import (
     HEADER, category_text, group_text, load_workspace_file, parse_group,
 )
 from oracles import (
-    fullness_witness, identity_morphism, localization,
+    bifunctor_on_product, fullness_witness, identity_morphism, localization,
+    op_pair_product, projection_to_pair, system_via_projection,
     validate_bifunctor_full, validate_full_table, validate_pair_morphism,
 )
 from test_workspace_cli import run_cli
@@ -102,16 +102,18 @@ def test_ill_defined_action_is_reported():
         f"relations"]
 
 
-def _sign_system(k: int) -> NaturalSystem:
-    """Z on the cyclic group category of order k, ``act h g = (-1)^g``."""
+def _sign_bifunctor(k: int):
+    """Z on the cyclic group category of order k, ``act h g = (-1)^g``, as
+    the category, values and actions ``from_bifunctor`` takes."""
     c = cyclic_group_category(k)
-    from bwcoh.factorization import op_pair_product
-    prod = op_pair_product(c)
-    homs = tuple(GroupHom.create(Z, Z, IntMatrix(1, 1, ((-1) ** b,)))
-                 for _, b in map(prod.mor_pair,
-                                 range(prod.category.n_morphisms)))
-    return from_bifunctor(c, AbFunctor(prod.category,
-                                       (Z,) * prod.category.n_objects, homs))
+    mors = range(c.n_morphisms)
+    acts = {(h, g): GroupHom.create(Z, Z, IntMatrix(1, 1, ((-1) ** g,)))
+            for h in mors for g in mors}
+    return c, {(0, 0): Z}, acts
+
+
+def _sign_system(k: int) -> NaturalSystem:
+    return from_bifunctor(*_sign_bifunctor(k))
 
 
 def _systems_of_every_kind(seed: int) -> list[NaturalSystem]:
@@ -229,20 +231,11 @@ def test_corrupted_generators_exit_2_from_the_cli(tmp_path):
 
 
 def test_sign_bifunctor_system():
-    c = cyclic_group_category(2)
-    from bwcoh.factorization import op_pair_product
-    prod = op_pair_product(c)
-    vals = (Z,) * prod.category.n_objects
-    homs = []
-    for m in range(prod.category.n_morphisms):
-        _, k = prod.mor_pair(m)
-        sign = -1 if k == 1 else 1
-        homs.append(GroupHom.create(Z, Z, IntMatrix(1, 1, (sign,))))
-    bif = AbFunctor(prod.category, vals, tuple(homs))
-    d = from_bifunctor(c, bif)
+    c, values, acts = _sign_bifunctor(2)
+    d = from_bifunctor(c, values, acts)
     assert validate_natural_system(d).ok
     # the value at the identity is b at the diagonal pair
-    assert d.value(0) is vals[0]
+    assert d.value(0) is values[0, 0]
     # bifunctor-induced actions: one-sided actions depend only on their leg
     fc = d.fc
     for p in fc.pairs:
@@ -256,53 +249,95 @@ def test_sign_bifunctor_system():
 
 
 def test_from_bifunctor_rejects_invalid():
-    c = cyclic_group_category(2)
-    from bwcoh.factorization import op_pair_product
-    prod = op_pair_product(c)
-    vals = (Z,) * prod.category.n_objects
-    homs = []
-    for m in range(prod.category.n_morphisms):
-        a, k = prod.mor_pair(m)
-        # non-multiplicative assignment: -1 only on (g, g)
-        sign = -1 if (a, k) == (1, 1) else 1
-        homs.append(GroupHom.create(Z, Z, IntMatrix(1, 1, (sign,))))
-    bif = AbFunctor(prod.category, vals, tuple(homs))
+    c, values, acts = _sign_bifunctor(2)
+    # non-multiplicative assignment: -1 only on (g, g)
+    acts = {hk: GroupHom.identity(Z) for hk in acts}
+    acts[1, 1] = GroupHom.create(Z, Z, IntMatrix(1, 1, (-1,)))
     with pytest.raises(BifunctorInvalid):
-        from_bifunctor(c, bif)
+        from_bifunctor(c, values, acts)
+    # a missing action leaves the functor undefined somewhere on C^op x C
+    del acts[1, 0]
+    assert validate_bifunctor(c, values, acts).violations == [
+        "bifunctor not defined on C^op x C"]
+
+
+def test_bifunctor_is_checked_off_the_image_of_the_projection():
+    # no morphism of the arrow runs y -> x, so F(C) never reaches the pair
+    # (y, x); the bifunctor must still act there as a functor
+    c = arrow_category()
+    objects, mors = range(c.n_objects), range(c.n_morphisms)
+    values = {(x, y): Z for x in objects for y in objects}
+    acts = {(h, k): GroupHom.identity(Z) for h in mors for k in mors}
+    assert validate_bifunctor(c, values, acts).ok
+    acts[c.identity[1], c.identity[0]] = GroupHom(Z, Z, IntMatrix(1, 1, (2,)))
+    assert validate_bifunctor(c, values, acts).violations == [
+        "(id_y,id_x) does not act as the identity"]
+    assert not validate_bifunctor_full(
+        bifunctor_on_product(c, values, acts)).ok
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_bifunctor_matches_the_pullback_along_the_projection(
+        seed, monkeypatch):
+    # the system read off the keys equals the product functor pulled back
+    # along F(C) -> C^op x C, on hom-pairing and sign systems
+    gen = InstanceGen(f"projection-{seed}")
+    cats = [gen.category(6) for _ in range(3)] + [
+        terminal_category(), arrow_category(), cyclic_group_category(3)]
+    taken = []
+    real = randgen.from_bifunctor
+
+    def spy(c, values, acts):
+        taken.append((c, values, acts))
+        return real(c, values, acts)
+    monkeypatch.setattr(randgen, "from_bifunctor", spy)
+    for c in cats:
+        d = gen.hom_system(c, gen.rng.choice([0, 2, 4]))
+        assert taken[-1][0] is c
+        proj = projection_to_pair(c)
+        assert proj.validate().ok
+        prod = op_pair_product(c)
+        assert all(prod.obj_pair(proj.obj_map[c.identity[x]]) == (x, x)
+                   for x in range(c.n_objects))
+        assert d == system_via_projection(*taken[-1])
+    for k in (2, 4):
+        assert _sign_system(k) == system_via_projection(*_sign_bifunctor(k))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bifunctor_generators_agree_with_full_loop(seed, monkeypatch):
-    # the (category, bifunctor) pairs InstanceGen.hom_system builds, taken
-    # as it hands them to from_bifunctor
+    # the bifunctors InstanceGen.hom_system builds, taken as it hands them
+    # to from_bifunctor; the oracle composes them over all of C^op x C
     gen = InstanceGen(f"bifunctor-{seed}")
     cats = [gen.category(6) for _ in range(3)] + [
         arrow_category(), cyclic_group_category(3), indiscrete_category(2)]
-    pairs = []
+    taken = []
     with monkeypatch.context() as m:
         m.setattr(randgen, "from_bifunctor",
-                  lambda c, bif: pairs.append((c, bif)))
+                  lambda c, values, acts: taken.append((c, values, acts)))
         for c in cats:
             gen.hom_system(c, gen.rng.choice([0, 2, 4]))
     rng = gen.rng
     refused = 0
-    for c, bif in pairs:
-        assert validate_bifunctor(c, bif).ok
-        assert validate_bifunctor_full(bif).ok
+    for c, values, acts in taken:
+        assert validate_bifunctor(c, values, acts).ok
+        assert validate_bifunctor_full(
+            bifunctor_on_product(c, values, acts)).ok
+        keys = list(acts)
         for _ in range(6):
             # a well-defined but possibly non-functorial action at one pair
-            m = rng.randrange(len(bif.homs))
-            h = bif.homs[m]
+            key = keys[rng.randrange(len(keys))]
+            h = acts[key]
             scale = rng.choice([0, -1, 2, 3])
-            homs = list(bif.homs)
-            homs[m] = GroupHom(h.source, h.target, h.matrix.scale(scale))
-            bad = dataclasses.replace(bif, homs=tuple(homs))
-            full = validate_bifunctor_full(bad).ok
-            assert validate_bifunctor(c, bad).ok == full
+            bad = {**acts,
+                   key: GroupHom(h.source, h.target, h.matrix.scale(scale))}
+            full = validate_bifunctor_full(
+                bifunctor_on_product(c, values, bad)).ok
+            assert validate_bifunctor(c, values, bad).ok == full
             if not full:
                 refused += 1
                 with pytest.raises(BifunctorInvalid):
-                    from_bifunctor(c, bad)
+                    from_bifunctor(c, values, bad)
     assert refused
 
 
