@@ -678,14 +678,6 @@ class CochainMap:
                    .first_nonzero_coordinate() is None
                    for a, b in zip(self.maps, other.maps))
 
-    def is_identity_mod(self) -> bool:
-        return self.equal_mod(identity_cochain_map(self.source))
-
-
-def identity_cochain_map(cx: CochainComplex) -> CochainMap:
-    return CochainMap(cx, cx, tuple(BlockHom.identity(g) for g in cx.groups),
-                      label="id")
-
 
 @dataclass
 class Homotopy1:
@@ -706,17 +698,6 @@ class Homotopy1:
                 terms.append((1, self.target.diffs[n - 1], self.maps[n]))
             require_vanishing(BlockHom.signed_sum(terms), "dh+hd = -p+q",
                               self.source, n, self.target, n)
-
-    def sub(self, other: "Homotopy1", p: CochainMap, q: CochainMap
-            ) -> "Homotopy1":
-        """Coordinatewise difference; the caller states the new boundary maps.
-
-        When self.q == other.q this is a homotopy from self.p to other.p.
-        """
-        maps = {n: BlockHom.signed_sum([(1, self.maps[n], None),
-                                        (-1, other.maps[n], None)])
-                for n in self.maps}
-        return Homotopy1(self.source, self.target, maps, p, q)
 
 
 @dataclass

@@ -376,7 +376,6 @@ def sequence_index(basis: tuple[MSeq, ...]) -> dict:
 
 @dataclass(frozen=True)
 class ProductCategory:
-    left: FiniteCategory
     right: FiniteCategory
     category: FiniteCategory
 
@@ -416,7 +415,7 @@ def product(c: FiniteCategory, d: FiniteCategory) -> ProductCategory:
         c.n_objects * d.n_objects, tuple(src), tuple(tgt), tuple(ident),
         table,
     )
-    return ProductCategory(c, d, cat)
+    return ProductCategory(d, cat)
 
 
 # ---------------------------------------------------------------------------
