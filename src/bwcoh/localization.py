@@ -73,7 +73,7 @@ from .abgroup import GroupHom, GroupInvariants, hom_inverse, is_iso
 from .bwcomplex import (
     BlockHom, CochainComplex, CochainMap, HomotopyIdentityError, _homotopy_h,
     build_complex, cohomology_map, homotopy_h, induced_map_2, induced_map_nat,
-    require_vanishing,
+    is_cohomology_iso, require_vanishing,
 )
 from .factorization import factor_nat
 from .fincat import (
@@ -340,7 +340,7 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
     for n in range(max_degree):
         big_inv = cx_d.cohomology(n)
         small_inv = cx_e.cohomology(n)
-        iso = is_iso(cohomology_map(p_map, n)) and (
+        iso = is_cohomology_iso(p_map, n) and (
             nu_is_identity or (_induces_identity(round_big, n)
                                and _induces_identity(round_small, n)))
         if big_inv != small_inv:

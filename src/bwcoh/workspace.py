@@ -60,11 +60,20 @@ relations, and completes the full action table by composing the two sides.
 
 What is checked, and where:
 
-* on load, every cross-reference must resolve and every task option must
-  be ``max-degree=N`` with N >= 1 (``ParseError``), and every
-  category must pass ``validate_category``, every declared action matrix
-  must preserve relations, and a ``bifunctor:`` system must pass
-  ``validate_bifunctor`` (all ``InvalidWorkspace``);
+* on load (``ParseError``, naming the offending line): every line must be
+  one its block kind knows; a line keyed by what precedes its separator
+  (``compose f g``, ``value f``, ``big:``, ``unit x``, ...) may appear once
+  per block, where only ``objects:`` lines continue and a category's
+  ``mor`` lines are checked as duplicate names; a system is constant,
+  bifunctor (``bifunctor:`` its first line) or explicit, never a mix;
+  block names are unique per kind, localizations and colocalizations
+  sharing one namespace; every cross-reference must resolve, the system of
+  a task must live on its category or on the big category of its
+  (co)localization, and every task option must be ``max-degree=N`` with
+  N >= 1;
+* on load, every category must pass ``validate_category``, every declared
+  action matrix must preserve relations, and a ``bifunctor:`` system must
+  pass ``validate_bifunctor`` (all ``InvalidWorkspace``);
 * functors, natural transformations, systems and (co)localizations are
   validated by ``Workspace.validate_all``, the ``validate`` command.  A
   system is checked on its one-sided presentation by
@@ -87,15 +96,14 @@ from .bwcomplex import ProductGroup
 from .factorization import build_factorization
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, compose_functors,
-    identity_functor, make_category,
+    identity_functor, make_category, validate_category,
 )
 from .intmat import IntMatrix
 from .localization import Colocalization, Localization, validate_adjoint_pair
 from .natsys import (
-    AbFunctor, BifunctorInvalid, NaturalSystem, from_bifunctor,
-    validate_natural_system,
+    AbFunctor, BifunctorInvalid, NaturalSystem, constant_system,
+    from_bifunctor, validate_natural_system,
 )
-from .fincat import validate_category
 
 HEADER = "bwcoh workspace v1"
 
@@ -230,7 +238,7 @@ def _split_blocks(text: str) -> list[_Block]:
     blocks = []
     current: _Block | None = None
     for i, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if not seen_header:
@@ -243,14 +251,13 @@ def _split_blocks(text: str) -> list[_Block]:
                 raise ParseError(i, "'end' outside any block")
             parts = line.split(None, 1)
             kind = parts[0]
-            if kind == "task":
-                blocks.append(_Block("task", parts[1] if len(parts) > 1 else "",
-                                     i, []))
-                continue
-            if kind not in ("category", "functor", "nat", "system",
-                            "localization", "colocalization"):
+            if kind not in _KINDS:
                 raise ParseError(i, f"unknown block kind {kind!r}")
-            current = _Block(kind, parts[1] if len(parts) > 1 else "", i, [])
+            block = _Block(kind, parts[1] if len(parts) > 1 else "", i, [])
+            if kind == "task":
+                blocks.append(block)
+            else:
+                current = block
         elif line == "end":
             blocks.append(current)
             current = None
@@ -263,219 +270,209 @@ def _split_blocks(text: str) -> list[_Block]:
     return blocks
 
 
-def _parse_category(block: _Block) -> tuple[str, FiniteCategory]:
+def _split(text: str, sep: str, line: int, usage: str) -> tuple[str, str]:
+    """``text`` cut at its first ``sep`` into two stripped halves; text
+    without ``sep`` is a parse error quoting ``usage``."""
+    left, found, right = text.partition(sep)
+    if not found:
+        raise ParseError(line, f"expected '{usage}'")
+    return left.strip(), right.strip()
+
+
+def _find(table: dict, kind: str, name: str, line: int):
+    """``table[name]``: a workspace table's entry, or an object's or a
+    morphism's position; a name the table lacks is a parse error."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ParseError(line, f"unknown {kind} {name!r}") from None
+
+
+def _positions(names) -> dict[str, int]:
+    """Each name's position; a category without names has None."""
+    return {name: i for i, name in enumerate(names or ())}
+
+
+# The lines of each block kind, by prefix: ``(sep, usage)`` for a line
+# ``PREFIX KEY sep VALUE``, None for ``PREFIX VALUE``.  No prefix starts
+# another, so the order, most frequent first, only saves time
+_CATEGORY_LINES = {"compose ": ("=", "compose f g = h"),
+                   "mor ": (":", "mor f: a -> b"),
+                   "identity ": (":", "identity a: id_a"), "objects:": None}
+_FUNCTOR_LINES = {"obj ": ("->", "x -> y"), "mor ": ("->", "x -> y")}
+_NAT_LINES = {"at ": (":", "at x: f")}
+_SYSTEM_LINES = {"act ": (":", "act ...: MATRIX"),
+                 "value ": (":", "value f: GROUP"),
+                 "constant:": None, "bifunctor": None}
+_ADJOINT_LINES = {kind: {"big:": None, "small:": None, "phi:": None,
+                         "psi:": None, f"{key} ": (":", f"{key} x: f")}
+                  for kind, key in (("localization", "unit"),
+                                    ("colocalization", "counit"))}
+
+
+def _lines(block: _Block, grammar: dict, repeatable: tuple[str, ...] = ()):
+    """Each line of ``block`` as ``(line, prefix, key, value)``, read by
+    ``grammar``.  A line ``PREFIX KEY`` may appear only once per block unless
+    its prefix is ``repeatable``; a repeat names both lines."""
+    seen: dict[str, int] = {}
+    for ln, line in block.lines:
+        for prefix in grammar:
+            if line.startswith(prefix):
+                break
+        else:
+            raise ParseError(ln, f"unknown {block.kind} line {line!r}")
+        form = grammar[prefix]
+        rest = line[len(prefix):]
+        key, value = _split(rest, form[0], ln, form[1]) if form \
+            else ("", rest.strip())
+        if prefix not in repeatable:
+            what = prefix + " ".join(key.split())
+            if what in seen:
+                raise ParseError(ln, f"{what.strip()!r} repeats line "
+                                 f"{seen[what]}")
+            seen[what] = ln
+        yield ln, prefix, key, value
+
+
+def _parse_category(block: _Block, ws: Workspace) -> tuple[str, FiniteCategory]:
     name = block.head.strip()
     if not name:
         raise ParseError(block.line_no, "category needs a name")
-    objects: list[str] = []
-    mor: list[tuple[str, str, str]] = []
-    identities: dict[str, str] = {}
-    composes: list[tuple[int, str, str, str]] = []
-    for ln, line in block.lines:
-        if line.startswith("objects:"):
-            objects.extend(line[len("objects:"):].split())
-        elif line.startswith("mor "):
-            body = line[4:]
-            if ":" not in body or "->" not in body:
-                raise ParseError(ln, "expected 'mor f: a -> b'")
-            mname, rest = body.split(":", 1)
-            src, tgt = rest.split("->", 1)
-            mor.append((mname.strip(), src.strip(), tgt.strip()))
-        elif line.startswith("identity "):
-            body = line[len("identity "):]
-            if ":" not in body:
-                raise ParseError(ln, "expected 'identity a: id_a'")
-            obj, mname = body.split(":", 1)
-            identities[obj.strip()] = mname.strip()
-        elif line.startswith("compose "):
-            body = line[len("compose "):]
-            if "=" not in body:
-                raise ParseError(ln, "expected 'compose f g = h'")
-            left, right = body.split("=", 1)
-            parts = left.split()
-            if len(parts) != 2:
-                raise ParseError(ln, "expected two morphisms before '='")
-            composes.append((ln, parts[0], parts[1], right.strip()))
+    # mors and composes as (line, name, source, target), (line, f, g, h)
+    objects, mors, identities, composes = [], [], {}, []
+    for ln, prefix, key, value in _lines(block, _CATEGORY_LINES,
+                                         ("objects:", "mor ")):
+        if prefix == "objects:":
+            objects.extend(value.split())
+        elif prefix == "mor ":
+            mors.append((ln, key, *_split(value, "->", ln, "mor f: a -> b")))
+        elif prefix == "identity ":
+            identities[key] = (ln, value)
         else:
-            raise ParseError(ln, f"unknown category line {line!r}")
-    obj_index = {o: i for i, o in enumerate(objects)}
-    mor_index = {m[0]: i for i, m in enumerate(mor)}
+            pair = key.split()
+            if len(pair) != 2:
+                raise ParseError(ln, "expected two morphisms before '='")
+            composes.append((ln, pair[0], pair[1], value))
+    obj_index = _positions(objects)
+    mor_index = _positions(m[1] for m in mors)
     if len(obj_index) != len(objects):
         raise ParseError(block.line_no, "duplicate object name")
-    if len(mor_index) != len(mor):
+    if len(mor_index) != len(mors):
         raise ParseError(block.line_no, "duplicate morphism name")
-
-    def obj(o: str, ln: int) -> int:
-        if o not in obj_index:
-            raise ParseError(ln, f"unknown object {o!r}")
-        return obj_index[o]
-
-    def morid(m: str, ln: int) -> int:
-        if m not in mor_index:
-            raise ParseError(ln, f"unknown morphism {m!r}")
-        return mor_index[m]
-
     pairs = {}
     for ln, f, g, h in composes:
-        pairs[(morid(f, ln), morid(g, ln))] = morid(h, ln)
+        pairs[(_find(mor_index, "morphism", f, ln),
+               _find(mor_index, "morphism", g, ln))] = \
+            _find(mor_index, "morphism", h, ln)
     ident = []
     for o in objects:
         if o not in identities:
             raise ParseError(block.line_no, f"object {o!r} has no identity")
-        ident.append(morid(identities[o], block.line_no))
+        ln, m = identities[o]
+        ident.append(_find(mor_index, "morphism", m, ln))
     cat = make_category(
         len(objects),
-        [(obj(s, block.line_no), obj(t, block.line_no)) for _, s, t in mor],
+        [(_find(obj_index, "object", s, ln), _find(obj_index, "object", t, ln))
+         for ln, _, s, t in mors],
         ident, pairs,
-        object_names=objects, morphism_names=[m[0] for m in mor],
+        object_names=objects, morphism_names=[m[1] for m in mors],
     )
     return name, cat
 
 
-def _mor_by_name(cat: FiniteCategory, name: str, ln: int) -> int:
-    if cat.morphism_names and name in cat.morphism_names:
-        return cat.morphism_names.index(name)
-    raise ParseError(ln, f"unknown morphism {name!r}")
-
-
-def _obj_by_name(cat: FiniteCategory, name: str, ln: int) -> int:
-    if cat.object_names and name in cat.object_names:
-        return cat.object_names.index(name)
-    raise ParseError(ln, f"unknown object {name!r}")
-
-
 def _parse_functor(block: _Block, ws: Workspace) -> tuple[str, Functor]:
-    head = block.head
-    if ":" not in head or "->" not in head:
-        raise ParseError(block.line_no, "expected 'functor NAME: A -> B'")
-    name, rest = head.split(":", 1)
-    srcname, tgtname = (s.strip() for s in rest.split("->", 1))
-    for n in (srcname, tgtname):
-        if n not in ws.categories:
-            raise ParseError(block.line_no, f"unknown category {n!r}")
-    src = ws.categories[srcname]
-    tgt = ws.categories[tgtname]
+    usage = "functor NAME: A -> B"
+    name, rest = _split(block.head, ":", block.line_no, usage)
+    src, tgt = (_find(ws.categories, "category", n, block.line_no)
+                for n in _split(rest, "->", block.line_no, usage))
+    objs = [_positions(c.object_names) for c in (src, tgt)]
+    mors = [_positions(c.morphism_names) for c in (src, tgt)]
     obj_map = [None] * src.n_objects
     mor_map = [None] * src.n_morphisms
-    for ln, line in block.lines:
-        if line.startswith("obj "):
-            a, b = _arrow_split(line[4:], ln)
-            obj_map[_obj_by_name(src, a, ln)] = _obj_by_name(tgt, b, ln)
-        elif line.startswith("mor "):
-            a, b = _arrow_split(line[4:], ln)
-            mor_map[_mor_by_name(src, a, ln)] = _mor_by_name(tgt, b, ln)
+    for ln, prefix, a, b in _lines(block, _FUNCTOR_LINES):
+        if prefix == "obj ":
+            obj_map[_find(objs[0], "object", a, ln)] = \
+                _find(objs[1], "object", b, ln)
         else:
-            raise ParseError(ln, f"unknown functor line {line!r}")
+            mor_map[_find(mors[0], "morphism", a, ln)] = \
+                _find(mors[1], "morphism", b, ln)
     if None in obj_map or None in mor_map:
         raise ParseError(block.line_no, "functor map is not total")
-    return name.strip(), Functor(src, tgt, tuple(obj_map), tuple(mor_map))
-
-
-def _arrow_split(body: str, ln: int) -> tuple[str, str]:
-    if "->" not in body:
-        raise ParseError(ln, "expected 'x -> y'")
-    a, b = body.split("->", 1)
-    return a.strip(), b.strip()
+    return name, Functor(src, tgt, tuple(obj_map), tuple(mor_map))
 
 
 def _parse_nat(block: _Block, ws: Workspace) -> tuple[str, NaturalTransformation]:
-    head = block.head
-    if ":" not in head or "=>" not in head:
-        raise ParseError(block.line_no, "expected 'nat NAME: F => G'")
-    name, rest = head.split(":", 1)
-    f1, f2 = (s.strip() for s in rest.split("=>", 1))
-    for n in (f1, f2):
-        if n not in ws.functors:
-            raise ParseError(block.line_no, f"unknown functor {n!r}")
-    src_f = ws.functors[f1]
-    tgt_f = ws.functors[f2]
+    usage = "nat NAME: F => G"
+    name, rest = _split(block.head, ":", block.line_no, usage)
+    src_f, tgt_f = (_find(ws.functors, "functor", n, block.line_no)
+                    for n in _split(rest, "=>", block.line_no, usage))
+    objs = _positions(src_f.source.object_names)
+    mors = _positions(src_f.target.morphism_names)
     comps = [None] * src_f.source.n_objects
-    for ln, line in block.lines:
-        if line.startswith("at "):
-            body = line[3:]
-            if ":" not in body:
-                raise ParseError(ln, "expected 'at x: f'")
-            o, m = body.split(":", 1)
-            comps[_obj_by_name(src_f.source, o.strip(), ln)] = \
-                _mor_by_name(src_f.target, m.strip(), ln)
-        else:
-            raise ParseError(ln, f"unknown nat line {line!r}")
+    for ln, _, o, m in _lines(block, _NAT_LINES):
+        comps[_find(objs, "object", o, ln)] = _find(mors, "morphism", m, ln)
     if None in comps:
         raise ParseError(block.line_no, "components are not total")
-    return name.strip(), NaturalTransformation(src_f, tgt_f, tuple(comps))
+    return name, NaturalTransformation(src_f, tgt_f, tuple(comps))
 
 
-def _parse_system(block: _Block, ws: Workspace) -> tuple[str, str, NaturalSystem]:
-    head = block.head
-    if " on " not in head:
-        raise ParseError(block.line_no, "expected 'system NAME on CAT'")
-    name, catname = (s.strip() for s in head.split(" on ", 1))
-    if catname not in ws.categories:
-        raise ParseError(block.line_no, f"unknown category {catname!r}")
-    cat = ws.categories[catname]
-    kind = None
-    constant_group = None
-    values: dict[int, PresentedGroup] = {}
-    left_acts: dict[tuple[int, int], list[list[int]]] = {}
-    right_acts: dict[tuple[int, int], list[list[int]]] = {}
-    bif_values: dict[tuple[int, int], PresentedGroup] = {}
-    bif_acts: dict[tuple[int, int], list[list[int]]] = {}
-    for ln, line in block.lines:
-        if line.startswith("constant:"):
-            kind = "constant"
-            constant_group = parse_group(line[len("constant:"):], ln)
-        elif line.startswith("bifunctor"):
-            kind = "bifunctor"
-        elif line.startswith("value "):
-            body = line[len("value "):]
-            if ":" not in body:
-                raise ParseError(ln, "expected 'value f: GROUP'")
-            what, grp = body.split(":", 1)
-            parts = what.split()
-            if kind == "bifunctor":
-                if len(parts) != 2:
-                    raise ParseError(ln, "bifunctor value needs two objects")
-                bif_values[(_obj_by_name(cat, parts[0], ln),
-                            _obj_by_name(cat, parts[1], ln))] = \
-                    parse_group(grp, ln)
-            else:
-                kind = kind or "explicit"
-                if len(parts) != 1:
-                    raise ParseError(ln, "value needs one morphism")
-                values[_mor_by_name(cat, parts[0], ln)] = parse_group(grp, ln)
-        elif line.startswith("act "):
-            body = line[len("act "):]
-            if ":" not in body:
-                raise ParseError(ln, "expected 'act ...: MATRIX'")
-            what, mat = body.split(":", 1)
-            matrix = parse_matrix(mat, ln)
-            parts = what.split()
-            if kind == "bifunctor":
-                if len(parts) != 2:
-                    raise ParseError(ln, "bifunctor act needs two morphisms")
-                bif_acts[(_mor_by_name(cat, parts[0], ln),
-                          _mor_by_name(cat, parts[1], ln))] = matrix
-            elif len(parts) == 3 and parts[1] == "-|":
-                left_acts[(_mor_by_name(cat, parts[0], ln),
-                           _mor_by_name(cat, parts[2], ln))] = matrix
-            elif len(parts) == 3 and parts[1] == "|-":
-                right_acts[(_mor_by_name(cat, parts[0], ln),
-                            _mor_by_name(cat, parts[2], ln))] = matrix
-            else:
-                raise ParseError(ln, "expected 'act f -| h: M' or 'act f |- k: M'")
+def _parse_system(block: _Block, ws: Workspace) -> tuple[str, NaturalSystem]:
+    name, catname = _split(block.head, " on ", block.line_no,
+                           "system NAME on CAT")
+    cat = _find(ws.categories, "category", catname, block.line_no)
+    objs, mors = _positions(cat.object_names), _positions(cat.morphism_names)
+    kind = since = group = None
+    # explicit: values by morphism, acts by (sign, f, leg); bifunctor:
+    # values by object pair, acts by morphism pair; each act (line, rows)
+    values, acts = {}, {}
+    for ln, prefix, key, text in _lines(block, _SYSTEM_LINES):
+        if prefix == "bifunctor" and text not in ("", ":"):
+            raise ParseError(ln, "expected 'bifunctor:'")
+        if prefix in ("constant:", "bifunctor"):
+            line_kind = prefix.rstrip(":")
         else:
-            raise ParseError(ln, f"unknown system line {line!r}")
-
+            line_kind = "bifunctor" if kind == "bifunctor" else "explicit"
+        if kind not in (None, line_kind):
+            raise ParseError(ln, f"system kinds mix: {kind} on line {since}, "
+                             f"{line_kind} here")
+        if kind is None:
+            kind, since = line_kind, ln
+        words = key.split()
+        if prefix == "constant:":
+            group = parse_group(text, ln)
+        elif prefix == "value ":
+            if kind == "bifunctor":
+                if len(words) != 2:
+                    raise ParseError(ln, "bifunctor value needs two objects")
+                values[_find(objs, "object", words[0], ln),
+                       _find(objs, "object", words[1], ln)] = \
+                    parse_group(text, ln)
+            else:
+                if len(words) != 1:
+                    raise ParseError(ln, "value needs one morphism")
+                values[_find(mors, "morphism", words[0], ln)] = \
+                    parse_group(text, ln)
+        elif prefix == "act ":
+            matrix = (ln, parse_matrix(text, ln))
+            if kind == "bifunctor":
+                if len(words) != 2:
+                    raise ParseError(ln, "bifunctor act needs two morphisms")
+                acts[_find(mors, "morphism", words[0], ln),
+                     _find(mors, "morphism", words[1], ln)] = matrix
+            elif len(words) == 3 and words[1] in ("-|", "|-"):
+                acts[words[1], _find(mors, "morphism", words[0], ln),
+                     _find(mors, "morphism", words[2], ln)] = matrix
+            else:
+                raise ParseError(ln, "expected 'act f -| h: M' or "
+                                 "'act f |- k: M'")
+    ws.system_base[name] = catname
     if kind == "constant":
-        from .natsys import constant_system
-        return name, catname, constant_system(cat, constant_group)
+        return name, constant_system(cat, group)
     subject = f"system {name}"
     if kind == "bifunctor":
-        return name, catname, _assemble_bifunctor(cat, bif_values, bif_acts,
-                                                  block.line_no, subject)
-    return name, catname, _assemble_explicit(cat, values, left_acts,
-                                             right_acts, block.line_no,
-                                             subject)
+        return name, _assemble_bifunctor(cat, values, acts, block.line_no,
+                                         subject)
+    return name, _assemble_explicit(cat, values, acts, block.line_no, subject)
 
 
 def _action(subject: str, what: str, src: PresentedGroup,
@@ -490,38 +487,39 @@ def _action(subject: str, what: str, src: PresentedGroup,
             f"{group_text(src)} to {group_text(dst)}"])) from None
 
 
-def _assemble_bifunctor(cat, bif_values, bif_acts, line_no, subject
-                        ) -> NaturalSystem:
+def _assemble_bifunctor(cat, values, acts, line_no, subject) -> NaturalSystem:
     objects, mors = range(cat.n_objects), range(cat.n_morphisms)
     for x in objects:
         for y in objects:
-            if (x, y) not in bif_values:
+            if (x, y) not in values:
                 raise ParseError(line_no,
                                  f"bifunctor value missing at object pair "
                                  f"({cat.object_name(x)},"
                                  f"{cat.object_name(y)})")
-    acts = {}
+    homs = {}
     for h in mors:      # h: x' -> x and k: y -> y' act (x, y) -> (x', y')
         for k in mors:
-            if (h, k) not in bif_acts:
+            if (h, k) not in acts:
                 raise ParseError(line_no,
                                  f"bifunctor action missing at "
                                  f"({cat.morphism_name(h)},"
                                  f"{cat.morphism_name(k)})")
-            src = bif_values[cat.mor_target[h], cat.mor_source[k]]
-            dst = bif_values[cat.mor_source[h], cat.mor_target[k]]
-            acts[h, k] = _action(
+            src = values[cat.mor_target[h], cat.mor_source[k]]
+            dst = values[cat.mor_source[h], cat.mor_target[k]]
+            homs[h, k] = _action(
                 subject, f"{cat.morphism_name(h)} {cat.morphism_name(k)}",
-                src, dst, _matrix_of(bif_acts[h, k], dst, src, line_no))
+                src, dst, _matrix_of(acts[h, k], dst, src))
     try:
-        return from_bifunctor(cat, bif_values, acts)
+        return from_bifunctor(cat, values, homs)
     except BifunctorInvalid as exc:
         raise InvalidWorkspace(Report(subject, exc.report.violations)) \
             from None
 
 
-def _matrix_of(rows: list[list[int]], dst: PresentedGroup,
-               src: PresentedGroup, ln: int) -> IntMatrix:
+def _matrix_of(act: tuple[int, list[list[int]]], dst: PresentedGroup,
+               src: PresentedGroup) -> IntMatrix:
+    """The matrix of a declared act, given as (line, rows)."""
+    ln, rows = act
     if len(rows) != dst.generators or \
             any(len(r) != src.generators for r in rows):
         raise ParseError(ln, f"matrix must be {dst.generators}x{src.generators}")
@@ -530,82 +528,70 @@ def _matrix_of(rows: list[list[int]], dst: PresentedGroup,
     return IntMatrix.from_rows(rows)
 
 
-def _assemble_explicit(cat, values, left_acts, right_acts, line_no, subject
-                       ) -> NaturalSystem:
+def _assemble_explicit(cat, values, acts, line_no, subject) -> NaturalSystem:
     fc = build_factorization(cat)
     for f in range(cat.n_morphisms):
         if f not in values:
             raise ParseError(line_no,
                              f"value missing at morphism {cat.morphism_name(f)}")
     # one-sided generating actions, each built once; identities may be omitted
-    left: dict[tuple[int, int], GroupHom] = {}
-    right: dict[tuple[int, int], GroupHom] = {}
+    built: dict[tuple[str, int, int], GroupHom] = {}
 
-    def generator(built, acts, sign, f, leg, composite) -> GroupHom:
-        if (f, leg) in built:
-            return built[f, leg]
+    def generator(sign, f, leg, composite) -> GroupHom:
+        if (sign, f, leg) in built:
+            return built[sign, f, leg]
         if cat.is_identity(leg):
             hom = GroupHom.identity(values[f])
         else:
             what = f"{cat.morphism_name(f)} {sign} {cat.morphism_name(leg)}"
-            if (f, leg) not in acts:
+            if (sign, f, leg) not in acts:
                 raise ParseError(line_no, f"action missing: {what}")
             hom = _action(subject, what, values[f], values[composite],
-                          _matrix_of(acts[(f, leg)], values[composite],
-                                     values[f], line_no))
-        built[f, leg] = hom
+                          _matrix_of(acts[sign, f, leg], values[composite],
+                                     values[f]))
+        built[sign, f, leg] = hom
         return hom
 
     homs = []
     for p in fc.pairs:
         fh = cat.table[p.h][p.src]
-        homs.append(hom_compose(
-            generator(right, right_acts, "|-", fh, p.k, p.dst),
-            generator(left, left_acts, "-|", p.src, p.h, fh)))
+        homs.append(hom_compose(generator("|-", fh, p.k, p.dst),
+                                generator("-|", p.src, p.h, fh)))
     return NaturalSystem(fc, AbFunctor(fc.category,
                                        tuple(values[f]
                                              for f in range(cat.n_morphisms)),
                                        tuple(homs)))
 
 
-def _parse_adjoint(block: _Block, ws: Workspace, unit_side: bool):
+def _parse_adjoint(block: _Block, ws: Workspace):
     name = block.head.strip()
-    big = small = phi = psi = None
-    comps: dict[int, int] = {}
+    unit_side = block.kind == "localization"
     key = "unit" if unit_side else "counit"
-    for ln, line in block.lines:
-        if line.startswith("big:"):
-            big = line[4:].strip()
-        elif line.startswith("small:"):
-            small = line[6:].strip()
-        elif line.startswith("phi:"):
-            phi = line[4:].strip()
-        elif line.startswith("psi:"):
-            psi = line[4:].strip()
-        elif line.startswith(key + " "):
-            body = line[len(key) + 1:]
-            if ":" not in body:
-                raise ParseError(ln, f"expected '{key} x: f'")
-            o, m = body.split(":", 1)
-            bigcat = ws.categories.get(big)
+    refs: dict[str, str] = {}
+    names = None        # objects and morphisms of the big category
+    comps: dict[int, int] = {}
+    for ln, prefix, o, m in _lines(block, _ADJOINT_LINES[block.kind]):
+        if prefix != key + " ":
+            refs[prefix[:-1]] = m
+            continue
+        if names is None:
+            bigcat = ws.categories.get(refs.get("big"))
             if bigcat is None:
                 raise ParseError(ln, f"{key} listed before big category")
-            comps[_obj_by_name(bigcat, o.strip(), ln)] = \
-                _mor_by_name(bigcat, m.strip(), ln)
-        else:
-            raise ParseError(ln, f"unknown {('localization' if unit_side else 'colocalization')} line {line!r}")
-    for label, val in (("big", big), ("small", small), ("phi", phi),
-                       ("psi", psi)):
-        if val is None:
+            names = (_positions(bigcat.object_names),
+                     _positions(bigcat.morphism_names))
+        comps[_find(names[0], "object", o, ln)] = \
+            _find(names[1], "morphism", m, ln)
+    for label in ("big", "small", "phi", "psi"):
+        if label not in refs:
             raise ParseError(block.line_no, f"missing {label}")
-    if big not in ws.categories or small not in ws.categories:
+    bigcat, smallcat = (ws.categories.get(refs[label])
+                        for label in ("big", "small"))
+    if bigcat is None or smallcat is None:
         raise ParseError(block.line_no, "unknown category reference")
-    if phi not in ws.functors or psi not in ws.functors:
+    phif, psif = (ws.functors.get(refs[label]) for label in ("phi", "psi"))
+    if phif is None or psif is None:
         raise ParseError(block.line_no, "unknown functor reference")
-    bigcat = ws.categories[big]
-    smallcat = ws.categories[small]
-    phif = ws.functors[phi]
-    psif = ws.functors[psi]
     components = []
     for x in range(bigcat.n_objects):
         if x not in comps:
@@ -613,21 +599,17 @@ def _parse_adjoint(block: _Block, ws: Workspace, unit_side: bool):
                              f"{key} component missing at object "
                              f"{bigcat.object_name(x)}")
         components.append(comps[x])
-    xi = compose_functors(psif, phif)
-    if unit_side:
-        nat = NaturalTransformation(identity_functor(bigcat), xi,
-                                    tuple(components))
-        return name, Localization(bigcat, smallcat, phif, psif, nat)
-    nat = NaturalTransformation(xi, identity_functor(bigcat),
+    # the unit runs 1 => psi∘phi, the counit psi∘phi => 1
+    ends = (identity_functor(bigcat), compose_functors(psif, phif))
+    nat = NaturalTransformation(*(ends if unit_side else ends[::-1]),
                                 tuple(components))
-    return name, Colocalization(bigcat, smallcat, phif, psif, nat)
+    return name, (Localization if unit_side else Colocalization)(
+        bigcat, smallcat, phif, psif, nat)
 
 
-def _parse_task(block: _Block, ws: Workspace) -> Task:
-    head = block.head
-    if ":" not in head:
-        raise ParseError(block.line_no, "expected 'task NAME: command args'")
-    name, rest = head.split(":", 1)
+def _parse_task(block: _Block, ws: Workspace) -> tuple[str, Task]:
+    name, rest = _split(block.head, ":", block.line_no,
+                        "task NAME: command args")
     words = rest.split()
     if not words:
         raise ParseError(block.line_no, "task needs a command")
@@ -649,15 +631,12 @@ def _parse_task(block: _Block, ws: Workspace) -> Task:
         if max_degree < 1:
             raise ParseError(block.line_no, f"bad task option {w!r}: "
                              f"max-degree must be an integer of at least 1")
-    task = Task(name.strip(), command, args, max_degree)
-    # cross-reference checks
+    # cross-reference checks, as the command itself makes them
     if command == "cohomology":
         if len(args) != 2:
             raise ParseError(block.line_no, "cohomology task needs CAT SYSTEM")
-        if args[0] not in ws.categories:
-            raise ParseError(block.line_no, f"unknown category {args[0]!r}")
-        if args[1] not in ws.systems:
-            raise ParseError(block.line_no, f"unknown system {args[1]!r}")
+        _find(ws.categories, "category", args[0], block.line_no)
+        _find(ws.systems, "system", args[1], block.line_no)
         if ws.system_base[args[1]] != args[0]:
             raise ParseError(block.line_no,
                              f"system {args[1]!r} does not live on {args[0]!r}")
@@ -665,57 +644,50 @@ def _parse_task(block: _Block, ws: Workspace) -> Task:
         if len(args) != 2:
             raise ParseError(block.line_no,
                              "localization-check task needs LOC SYSTEM")
-        if args[0] not in ws.localizations and \
-                args[0] not in ws.colocalizations:
+        loc = ws.localizations.get(args[0]) or \
+            ws.colocalizations.get(args[0])
+        if loc is None:
             raise ParseError(block.line_no,
                              f"unknown (co)localization {args[0]!r}")
-        if args[1] not in ws.systems:
-            raise ParseError(block.line_no, f"unknown system {args[1]!r}")
+        system = _find(ws.systems, "system", args[1], block.line_no)
+        if system.base != loc.big:
+            raise ParseError(block.line_no,
+                             f"system {args[1]!r} does not live on the big "
+                             f"category of {args[0]!r}")
     else:
         raise ParseError(block.line_no, f"unknown task command {command!r}")
-    return task
+    return name, Task(name, command, args, max_degree)
+
+
+# Each block kind's parser and the Workspace tables its name must be new
+# to, the first of which stores it.  Localizations and colocalizations
+# share one namespace.
+_KINDS = {
+    "category": (_parse_category, ("categories",)),
+    "functor": (_parse_functor, ("functors",)),
+    "nat": (_parse_nat, ("nats",)),
+    "system": (_parse_system, ("systems",)),
+    "localization": (_parse_adjoint, ("localizations", "colocalizations")),
+    "colocalization": (_parse_adjoint, ("colocalizations", "localizations")),
+    "task": (_parse_task, ("tasks",)),
+}
 
 
 def load_workspace(text: str) -> Workspace:
-    blocks = _split_blocks(text)
     ws = Workspace()
-    for block in blocks:
+    for block in _split_blocks(text):
+        parse, tables = _KINDS[block.kind]
+        name, value = parse(block, ws)
+        if any(name in getattr(ws, table) for table in tables):
+            raise ParseError(block.line_no, f"duplicate {block.kind} {name!r}")
         if block.kind == "category":
-            name, cat = _parse_category(block)
-            if name in ws.categories:
-                raise ParseError(block.line_no, f"duplicate category {name!r}")
             # systems, functors and (co)localizations build on the
             # composition table, so it must be complete before they parse
-            rep = validate_category(cat)
+            rep = validate_category(value)
             if not rep.ok:
                 rep.subject = f"category {name}"
                 raise InvalidWorkspace(rep)
-            ws.categories[name] = cat
-        elif block.kind == "functor":
-            name, f = _parse_functor(block, ws)
-            if name in ws.functors:
-                raise ParseError(block.line_no, f"duplicate functor {name!r}")
-            ws.functors[name] = f
-        elif block.kind == "nat":
-            name, a = _parse_nat(block, ws)
-            ws.nats[name] = a
-        elif block.kind == "system":
-            name, catname, s = _parse_system(block, ws)
-            if name in ws.systems:
-                raise ParseError(block.line_no, f"duplicate system {name!r}")
-            ws.systems[name] = s
-            ws.system_base[name] = catname
-        elif block.kind == "localization":
-            name, l = _parse_adjoint(block, ws, unit_side=True)
-            ws.localizations[name] = l
-        elif block.kind == "colocalization":
-            name, l = _parse_adjoint(block, ws, unit_side=False)
-            ws.colocalizations[name] = l
-        elif block.kind == "task":
-            task = _parse_task(block, ws)
-            if task.name in ws.tasks:
-                raise ParseError(block.line_no, f"duplicate task {task.name!r}")
-            ws.tasks[task.name] = task
+        getattr(ws, tables[0])[name] = value
     return ws
 
 

@@ -33,8 +33,6 @@ ALLOWED = {
     "homotopy_class_equal":
         "the paper's 2-cell equality; ROADMAP direction 4 gives it a CLI "
         "caller in check-laws",
-    "is_cohomology_iso":
-        "ROADMAP direction 4 gives it a CLI caller",
     "DegreeTruncation":
         "the warning homotopy_class_equal raises; kept with it for "
         "ROADMAP direction 4",

@@ -191,6 +191,142 @@ def test_task_options_are_checked_on_load(tmp_path, option):
     assert "Traceback" not in err
 
 
+def _line(text: str, snippet: str) -> int:
+    """The line on which the one occurrence of ``snippet`` starts."""
+    assert text.count(snippet) == 1, snippet
+    return text[:text.index(snippet)].count("\n") + 1
+
+
+def _assert_refused(tmp_path, name, old, new, message, *snippets):
+    """Replace ``old`` by ``new`` in a checked-in workspace: ``validate``
+    exits 3, and its error is ``message`` with the lines of ``snippets``."""
+    text = (WORKSPACES / name).read_text(encoding="utf-8")
+    assert text.count(old) == 1, old
+    text = text.replace(old, new)
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("validate", str(path))
+    expected = message.format(*(_line(text, s) for s in snippets))
+    assert (code, out, err) == (3, "", f"error: {path}: {expected}\n")
+
+
+LOCAL_Z4 = "system local_z4 on arrow\n"
+LAST_ACT = "  act id_y -| f: [[1]]\n"
+
+
+@pytest.mark.parametrize("name, old, new, message, snippets", [
+    # the constant line used to win: H^0 read Z, not Z/4
+    ("arrow.bwcoh", LOCAL_Z4, LOCAL_Z4 + "  constant: Z\n",
+     "line {}: system kinds mix: constant on line {}, explicit here",
+     ("  value id_x: Z/4", "  constant: Z\n  value")),
+    ("arrow.bwcoh", LAST_ACT, LAST_ACT + "  constant: Z\n",
+     "line {}: system kinds mix: explicit on line {}, constant here",
+     ("  constant: Z\nend\n\ntask", "  value id_x: Z/4")),
+    ("arrow.bwcoh", "  constant: Z/4\n", "  constant: Z/4\n  constant: Z/2\n",
+     "line {}: 'constant:' repeats line {}",
+     ("  constant: Z/2", "  constant: Z/4")),
+    # any line that began with "bifunctor" used to count as the marker
+    ("cyclic.bwcoh", "  bifunctor:\n", "  bifunctorial nonsense\n",
+     "line {}: expected 'bifunctor:'", ("  bifunctorial",)),
+], ids=["constant-first", "constant-last", "two-constants", "junk-marker"])
+def test_system_kinds_are_exclusive(tmp_path, name, old, new, message,
+                                    snippets):
+    _assert_refused(tmp_path, name, old, new, message, *snippets)
+
+
+@pytest.mark.parametrize("old, added, message, snippets", [
+    # reported only as "composite of (0,2) has wrong endpoints"
+    ("  compose id_x f = f\n", "  compose id_x f = id_x\n",
+     "line {}: 'compose id_x f' repeats line {}",
+     ("  compose id_x f = id_x", "  compose id_x f = f\n")),
+    ("  identity y: id_y\n", "  identity  y: id_y\n",
+     "line {}: 'identity y' repeats line {}",
+     ("  identity  y", "  identity y")),
+    ("  obj y -> p\n", "  obj y -> p  # again\n",
+     "line {}: 'obj y' repeats line {}", ("  obj y -> p  #", "  obj y -> p\n")),
+    ("  mor f -> id_p\n", "  mor f -> id_p  # again\n",
+     "line {}: 'mor f' repeats line {}",
+     ("  mor f -> id_p  #", "  mor f -> id_p\n")),
+    ("  value f: Z/4\n", "  value f: Z/2\n",
+     "line {}: 'value f' repeats line {}", ("  value f: Z/2", "  value f: Z/4")),
+    (LAST_ACT, "  act id_y  -|  f: [[3]]\n",
+     "line {}: 'act id_y -| f' repeats line {}",
+     ("  act id_y  -|", LAST_ACT)),
+    ("  psi: include_y\n", "  psi: include_x\n",
+     "line {}: 'psi:' repeats line {}",
+     ("  psi: include_x\n  unit", "  psi: include_y")),
+    ("  unit y: id_y\n", "  unit y: f\n",
+     "line {}: 'unit y' repeats line {}", ("  unit y: f", "  unit y: id_y")),
+], ids=["compose", "identity", "functor-obj", "functor-mor", "value", "act",
+        "psi", "unit"])
+def test_repeated_keyed_line_names_both_lines(tmp_path, old, added, message,
+                                              snippets):
+    # the later line used to win silently
+    _assert_refused(tmp_path, "arrow.bwcoh", old, old + added, message,
+                    *snippets)
+
+
+def test_objects_lines_continue_and_other_lines_do_not():
+    text = f"""{HEADER}
+category c
+  objects: a
+  objects: b
+  mor id_a: a -> a
+  mor id_b: b -> b
+  identity a: id_a
+  identity b: id_b
+  compose id_a id_a = id_a
+  compose id_b id_b = id_b
+end
+"""
+    assert load_workspace(text).categories["c"].object_names == ("a", "b")
+    with pytest.raises(ParseError,
+                       match="^line 11: 'compose id_a id_a' repeats line 9$"):
+        load_workspace(text.replace("end\n", "  compose id_a id_a = id_a\nend\n"))
+
+
+COLOCALIZATION = "colocalization coloc_x\n"
+NAT = "nat n: collapse => collapse\n  at x: id_p\n  at y: id_p\nend\n"
+
+
+@pytest.mark.parametrize("new, message, snippets", [
+    (NAT + NAT.replace("\n", "  # again\n", 1) + COLOCALIZATION,
+     "line {}: duplicate nat 'n'", ("nat n: collapse => collapse  #",)),
+    # validate used to count 11 objects for 12 blocks
+    ("localization loc_y  # again\n  big: arrow\n  small: point\n"
+     "  phi: collapse\n  psi: include_y\n  unit x: f\n  unit y: id_y\nend\n"
+     + COLOCALIZATION,
+     "line {}: duplicate localization 'loc_y'", ("localization loc_y  #",)),
+    # localization-check loc_y used to pick the localization
+    ("colocalization loc_y\n  big: arrow\n  small: point\n  phi: collapse\n"
+     "  psi: include_x\n  counit x: id_x\n  counit y: f\nend\n"
+     + COLOCALIZATION,
+     "line {}: duplicate colocalization 'loc_y'", ("colocalization loc_y",)),
+], ids=["nat", "localization", "localization-and-colocalization"])
+def test_duplicate_block_names_are_refused(tmp_path, new, message, snippets):
+    _assert_refused(tmp_path, "arrow.bwcoh", COLOCALIZATION, new, message,
+                    *snippets)
+
+
+@pytest.mark.parametrize("old, new, message, snippets", [
+    # reported on the system's header line
+    ("  act id_x |- f: [[3]]\n", "  act id_x |- f: [[3, 1]]\n",
+     "line {}: matrix must be 1x1", ("  act id_x |- f: [[3, 1]]",)),
+    # reported on the category's header line
+    ("  mor f: x -> y\n", "  mor f: x -> z\n",
+     "line {}: unknown object 'z'", ("  mor f: x -> z",)),
+    # accepted although the command would refuse it
+    ("task cohomology_z:",
+     "system pz on point\n  constant: Z\nend\n"
+     "task pz_transport: localization-check loc_y pz max-degree=3\n"
+     "task cohomology_z:",
+     "line {}: system 'pz' does not live on the big category of 'loc_y'",
+     ("task pz_transport",)),
+], ids=["act-shape", "mor-object", "localization-check-task"])
+def test_errors_name_the_offending_line(tmp_path, old, new, message, snippets):
+    _assert_refused(tmp_path, "arrow.bwcoh", old, new, message, *snippets)
+
+
 def test_incomplete_composition_table_exits_2_on_every_command(tmp_path):
     # without this line the arrow's systems used to crash the loader with a
     # KeyError while building the factorization category
