@@ -24,9 +24,13 @@ The cone is checked for ``∂∘∂ = 0`` exactly, then shrunk by elimination on
 the acyclic ``Z e_j -> Z ∂e_j``, replaces ``∂_{n-1}`` by its Schur complement
 (each other column ``jj`` through row ``i`` loses ``p·c_jj[i]·col_j``), drops
 ``j`` as a row of ``∂_{n-2}`` and ``i`` as a column of ``∂_n``
-(Kaczynski–Mischaikow–Mrozek, *Computational Homology*, ch. 4).  Each pivot
-is a chain homotopy equivalence between the cone before and after it, and
-the pivot log (per differential, in order: ``i``, ``j``, ``p``, the popped
+(Kaczynski–Mischaikow–Mrozek, *Computational Homology*, ch. 4).  A column
+or row whose single entry is a unit is pivoted at once; the other unit
+entries are taken in least-fill order ``(cost, k, i, j)``, cost
+``(|row i| - 1)·(|col j| - 1)`` in ``∂_{k-1}``, each packed into one integer
+that sorts the same way.  Rows are kept as short lists of columns.  Each
+pivot is a chain homotopy equivalence between the cone before and after it,
+and the pivot log (per differential, in order: ``i``, ``j``, ``p``, the popped
 ``col_j`` without its pivot entry and the row coefficients ``(jj, c_jj[i])``)
 composes them into two chain maps between the cone and its residue:
 
@@ -72,9 +76,9 @@ from .bwcomplex import Columns, CochainComplex, HomotopyIdentityError
 from .intmat import IntMatrix, smith_normal_form
 
 # A sparse differential: columns {col: {row: value}} (``bwcomplex.Columns``)
-# and, once reduction starts, rows {row: {col, ...}}.  Zero entries are never
-# stored.
-Rows = dict[int, set[int]]
+# and, once reduction starts, rows {row: [col, ...]}: short lists in no
+# order, far smaller than sets at depth.  Zero entries are never stored.
+Rows = dict[int, list[int]]
 # One unit pivot: i, j, p, col_j without row i, [(jj, c_jj[i]), ...]
 Pivot = tuple[int, int, int, dict[int, int], list[tuple[int, int]]]
 
@@ -197,11 +201,11 @@ def _forced_zero(cols: Columns) -> set[int]:
         row = rows[queue.pop()]
         if len(row) != 1:
             continue
-        j = row.pop()
+        j = row[0]
         dropped.add(j)
         for i in cols[j]:
             rest = rows[i]
-            rest.discard(j)
+            rest.remove(j)
             if len(rest) == 1:
                 queue.append(i)
     return dropped
@@ -211,7 +215,7 @@ def _rows(cols: Columns) -> Rows:
     rows: Rows = {}
     for j, col in cols.items():
         for i in col:
-            rows.setdefault(i, set()).add(j)
+            rows.setdefault(i, []).append(j)
     return rows
 
 
@@ -301,9 +305,9 @@ def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
         col = cols.pop(j)
         p = col.pop(i)
         row = rk.pop(i)
-        row.discard(j)
+        row.remove(j)
         for r in col:
-            rk[r].discard(j)
+            rk[r].remove(j)
         coeffs = []
         for jj in row:
             c = cols[jj]
@@ -314,11 +318,11 @@ def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
                 v = c.get(r, 0) - a * f
                 if v:
                     if r not in c:
-                        rk[r].add(jj)
+                        rk[r].append(jj)
                     c[r] = v
                 elif r in c:
                     del c[r]
-                    rk[r].discard(jj)
+                    rk[r].remove(jj)
             if len(c) == 1:
                 queue.append((0, k, jj))
         for r in col:
@@ -333,7 +337,7 @@ def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
         if k + 1 < len(diffs):   # basis element i leaves T as a column above
             for r in diffs[k + 1].pop(i):
                 rr = rows[k + 1][r]
-                rr.discard(i)
+                rr.remove(i)
                 if len(rr) == 1:
                     queue.append((1, k + 1, r))
         log[k].append((i, j, p, col, coeffs))
@@ -352,7 +356,7 @@ def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
                 row = rows[k].get(x)
                 if row is None or len(row) != 1:
                     continue
-                j = next(iter(row))
+                j = row[0]
                 v = diffs[k][j][x]
                 if v == 1 or v == -1:
                     pivot(k, x, j)
@@ -360,17 +364,23 @@ def _reduce(diffs: list[Columns]) -> list[list[Pivot]]:
     for k, cols in enumerate(diffs):
         queue.extend((0, k, j) for j, col in cols.items() if len(col) == 1)
         queue.extend((1, k, i) for i, row in rows[k].items() if len(row) == 1)
+    # a candidate (cost, k, i, j) packed into one int that sorts the same way
+    nk = len(diffs)
+    w = 1 + max(max(m, default=0) for m in (*diffs, *rows))
     while True:
         drain()
         # least-fill unit pivots, taken in order while their fill has not grown
         cands = sorted(
-            ((len(rows[k][i]) - 1) * (len(col) - 1), k, i, j)
+            (((len(rows[k][i]) - 1) * (len(col) - 1) * nk + k) * w + i) * w + j
             for k, cols in enumerate(diffs)
             for j, col in cols.items()
             for i, v in col.items() if v == 1 or v == -1)
         if not cands:
             return log
-        for cost, k, i, j in cands:
+        for key in cands:
+            key, j = divmod(key, w)
+            key, i = divmod(key, w)
+            cost, k = divmod(key, nk)
             col = diffs[k].get(j)
             if col is None or col.get(i) not in (1, -1):
                 continue
@@ -415,9 +425,9 @@ def _rank(cols: Columns) -> int:
         p = col.pop(i)
         unit = p == 1 or p == -1
         for r in col:
-            rows[r].discard(j)
+            rows[r].remove(j)
         row = rows.pop(i)
-        row.discard(j)
+        row.remove(j)
         for jj in row:
             c = cols[jj]
             f = c.pop(i)
@@ -430,11 +440,11 @@ def _rank(cols: Columns) -> int:
                 v = c.get(r, 0) - a * f
                 if v:
                     if r not in c:
-                        rows[r].add(jj)
+                        rows[r].append(jj)
                     c[r] = v
                 elif r in c:
                     del c[r]
-                    rows[r].discard(jj)
+                    rows[r].remove(jj)
             if not unit:
                 cols[jj] = c = _primitive(c)
             heapq.heappush(heap, (len(c), jj))

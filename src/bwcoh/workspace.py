@@ -359,6 +359,8 @@ def _parse_category(block: _Block, ws: Workspace) -> tuple[str, FiniteCategory]:
         raise ParseError(block.line_no, "duplicate object name")
     if len(mor_index) != len(mors):
         raise ParseError(block.line_no, "duplicate morphism name")
+    for o, (ln, _) in identities.items():
+        _find(obj_index, "object", o, ln)
     pairs = {}
     for ln, f, g, h in composes:
         pairs[(_find(mor_index, "morphism", f, ln),

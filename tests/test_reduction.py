@@ -9,8 +9,10 @@ full-complex references.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,64 @@ def test_group_cohomology_closed_forms(cat, coeff, expected):
     cx = build_complex(constant_system(cat, coeff), len(expected),
                        normalized=True)
     assert [cx.cohomology(n).human() for n in range(len(expected))] == expected
+
+
+# ---------------------------------------------------------------------------
+# the elimination itself, pinned
+
+def s3_complex(system, max_degree, normalized):
+    ws = load_workspace(
+        (WORKSPACES / "symmetric3.bwcoh").read_text(encoding="utf-8"))
+    return build_complex(ws.systems[system], max_degree,
+                         normalized=normalized)
+
+
+def short_digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# pivot and residue digests recorded from the elimination with a set per
+# row and a (cost, k, i, j) tuple per candidate; a leaner bookkeeping must
+# take the same pivots in the same order and leave the same residue
+@pytest.mark.parametrize("system, max_degree, normalized, pivots, residue, "
+                         "pivot_counts, residue_columns", [
+    ("const_z", 5, True, "d121a9155bee29ee", "459f28e0ba93e744",
+     [0, 0, 4, 20, 104, 520], [0, 1, 1, 1, 1, 1]),
+    ("const_z", 4, False, "2d8503c26f2e8b56", "85b37a96c2676d0f",
+     [0, 0, 5, 30, 184], [0, 1, 1, 1, 2]),
+    ("const_z2", 5, True, "13c0ec66f002ec44", "d40e585f098cfd71",
+     [0, 4, 24, 124, 624, 520], [1, 2, 2, 2, 2, 2606]),
+    ("const_z2", 4, False, "f6819d5179bf618d", "8a2ac8a7e098ba29",
+     [0, 5, 35, 214, 184], [1, 2, 2, 3, 1114]),
+    ("const_z3", 5, True, "13c0ec66f002ec44", "cefbdb068faae2fe",
+     [0, 4, 24, 124, 624, 520], [1, 2, 2, 2, 2, 2606]),
+    ("const_z3", 4, False, "f6819d5179bf618d", "e962cef378820e68",
+     [0, 5, 35, 214, 184], [1, 2, 2, 3, 1114]),
+], ids=["z_norm5", "z_full4", "z2_norm5", "z2_full4", "z3_norm5", "z3_full4"])
+def test_symmetric3_elimination_is_pinned(system, max_degree, normalized,
+                                          pivots, residue, pivot_counts,
+                                          residue_columns):
+    red = s3_complex(system, max_degree, normalized).reduced()
+    assert [len(log) for log in red.log] == pivot_counts
+    assert [len(cols) for cols in red.diffs] == residue_columns
+    assert short_digest([[(i, j, p) for i, j, p, _, _ in log]
+                         for log in red.log]) == pivots
+    assert short_digest([sorted((j, i, v) for j, col in cols.items()
+                                for i, v in col.items())
+                         for cols in red.diffs]) == residue
+
+
+def test_reduction_bookkeeping_stays_small():
+    # tracemalloc peak: 6.10 MiB with a set per row and a tuple per
+    # candidate, 3.26 MiB with a list per row and one int per candidate
+    cx = s3_complex("const_z", 5, True)
+    tracemalloc.start()
+    try:
+        [cx.cohomology(n) for n in range(5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.68 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,9 @@ def test_duplicate_block_names_are_refused(tmp_path, new, message, snippets):
     # reported on the category's header line
     ("  mor f: x -> y\n", "  mor f: x -> z\n",
      "line {}: unknown object 'z'", ("  mor f: x -> z",)),
+    # an identity for an undeclared object used to be ignored
+    ("  identity y: id_y\n", "  identity y: id_y\n  identity zz: f\n",
+     "line {}: unknown object 'zz'", ("  identity zz: f",)),
     # accepted although the command would refuse it
     ("task cohomology_z:",
      "system pz on point\n  constant: Z\nend\n"
@@ -322,7 +325,8 @@ def test_duplicate_block_names_are_refused(tmp_path, new, message, snippets):
      "task cohomology_z:",
      "line {}: system 'pz' does not live on the big category of 'loc_y'",
      ("task pz_transport",)),
-], ids=["act-shape", "mor-object", "localization-check-task"])
+], ids=["act-shape", "mor-object", "identity-object",
+        "localization-check-task"])
 def test_errors_name_the_offending_line(tmp_path, old, new, message, snippets):
     _assert_refused(tmp_path, "arrow.bwcoh", old, new, message, *snippets)
 
