@@ -40,7 +40,7 @@ def zero_on_f(c) -> NaturalSystem:
                                   (1,) * (values[p.dst].generators *
                                           values[p.src].generators)))
         for p in fc.pairs)
-    return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    return NaturalSystem(fc, AbFunctor(fc, values, homs))
 
 
 def main():

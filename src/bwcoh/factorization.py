@@ -1,13 +1,18 @@
 """Factorization categories and the induced structure on functors and
 natural transformations.
 
-The factorization category of C has the morphisms of C as objects; a morphism
-``(h, k): f -> g`` is a pair with ``k∘f∘h == g``, composing by
-``(h', k')(h, k) = (h∘h', k'∘k)``.  It is realized eagerly as a
-``FiniteCategory`` whose object ids coincide with the morphism ids of the
-base, so every validator and enumeration from ``fincat`` applies unchanged.
-Pair ids are ordered by ``(source object, target object, h, k)`` to keep
-cochain bases reproducible.
+The factorization category F(C) of C has the morphisms of C as objects; a
+morphism ``(h, k): f -> g`` is a pair with ``k∘f∘h == g``, composing by
+``(h', k')(h, k) = (h∘h', k'∘k)``.  ``build_factorization`` enumerates the
+pairs, ordered by ``(source object, target object, h, k)`` to keep cochain
+bases reproducible, and a ``FactorizationCategory`` is given by them: its
+sizes, endpoints, identities and pair ids all come from the pairs, and its
+object ids coincide with the morphism ids of the base.  Natural systems, and
+the functors that ``factor_functor`` and ``factor_nat`` induce, only look
+pairs up.  The composition table of F(C) is built from the base table the
+first time a caller composes in F(C), such as validating a functor or a
+transformation on it, and the pair names the first time ``category``
+realizes F(C) as a named ``FiniteCategory`` for export.
 
 On top of the category itself this module provides the action of the
 factorization construction on functors (``factor_functor``), on natural
@@ -25,7 +30,7 @@ from functools import cached_property, lru_cache
 
 from .fincat import (
     CONSTRUCTOR_CACHE, FiniteCategory, Functor, NaturalTransformation,
-    ShapeMismatch, make_category, vertical_compose,
+    ShapeMismatch, vertical_compose,
 )
 
 
@@ -45,11 +50,47 @@ class FPair:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorizationCategory:
+    """F(C) by its pairs, with the attributes of a ``FiniteCategory`` that
+    functors, transformations and group-valued functors on it read."""
     base: FiniteCategory
-    category: FiniteCategory
     pairs: tuple[FPair, ...]
+
+    def __eq__(self, other):
+        # the pairs follow from the base, and F(C) is named after the
+        # morphisms of C alone: bases that differ only in object names
+        # give equal realized categories, so they give equal F(C)
+        if not isinstance(other, FactorizationCategory):
+            return NotImplemented
+        return self.base is other.base or \
+            _named_shape(self.base) == _named_shape(other.base)
+
+    def __hash__(self):
+        return hash(self.base)
+
+    @property
+    def n_objects(self) -> int:
+        return self.base.n_morphisms
+
+    @property
+    def n_morphisms(self) -> int:
+        return len(self.pairs)
+
+    @cached_property
+    def mor_source(self) -> tuple[int, ...]:
+        return tuple(p.src for p in self.pairs)
+
+    @cached_property
+    def mor_target(self) -> tuple[int, ...]:
+        return tuple(p.dst for p in self.pairs)
+
+    @cached_property
+    def identity(self) -> tuple[int, ...]:
+        c = self.base
+        return tuple(self.pair_id(f, f, c.identity[c.mor_source[f]],
+                                  c.identity[c.mor_target[f]])
+                     for f in range(c.n_morphisms))
 
     @cached_property
     def pair_index(self) -> dict[tuple[int, int, int, int], int]:
@@ -59,46 +100,57 @@ class FactorizationCategory:
     def pair_id(self, src: int, dst: int, h: int, k: int) -> int:
         return self.pair_index[src, dst, h, k]
 
+    @cached_property
+    def table(self) -> tuple[dict[int, int], ...]:
+        """``table[i][j]`` is the pair j∘i, as in ``FiniteCategory.table``:
+        (h1, k1): f -> g then (h2, k2): g -> g' is (h1∘h2, k2∘k1): f -> g'."""
+        base, index, pairs = self.base.table, self.pair_index, self.pairs
+        out_of: list[list[int]] = [[] for _ in range(self.n_objects)]
+        for j, p in enumerate(pairs):
+            out_of[p.src].append(j)
+        rows = []
+        for p in pairs:
+            row = {}
+            for j in out_of[p.dst]:
+                q = pairs[j]
+                row[j] = index[p.src, q.dst, base[q.h][p.h], base[p.k][q.k]]
+            rows.append(row)
+        return tuple(rows)
+
+    @cached_property
+    def category(self) -> FiniteCategory:
+        """F(C) as a ``FiniteCategory``, named for export."""
+        c = self.base
+        # names stay free of ':', '->' and whitespace so exports re-parse
+        names = tuple(f"({c.morphism_name(p.h)},{c.morphism_name(p.k)})"
+                      f"@{c.morphism_name(p.src)}" for p in self.pairs)
+        return FiniteCategory(
+            self.n_objects, self.mor_source, self.mor_target, self.identity,
+            self.table,
+            tuple(map(c.morphism_name, range(c.n_morphisms))) or None,
+            names or None)
+
+
+def _named_shape(c: FiniteCategory) -> tuple:
+    return (c.mor_source, c.mor_target, c.identity, c.table,
+            tuple(map(c.morphism_name, range(c.n_morphisms))))
+
 
 @lru_cache(maxsize=CONSTRUCTOR_CACHE)
 def build_factorization(c: FiniteCategory) -> FactorizationCategory:
-    n = c.n_morphisms
-    table = c.table
     into: list[list[int]] = [[] for _ in range(c.n_objects)]
-    for m in range(n):
+    for m in range(c.n_morphisms):
         into[c.mor_target[m]].append(m)
     # (f, k∘f∘h, h, k) for h into the source of f and k out of its target;
     # the row of f∘h holds exactly those k
+    table = c.table
     keys = []
-    for f in range(n):
+    for f in range(c.n_morphisms):
         for h in into[c.mor_source[f]]:
             keys.extend((f, kfh, h, k)
                         for k, kfh in table[table[h][f]].items())
     keys.sort()
-    index = {p: i for i, p in enumerate(keys)}
-
-    by_src: dict[int, list[int]] = {}
-    for i, p in enumerate(keys):
-        by_src.setdefault(p[0], []).append(i)
-    compose_pairs = {}
-    for i1, (src, dst1, h1, k1) in enumerate(keys):
-        for i2 in by_src.get(dst1, ()):
-            _, dst2, h2, k2 = keys[i2]
-            hh = table[h2][h1]   # h1 ∘ h2
-            kk = table[k1][k2]   # k2 ∘ k1
-            compose_pairs[i1, i2] = index[src, dst2, hh, kk]
-    identity = [index[f, f, c.identity[c.mor_source[f]],
-                      c.identity[c.mor_target[f]]] for f in range(n)]
-    pairs = tuple(FPair(*p) for p in keys)
-    mor = [(p.src, p.dst) for p in pairs]
-    # names stay free of ':', '->' and whitespace so exports re-parse
-    names = [f"({c.morphism_name(p.h)},{c.morphism_name(p.k)})"
-             f"@{c.morphism_name(p.src)}"
-             for p in pairs]
-    cat = make_category(n, mor, identity, compose_pairs,
-                        object_names=[c.morphism_name(f) for f in range(n)],
-                        morphism_names=names)
-    return FactorizationCategory(c, cat, pairs)
+    return FactorizationCategory(c, tuple(FPair(*p) for p in keys))
 
 
 def factor_functor(phi: Functor,
@@ -113,7 +165,7 @@ def factor_functor(phi: Functor,
                        phi.mor_map[p.h], phi.mor_map[p.k])
         for p in fc_src.pairs
     )
-    return Functor(fc_src.category, fc_dst.category, obj_map, mor_map)
+    return Functor(fc_src, fc_dst, obj_map, mor_map)
 
 
 def factor_nat(alpha: NaturalTransformation,
@@ -141,7 +193,7 @@ def factor_nat(alpha: NaturalTransformation,
                        phi.mor_map[p.h], psi.mor_map[p.k])
         for p in fc_src.pairs
     )
-    return Functor(fc_src.category, fc_dst.category, tuple(obj_map), mor_map)
+    return Functor(fc_src, fc_dst, tuple(obj_map), mor_map)
 
 
 def two_morphism_target(alpha: NaturalTransformation,

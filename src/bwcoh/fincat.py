@@ -264,7 +264,10 @@ class NaturalTransformation:
             # psi(f) ∘ a_X == a_Y ∘ phi(f)
             left = d.table[self.components[x]].get(psi.mor_map[f])
             right = d.table[phi.mor_map[f]].get(self.components[y])
-            if left != right:
+            if left is None or right is None:
+                rep.violations.append(
+                    f"naturality square at morphism {f} has no composite")
+            elif left != right:
                 rep.violations.append(f"naturality square fails at morphism {f}")
         return rep
 

@@ -1,6 +1,6 @@
 """Natural systems of finitely presented abelian groups and their morphisms.
 
-A natural system on C is a functor from the realized factorization category
+A natural system on C is a functor from the factorization category F(C)
 of C to abelian groups: one ``PresentedGroup`` per morphism of C and one
 ``GroupHom`` per factorization pair, functorial on the nose.  The generic
 carrier is ``AbFunctor`` (a group-valued functor on any finite category);
@@ -57,7 +57,7 @@ class TwoMorphismInvalid(ValueError):
 
 @dataclass(frozen=True)
 class AbFunctor:
-    category: FiniteCategory
+    category: FiniteCategory | FactorizationCategory
     values: tuple[PresentedGroup, ...]   # per object
     homs: tuple[GroupHom, ...]           # per morphism
 
@@ -120,7 +120,7 @@ class AbNat:
 @dataclass(frozen=True)
 class NaturalSystem:
     fc: FactorizationCategory
-    functor: AbFunctor   # on fc.category
+    functor: AbFunctor   # on fc
 
     @property
     def base(self) -> FiniteCategory:
@@ -161,11 +161,13 @@ def validate_natural_system(d: NaturalSystem) -> Report:
     composing equalities modulo relations needs well-defined generators.
     A pair with an identity leg is a generator, whose tie follows from the
     identity and well-definedness checks, so the tie runs over two-sided
-    pairs only.
+    pairs only.  Each distinct generator is checked to preserve relations,
+    and each distinct (then, first, whole) triple composed and compared,
+    once per call; the pairs that share it all get its verdict.
     """
     rep = Report("natural system")
-    fcat = d.fc.category
-    if d.functor.category != fcat:
+    fc = d.fc
+    if d.functor.category != fc:
         rep.violations.append("functor not defined on the factorization category")
         return rep
     c = d.base
@@ -173,26 +175,30 @@ def validate_natural_system(d: NaturalSystem) -> Report:
     values, homs = d.functor.values, d.functor.homs
 
     def pair_name(i: int) -> str:
-        p = d.fc.pairs[i]
+        p = fc.pairs[i]
         return f"({name(p.h)},{name(p.k)}): {name(p.src)} -> {name(p.dst)}"
 
-    if len(values) != fcat.n_objects or len(homs) != fcat.n_morphisms:
+    if len(values) != fc.n_objects or len(homs) != fc.n_morphisms:
         rep.violations.append("value or action table has the wrong size")
         return rep
-    for i in range(fcat.n_morphisms):
-        h = homs[i]
-        if h.source != values[fcat.mor_source[i]] or \
-                h.target != values[fcat.mor_target[i]]:
+    for i, p in enumerate(fc.pairs):
+        h, src, dst = homs[i], values[p.src], values[p.dst]
+        if (h.source is not src and h.source != src) or \
+                (h.target is not dst and h.target != dst):
             rep.violations.append(
                 f"action at {pair_name(i)} connects the wrong groups")
     if rep.violations:
         return rep
 
-    # the generators, by (f, leg); an identity leg gives the identity pair
+    # the generators, by (f, leg); an identity leg gives the identity pair.
+    # Action maps are told apart by identity, which the tables keep alive
+    # for the call and which costs no hash of a matrix: systems share one
+    # map among many pairs, and each distinct map is checked once
     left: dict[tuple[int, int], GroupHom] = {}
     right: dict[tuple[int, int], GroupHom] = {}
     two_sided = []
-    for i, p in enumerate(d.fc.pairs):
+    well_defined: dict[int, bool] = {}
+    for i, p in enumerate(fc.pairs):
         h_id, k_id = c.is_identity(p.h), c.is_identity(p.k)
         if k_id:
             left[p.src, p.h] = homs[i]
@@ -202,8 +208,11 @@ def validate_natural_system(d: NaturalSystem) -> Report:
             two_sided.append(i)
         elif not (h_id and k_id):
             g = homs[i]
-            if not g.target.solver.contains_matrix(
-                    g.matrix @ g.source.relations):
+            ok = well_defined.get(id(g))
+            if ok is None:
+                ok = well_defined[id(g)] = g.target.solver.contains_matrix(
+                    g.matrix @ g.source.relations)
+            if not ok:
                 rep.violations.append(
                     f"action at {pair_name(i)} does not preserve relations")
     if rep.violations:
@@ -214,6 +223,16 @@ def validate_natural_system(d: NaturalSystem) -> Report:
                 GroupHom.identity(values[f])):
             rep.violations.append(
                 f"identity pair of {name(f)} does not act as the identity")
+    # each distinct (then, first, whole) triple is composed and compared once
+    seen: dict[tuple[int, int, int], bool] = {}
+
+    def commutes(then: GroupHom, first: GroupHom, whole: GroupHom) -> bool:
+        key = id(then), id(first), id(whole)
+        ok = seen.get(key)
+        if ok is None:
+            ok = seen[key] = hom_compose(then, first).equal_mod(whole)
+        return ok
+
     into = [[] for _ in range(c.n_objects)]
     out_of = [[] for _ in range(c.n_objects)]
     for m in range(c.n_morphisms):
@@ -225,8 +244,7 @@ def validate_natural_system(d: NaturalSystem) -> Report:
             fh = c.table[h][f]
             for h2 in into[c.mor_source[h]]:
                 hh2 = c.table[h2][h]
-                if not hom_compose(left[fh, h2], left[f, h]).equal_mod(
-                        left[f, hh2]):
+                if not commutes(left[fh, h2], left[f, h], left[f, hh2]):
                     rep.violations.append(
                         f"functoriality fails: act {name(f)} -| {name(h)} "
                         f"then act {name(fh)} -| {name(h2)} differs from "
@@ -235,8 +253,7 @@ def validate_natural_system(d: NaturalSystem) -> Report:
             kf = c.table[f][k]
             for k2 in out_of[c.mor_target[k]]:
                 k2k = c.table[k][k2]
-                if not hom_compose(right[kf, k2], right[f, k]).equal_mod(
-                        right[f, k2k]):
+                if not commutes(right[kf, k2], right[f, k], right[f, k2k]):
                     rep.violations.append(
                         f"functoriality fails: act {name(f)} |- {name(k)} "
                         f"then act {name(kf)} |- {name(k2)} differs from "
@@ -244,13 +261,12 @@ def validate_natural_system(d: NaturalSystem) -> Report:
     if rep.violations:
         return rep
     for i in two_sided:
-        p = d.fc.pairs[i]
+        p = fc.pairs[i]
         fh = c.table[p.h][p.src]
         kf = c.table[p.src][p.k]
         whole = homs[i]
-        if not hom_compose(right[fh, p.k], left[p.src, p.h]).equal_mod(whole) \
-                or not hom_compose(left[kf, p.h],
-                                   right[p.src, p.k]).equal_mod(whole):
+        if not commutes(right[fh, p.k], left[p.src, p.h], whole) \
+                or not commutes(left[kf, p.h], right[p.src, p.k], whole):
             rep.violations.append(
                 f"one-sided factorizations disagree at {pair_name(i)}")
     return rep
@@ -261,7 +277,7 @@ def constant_system(c: FiniteCategory, g: PresentedGroup) -> NaturalSystem:
     values = (g,) * c.n_morphisms
     ident = GroupHom.identity(g)
     homs = (ident,) * len(fc.pairs)
-    return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    return NaturalSystem(fc, AbFunctor(fc, values, homs))
 
 
 def validate_bifunctor(c: FiniteCategory,
@@ -338,7 +354,7 @@ def from_bifunctor(c: FiniteCategory,
         raise BifunctorInvalid(rep)
     fc = build_factorization(c)
     return NaturalSystem(fc, AbFunctor(
-        fc.category,
+        fc,
         tuple(values[c.mor_source[f], c.mor_target[f]]
               for f in range(c.n_morphisms)),
         tuple(acts[p.h, p.k] for p in fc.pairs)))

@@ -171,8 +171,7 @@ class InstanceGen:
                 ent[dst_b.index(image) * cols + j] = 1
             fhoms.append(GroupHom.create(values[x_src], values[x_dst],
                                          IntMatrix(rows, cols, tuple(ent))))
-        return NaturalSystem(fc, AbFunctor(fc.category, tuple(fvalues),
-                                           tuple(fhoms)))
+        return NaturalSystem(fc, AbFunctor(fc, tuple(fvalues), tuple(fhoms)))
 
     def indicator_system(self, c: FiniteCategory,
                          w: int | None = None) -> NaturalSystem:
@@ -195,7 +194,7 @@ class InstanceGen:
             mat = IntMatrix(dst.generators, src.generators,
                             (1,) * (dst.generators * src.generators))
             homs.append(GroupHom.create(src, dst, mat))
-        return NaturalSystem(fc, AbFunctor(fc.category, values, tuple(homs)))
+        return NaturalSystem(fc, AbFunctor(fc, values, tuple(homs)))
 
     def system_product(self, d1: NaturalSystem, d2: NaturalSystem
                        ) -> NaturalSystem:
@@ -206,7 +205,7 @@ class InstanceGen:
             GroupHom(values[fc.pairs[i].src], values[fc.pairs[i].dst],
                      IntMatrix.block_diag([h1.matrix, h2.matrix]))
             for i, (h1, h2) in enumerate(zip(d1.functor.homs, d2.functor.homs)))
-        return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+        return NaturalSystem(fc, AbFunctor(fc, values, homs))
 
     def system(self, c: FiniteCategory) -> NaturalSystem:
         roll = self.rng.random()

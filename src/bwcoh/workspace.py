@@ -559,10 +559,8 @@ def _assemble_explicit(cat, values, acts, line_no, subject) -> NaturalSystem:
         fh = cat.table[p.h][p.src]
         homs.append(hom_compose(generator("|-", fh, p.k, p.dst),
                                 generator("-|", p.src, p.h, fh)))
-    return NaturalSystem(fc, AbFunctor(fc.category,
-                                       tuple(values[f]
-                                             for f in range(cat.n_morphisms)),
-                                       tuple(homs)))
+    return NaturalSystem(fc, AbFunctor(
+        fc, tuple(values[f] for f in range(cat.n_morphisms)), tuple(homs)))
 
 
 def _parse_adjoint(block: _Block, ws: Workspace):

@@ -728,7 +728,7 @@ def validate_full_table(d: NaturalSystem) -> Report:
         return (f"({c.morphism_name(p.h)},{c.morphism_name(p.k)}): "
                 f"{c.morphism_name(p.src)} -> {c.morphism_name(p.dst)}")
 
-    if d.functor.category != fcat or len(values) != fcat.n_objects or \
+    if d.functor.category != d.fc or len(values) != fcat.n_objects or \
             len(homs) != fcat.n_morphisms:
         rep.violations.append("value or action table has the wrong size")
         return rep
@@ -794,7 +794,7 @@ def projection_to_pair(c: FiniteCategory) -> Functor:
     fc = build_factorization(c)
     prod = op_pair_product(c)
     return Functor(
-        fc.category, prod.category,
+        fc, prod.category,
         tuple(prod.obj_id(c.mor_source[f], c.mor_target[f])
               for f in range(c.n_morphisms)),
         tuple(prod.mor_id(p.h, p.k) for p in fc.pairs))

@@ -63,7 +63,7 @@ def test_factor_functor_identity_and_composition():
     fc_dom = build_factorization(dom)
     fc_mid = build_factorization(chain.target)
     assert factor_functor(identity_functor(dom), fc_dom, fc_dom) == \
-        identity_functor(fc_dom.category)
+        identity_functor(fc_dom)
     outer = gen.nat_chain(chain.target, 2)
     psi = outer.functors[0]
     fc_top = build_factorization(outer.target)
@@ -194,13 +194,44 @@ def test_composition_tables_cost_their_composable_pairs():
     for memo in (build_factorization, fincat.product):
         memo.cache_clear()
     c = total_order_category(16)
-    assert _traced_peak_mb(build_factorization, c) < 20
+    assert _traced_peak_mb(lambda c: build_factorization(c).category, c) < 20
     fc = build_factorization(c).category
     assert (fc.n_morphisms, sum(map(len, fc.table))) == (3876, 54264)
     c = total_order_category(7)
     assert _traced_peak_mb(lambda c: fincat.product(c, c), c) < 2
     prod = fincat.product(c, c).category
     assert (prod.n_morphisms, sum(map(len, prod.table))) == (784, 7056)
+
+
+def test_cohomology_never_composes_in_the_factorization_category(
+        tmp_path, monkeypatch):
+    from bwcoh.factorization import FactorizationCategory
+    from bwcoh.workspace import HEADER, category_text
+    from test_workspace_cli import WORKSPACES, run_cli
+    composed = []
+    table = FactorizationCategory.table
+
+    def recorded(fc):
+        composed.append(fc.base)
+        return table.__get__(fc, FactorizationCategory)
+    monkeypatch.setattr(FactorizationCategory, "table", property(recorded))
+    ws = tmp_path / "t8.bwcoh"
+    ws.write_text(f"{HEADER}\n{category_text('t8', total_order_category(8))}"
+                  f"\nsystem z on t8\n  constant: Z\nend\n", encoding="utf-8")
+    code, out, _ = run_cli("cohomology", str(ws), "t8", "z",
+                           "--max-degree", "3", "--format", "machine")
+    assert (code, out.splitlines()) == (0, [
+        "H 0 rank=1 torsion=[]", "H 1 rank=0 torsion=[]",
+        "H 2 rank=0 torsion=[]"])
+    code, out, _ = run_cli("localization-check",
+                           str(WORKSPACES / "arrow.bwcoh"), "loc_y",
+                           "const_z", "--max-degree", "3")
+    assert code == 0 and "result: pass" in out
+    assert composed == []
+    # exporting F(C) composes in it, so the spy above sees the table built
+    code, _, _ = run_cli("export", str(ws), str(tmp_path / "f.bwcoh"),
+                         "--what", "factorization", "--category", "t8")
+    assert code == 0 and len(composed) == 1
 
 
 def test_factorization_memo_is_bounded():

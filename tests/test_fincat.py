@@ -112,6 +112,18 @@ def test_nat_validator_catches_mutations():
         assert not nt.validate().ok   # x + c != c + 2x for x = 1
 
 
+def test_nat_validator_reports_a_missing_composite():
+    # the monoid {e, a} with a∘a left out of its table: the naturality
+    # square of the component a at the morphism a looks a∘a up on both
+    # sides, and two missing composites are no commuting square
+    c = make_category(1, [(0, 0), (0, 0)], [0],
+                      {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+    one = identity_functor(c)
+    assert NaturalTransformation(one, one, (0,)).validate().ok
+    assert NaturalTransformation(one, one, (1,)).validate().violations == [
+        "naturality square at morphism 1 has no composite"]
+
+
 def test_horizontal_both_formulas_and_interchange():
     for seed in range(12):
         gen = InstanceGen(seed)

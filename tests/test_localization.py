@@ -126,7 +126,7 @@ def zzero_system(c):
                                   (1,) * (values[p.dst].generators *
                                           values[p.src].generators)))
         for p in fc.pairs)
-    return NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    return NaturalSystem(fc, AbFunctor(fc, values, homs))
 
 
 def test_local_characterization_routes_agree():
@@ -177,7 +177,7 @@ def test_arrow_localization_nonconstant_local_system():
     homs = tuple(GroupHom.create(cyclic(4), cyclic(4),
                                  IntMatrix(1, 1, (mats[p],)))
                  for p in fc.pairs)
-    d = NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    d = NaturalSystem(fc, AbFunctor(fc, values, homs))
     assert validate_natural_system(d).ok
     loc = arrow_localization()
     assert local_characterization(d, loc).pointwise_local
@@ -199,7 +199,7 @@ def test_arrow_colocalization_nonconstant_colocal_system():
     homs = tuple(GroupHom.create(cyclic(4), cyclic(4),
                                  IntMatrix(1, 1, (mats[p],)))
                  for p in fc.pairs)
-    d = NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    d = NaturalSystem(fc, AbFunctor(fc, values, homs))
     assert validate_natural_system(d).ok
     coloc = arrow_colocalization()
     assert colocal_characterization(d, coloc).pointwise_local
@@ -248,7 +248,7 @@ def mirror_system(d: NaturalSystem, c_op) -> NaturalSystem:
     values = d.functor.values
     homs = tuple(
         d.act_pair(p.src, p.dst, p.k, p.h) for p in fc_op.pairs)
-    return NaturalSystem(fc_op, AbFunctor(fc_op.category, values, homs))
+    return NaturalSystem(fc_op, AbFunctor(fc_op, values, homs))
 
 
 def test_colocal_mirrors_to_local():
@@ -278,8 +278,7 @@ def sign_conjugated(d: NaturalSystem, signs: list[int]) -> NaturalSystem:
     homs = tuple(
         GroupHom(h.source, h.target, h.matrix.scale(signs[p.src] * signs[p.dst]))
         for p, h in zip(d.fc.pairs, d.functor.homs))
-    return NaturalSystem(d.fc, AbFunctor(d.fc.category, d.functor.values,
-                                         homs))
+    return NaturalSystem(d.fc, AbFunctor(d.fc, d.functor.values, homs))
 
 
 def counted(monkeypatch, name, *modules):

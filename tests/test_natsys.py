@@ -62,8 +62,7 @@ def test_validation_catches_corrupted_action():
     assert target is not None
     h = homs[target]
     homs[target] = GroupHom.create(h.source, h.target, h.matrix.scale(-1))
-    broken = NaturalSystem(fc, AbFunctor(fc.category, d.functor.values,
-                                         tuple(homs)))
+    broken = NaturalSystem(fc, AbFunctor(fc, d.functor.values, tuple(homs)))
     rep = validate_natural_system(broken)
     assert not rep.ok
     # corrupt an identity pair
@@ -73,9 +72,24 @@ def test_validation_catches_corrupted_action():
     g = homs2[ident_pair]
     homs2[ident_pair] = GroupHom.create(g.source, g.target,
                                         g.matrix.scale(2))
-    broken2 = NaturalSystem(fc, AbFunctor(fc.category, d.functor.values,
-                                          tuple(homs2)))
+    broken2 = NaturalSystem(fc, AbFunctor(fc, d.functor.values, tuple(homs2)))
     assert not validate_natural_system(broken2).ok
+
+
+def test_validation_composes_each_distinct_triple_once(monkeypatch):
+    # a constant system shares one identity map among its 9,520 composable
+    # generator triples; the map is composed with itself once
+    import bwcoh.natsys
+    calls = []
+    real = bwcoh.natsys.hom_compose
+
+    def counted(g, f):
+        calls.append((g, f))
+        return real(g, f)
+    monkeypatch.setattr(bwcoh.natsys, "hom_compose", counted)
+    assert validate_natural_system(
+        constant_system(total_order_category(16), Z)).ok
+    assert len(calls) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +106,7 @@ def test_ill_defined_action_is_reported():
     one = IntMatrix(1, 1, (1,))
     homs = tuple(GroupHom(values[p.src], values[p.dst], one)
                  for p in fc.pairs)
-    d = NaturalSystem(fc, AbFunctor(fc.category, values, homs))
+    d = NaturalSystem(fc, AbFunctor(fc, values, homs))
     assert validate_full_table(d).ok
     rep = validate_natural_system(d)
     f = next(m for m in range(c.n_morphisms) if not c.is_identity(m))
@@ -152,8 +166,7 @@ def _scaled(d: NaturalSystem, i: int, factor: int) -> NaturalSystem:
     homs = list(d.functor.homs)
     h = homs[i]
     homs[i] = GroupHom.create(h.source, h.target, h.matrix.scale(factor))
-    return NaturalSystem(d.fc, AbFunctor(d.fc.category, d.functor.values,
-                                         tuple(homs)))
+    return NaturalSystem(d.fc, AbFunctor(d.fc, d.functor.values, tuple(homs)))
 
 
 def _explicit_text(name: str, d: NaturalSystem) -> str:
@@ -470,7 +483,7 @@ def test_is_local_examples():
             IntMatrix(values[p.dst].generators, values[p.src].generators,
                       (1,) * (values[p.dst].generators *
                               values[p.src].generators))))
-    zzero = NaturalSystem(fc, AbFunctor(fc.category, values, tuple(homs)))
+    zzero = NaturalSystem(fc, AbFunctor(fc, values, tuple(homs)))
     assert validate_natural_system(zzero).ok
     assert not local_characterization(zzero, loc).pointwise_local
     # pullbacks along the unit are always local
