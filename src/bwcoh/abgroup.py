@@ -44,14 +44,15 @@ class GroupInvariants:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def human(self) -> str:
+    def human(self, plus: str = "⊕") -> str:
+        """``Z^2 ⊕ Z/2``; workspaces spell the sum with ``+``."""
         parts = []
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
-        return " ⊕ ".join(parts) if parts else "0"
+        return f" {plus} ".join(parts) if parts else "0"
 
     def machine(self) -> str:
         tor = ",".join(str(d) for d in self.torsion)

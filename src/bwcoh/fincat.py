@@ -89,6 +89,11 @@ class FiniteCategory:
     def is_identity(self, f: int) -> bool:
         return self.identity[self.mor_source[f]] == f
 
+    def hom(self, x: int, y: int) -> list[int]:
+        """The morphisms x -> y, ascending."""
+        return [u for u in range(self.n_morphisms)
+                if self.mor_source[u] == x and self.mor_target[u] == y]
+
     def is_invertible(self, f: int) -> bool:
         x, y = self.mor_source[f], self.mor_target[f]
         for g, gf in self.table[f].items():

@@ -15,7 +15,10 @@ objects and its actions by pairs of morphisms; ``validate_bifunctor`` checks
 it on its generators ``(h, 1)`` and ``(1, k)`` with C's own composition
 table, and ``from_bifunctor`` reads the natural system off it, D(f) at the
 pair (source f, target f) and D(h, k) at (h, k), without building the
-product category.
+product category.  ``free_system`` builds the free module over a group on a
+set-valued functor on C^op x C, given by a basis per pair of objects and the
+image of each basis element along each pair of morphisms; ``hom_system`` is
+the bimodule on Hom, whose cohomology is Hochschild–Mitchell cohomology.
 
 Morphisms of pairs (C, D) -> (D', E) carry a natural transformation
 ``alpha: phi => psi`` between functors D' -> C as their anchor and a
@@ -27,10 +30,11 @@ conditions instead of silent conventions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .abgroup import (
-    GroupHom, PresentedGroup, hom_compose, is_iso,
+    GroupHom, PresentedGroup, direct_product, hom_compose, is_iso,
 )
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, ShapeMismatch,
@@ -40,6 +44,7 @@ from .factorization import (
     FactorizationCategory, build_factorization, factor_nat,
     factor_two_morphism, two_morphism_target,
 )
+from .intmat import IntMatrix
 
 
 class BifunctorInvalid(ValueError):
@@ -358,6 +363,43 @@ def from_bifunctor(c: FiniteCategory,
         tuple(values[c.mor_source[f], c.mor_target[f]]
               for f in range(c.n_morphisms)),
         tuple(acts[p.h, p.k] for p in fc.pairs)))
+
+
+def free_system(c: FiniteCategory, g: PresentedGroup,
+                basis: Callable[[int, int], list],
+                image: Callable[[int, int, object], object]) -> NaturalSystem:
+    """The free ``g``-module on a set-valued functor S on C^op x C.
+
+    ``basis(x, y)`` lists S(x, y), and ``image(h, k, u)`` is S(h, k)(u), an
+    element of ``basis(source h, target k)`` for u in ``basis(target h,
+    source k)``.  The bifunctor has ``values[x, y]`` = g^|S(x, y)| and
+    ``acts[h, k]`` sending the summand of u to the summand of its image by
+    the identity of g, which is well defined for every g."""
+    objects = range(c.n_objects)
+    bases = {(x, y): basis(x, y) for x in objects for y in objects}
+    values = {xy: direct_product([g] * len(b)) for xy, b in bases.items()}
+    n = g.generators
+    acts = {}
+    for h in range(c.n_morphisms):
+        for k in range(c.n_morphisms):
+            src = c.mor_target[h], c.mor_source[k]
+            dst = c.mor_source[h], c.mor_target[k]
+            dst_basis = bases[dst]
+            rows, cols = len(dst_basis) * n, len(bases[src]) * n
+            ent = [0] * (rows * cols)
+            for j, u in enumerate(bases[src]):
+                i = dst_basis.index(image(h, k, u))
+                for t in range(n):
+                    ent[(i * n + t) * cols + j * n + t] = 1
+            acts[h, k] = GroupHom(values[src], values[dst],
+                                  IntMatrix(rows, cols, tuple(ent)))
+    return from_bifunctor(c, values, acts)
+
+
+def hom_system(c: FiniteCategory, g: PresentedGroup) -> NaturalSystem:
+    """The bimodule g[Hom]: D(f) is free over g on Hom(source f, target f),
+    and (h, k) sends u to k∘u∘h."""
+    return free_system(c, g, c.hom, lambda h, k, u: c.table[h][c.table[u][k]])
 
 
 def pullback_along_nat(d: NaturalSystem,

@@ -10,7 +10,9 @@ rejection over raw tables:
   examples;
 * coefficient systems: constant, hom-pairing (free or mod m), representable
   source/target, reachability indicator (the standard non-local family),
-  direct products of these;
+  direct products of these.  The hom-pairing, representable and indicator
+  families are ``natsys.free_system`` on a set-valued functor on C^op x C,
+  so no matrix of theirs is built here;
 * transformation chains into a "chain target" (total order, cyclic monoid,
   or a product of both): monotone maps are pointwise-sorted so consecutive
   functors are connected by unique components, and cyclic-monoid functors are
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 from .abgroup import (
     GroupHom, PresentedGroup, Z, cyclic, direct_product, from_invariants,
-    trivial_group,
 )
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, arrow_category,
@@ -38,9 +39,9 @@ from .fincat import (
 from .intmat import IntMatrix
 from .natsys import (
     AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
-    act_by_two_morphism, constant_system, from_bifunctor,
+    act_by_two_morphism, constant_system, free_system, hom_system,
 )
-from .factorization import build_factorization, two_morphism_target
+from .factorization import two_morphism_target
 from .localization import Colocalization, Localization
 
 
@@ -114,87 +115,28 @@ class InstanceGen:
     # -- coefficient systems -------------------------------------------------
 
     def hom_system(self, c: FiniteCategory, modulus: int = 0) -> NaturalSystem:
-        base_group = Z if modulus == 0 else cyclic(modulus)
-        objects, mors = range(c.n_objects), range(c.n_morphisms)
-        bases = {(x, y): [u for u in mors
-                          if c.mor_source[u] == x and c.mor_target[u] == y]
-                 for x in objects for y in objects}
-        values = {xy: direct_product([base_group] * len(hom))
-                  for xy, hom in bases.items()}
-        acts = {}
-        for a in mors:          # a: X' -> X in c, b: Y -> Y' in c
-            for b in mors:
-                src = c.mor_target[a], c.mor_source[b]
-                dst = c.mor_source[a], c.mor_target[b]
-                src_basis, dst_basis = bases[src], bases[dst]
-                rows, cols = len(dst_basis), len(src_basis)
-                ent = [0] * (rows * cols)
-                for j, u in enumerate(src_basis):
-                    image = c.table[a][c.table[u][b]]   # b∘u∘a
-                    ent[dst_basis.index(image) * cols + j] = 1
-                acts[a, b] = GroupHom.create(values[src], values[dst],
-                                             IntMatrix(rows, cols, tuple(ent)))
-        return from_bifunctor(c, values, acts)
+        return hom_system(c, cyclic(modulus))
 
     def representable_system(self, c: FiniteCategory, covariant: bool
                              ) -> NaturalSystem:
-        fc = build_factorization(c)
+        """Z[Hom(p, y)] (covariant, k∘u) or Z[Hom(x, p)] (contravariant,
+        u∘h) at each pair (x, y), for a random object p."""
         p = self.rng.randrange(c.n_objects)
         if covariant:
-            bases = [[u for u in range(c.n_morphisms)
-                      if c.mor_source[u] == p and c.mor_target[u] == x]
-                     for x in range(c.n_objects)]
-        else:
-            bases = [[u for u in range(c.n_morphisms)
-                      if c.mor_source[u] == x and c.mor_target[u] == p]
-                     for x in range(c.n_objects)]
-        values = [direct_product([Z] * len(b)) for b in bases]
-        fvalues = []
-        fhoms = []
-        for f in range(c.n_morphisms):
-            x = c.mor_target[f] if covariant else c.mor_source[f]
-            fvalues.append(values[x])
-        for pr in fc.pairs:
-            if covariant:
-                x_src = c.mor_target[pr.src]
-                x_dst = c.mor_target[pr.dst]
-                arrow = pr.k            # postcompose with k
-            else:
-                x_src = c.mor_source[pr.src]
-                x_dst = c.mor_source[pr.dst]
-                arrow = pr.h            # precompose with h
-            src_b, dst_b = bases[x_src], bases[x_dst]
-            rows, cols = len(dst_b), len(src_b)
-            ent = [0] * (rows * cols)
-            for j, u in enumerate(src_b):
-                image = c.table[u][arrow] if covariant else c.table[arrow][u]
-                ent[dst_b.index(image) * cols + j] = 1
-            fhoms.append(GroupHom.create(values[x_src], values[x_dst],
-                                         IntMatrix(rows, cols, tuple(ent))))
-        return NaturalSystem(fc, AbFunctor(fc, tuple(fvalues), tuple(fhoms)))
+            return free_system(c, Z, lambda x, y: c.hom(p, y),
+                               lambda h, k, u: c.table[u][k])
+        return free_system(c, Z, lambda x, y: c.hom(x, p),
+                           lambda h, k, u: c.table[h][u])
 
     def indicator_system(self, c: FiniteCategory,
                          w: int | None = None) -> NaturalSystem:
         """Value Z exactly on morphisms whose interval reaches through w."""
-        fc = build_factorization(c)
         if w is None:
             w = self.rng.randrange(c.n_objects)
-        reach = [[False] * c.n_objects for _ in range(c.n_objects)]
-        for m in range(c.n_morphisms):
-            reach[c.mor_source[m]][c.mor_target[m]] = True
-
-        def hit(f: int) -> bool:
-            return reach[c.mor_source[f]][w] and reach[w][c.mor_target[f]]
-
-        values = tuple(Z if hit(f) else trivial_group
-                       for f in range(c.n_morphisms))
-        homs = []
-        for p in fc.pairs:
-            src, dst = values[p.src], values[p.dst]
-            mat = IntMatrix(dst.generators, src.generators,
-                            (1,) * (dst.generators * src.generators))
-            homs.append(GroupHom.create(src, dst, mat))
-        return NaturalSystem(fc, AbFunctor(fc, values, tuple(homs)))
+        reach = set(zip(c.mor_source, c.mor_target))
+        return free_system(
+            c, Z, lambda x, y: [w] if {(x, w), (w, y)} <= reach else [],
+            lambda h, k, u: u)
 
     def system_product(self, d1: NaturalSystem, d2: NaturalSystem
                        ) -> NaturalSystem:

@@ -198,14 +198,7 @@ def parse_group(text: str, line_no: int) -> PresentedGroup:
 
 def group_text(g: PresentedGroup | ProductGroup) -> str:
     """A group's invariants in workspace spelling, e.g. ``Z^2 + Z/2``."""
-    inv = g.invariants
-    parts = []
-    if inv.free_rank == 1:
-        parts.append("Z")
-    elif inv.free_rank > 1:
-        parts.append(f"Z^{inv.free_rank}")
-    parts.extend(f"Z/{d}" for d in inv.torsion)
-    return " + ".join(parts) if parts else "0"
+    return g.invariants.human("+")
 
 
 def parse_matrix(text: str, line_no: int) -> list[list[int]]:

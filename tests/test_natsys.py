@@ -19,7 +19,7 @@ from bwcoh.natsys import (
     validate_natural_system, whisker,
 )
 from bwcoh.localization import colocal_characterization, local_characterization
-from bwcoh import randgen
+from bwcoh import natsys
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import (
     HEADER, category_text, group_text, load_workspace_file, parse_group,
@@ -298,12 +298,12 @@ def test_from_bifunctor_matches_the_pullback_along_the_projection(
     cats = [gen.category(6) for _ in range(3)] + [
         terminal_category(), arrow_category(), cyclic_group_category(3)]
     taken = []
-    real = randgen.from_bifunctor
+    real = natsys.from_bifunctor
 
     def spy(c, values, acts):
         taken.append((c, values, acts))
         return real(c, values, acts)
-    monkeypatch.setattr(randgen, "from_bifunctor", spy)
+    monkeypatch.setattr(natsys, "from_bifunctor", spy)
     for c in cats:
         d = gen.hom_system(c, gen.rng.choice([0, 2, 4]))
         assert taken[-1][0] is c
@@ -313,20 +313,25 @@ def test_from_bifunctor_matches_the_pullback_along_the_projection(
         assert all(prod.obj_pair(proj.obj_map[c.identity[x]]) == (x, x)
                    for x in range(c.n_objects))
         assert d == system_via_projection(*taken[-1])
+    # the generator's hom systems are natsys.hom_system over Z or Z/m
+    assert all(InstanceGen("x").hom_system(c, m)
+               == natsys.hom_system(c, cyclic(m))
+               for c in cats for m in (0, 2, 4))
     for k in (2, 4):
         assert _sign_system(k) == system_via_projection(*_sign_bifunctor(k))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bifunctor_generators_agree_with_full_loop(seed, monkeypatch):
-    # the bifunctors InstanceGen.hom_system builds, taken as it hands them
-    # to from_bifunctor; the oracle composes them over all of C^op x C
+    # the bifunctors InstanceGen.hom_system builds, taken as free_system
+    # hands them to from_bifunctor; the oracle composes them over all of
+    # C^op x C
     gen = InstanceGen(f"bifunctor-{seed}")
     cats = [gen.category(6) for _ in range(3)] + [
         arrow_category(), cyclic_group_category(3), indiscrete_category(2)]
     taken = []
     with monkeypatch.context() as m:
-        m.setattr(randgen, "from_bifunctor",
+        m.setattr(natsys, "from_bifunctor",
                   lambda c, values, acts: taken.append((c, values, acts)))
         for c in cats:
             gen.hom_system(c, gen.rng.choice([0, 2, 4]))
