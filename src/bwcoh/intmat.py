@@ -8,11 +8,10 @@ Conventions fixed here and relied on everywhere else:
 
 * ``smith_normal_form(m)`` returns the nonzero Smith invariants of ``m`` as
   a list ``[d1, d2, ...]``: positive, each dividing the next, 1s included,
-  so its length is the rank.  No transforms are kept.  ``m`` is
-  diagonalized by row and column operations around pivots of minimal
-  absolute value, which keeps intermediate entries small in practice; the
-  diagonal is then put in divisibility order by replacing pairs with their
-  gcd and lcm (``divisibility_chain``).
+  so its length is the rank.  It runs the Hermite elimination below on
+  ``m`` and then on transposes until the pivots stand alone, builds no
+  transform on either side, and puts the pivots in divisibility order by
+  replacing pairs with their gcd and lcm (``divisibility_chain``).
 * ``hermite_normal_form(m)`` returns ``(h, u)`` with ``h == m @ u`` and ``u``
   unimodular.  ``h`` is in column echelon form: pivots are positive, pivot
   rows strictly increase left to right, zero columns sit at the right end,
@@ -181,77 +180,21 @@ def _negate_col(a: list[list[int]], j: int) -> None:
         row[j] = -row[j]
 
 
-def _eye_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(m: IntMatrix) -> list[int]:
-    """The nonzero Smith invariants of m: positive, each dividing the next."""
-    r, c = m.rows, m.cols
-    a = m.to_rows()
-    diag: list[int] = []
-    t = 0
-    while t < r and t < c:
-        # minimal-absolute-value pivot in the trailing block
-        piv = None
-        best = 0
-        for i in range(t, r):
-            ai = a[i]
-            for j in range(t, c):
-                x = ai[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if piv is None or ax < best:
-                        piv = (i, j)
-                        best = ax
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            _swap_cols(a, t, j0)
+    """The nonzero Smith invariants of m: positive, each dividing the next.
 
-        while True:
-            restart = False
-            # clear column t by row operations; rows from t on are zero left
-            # of column t
-            for i in range(t + 1, r):
-                ai = a[i]
-                x = ai[t]
-                if x:
-                    q = x // a[t][t]
-                    if q:
-                        at = a[t]
-                        for j in range(t, c):
-                            ai[j] -= q * at[j]
-                    if ai[t]:
-                        a[t], a[i] = ai, a[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t by column operations
-            for j in range(t + 1, c):
-                x = a[t][j]
-                if x:
-                    q = x // a[t][t]
-                    if q:
-                        _col_addmul(a, j, t, -q)
-                    if a[t][j]:
-                        _swap_cols(a, t, j)
-                        restart = True
-                        break
-            if not restart:
-                break
-        p = a[t][t]
-        diag.append(abs(p))
-        t += 1
-    return divisibility_chain(diag)
+    Hermite forms are taken in turn, of ``m`` and then of the transpose of
+    the pivot columns of the last form, until every pivot is alone in its
+    column; the pivots, put in divisibility order, are the invariants.
+    Every round is unimodular, and a round either lowers the first pivot
+    or leaves it alone in its row and column for good, after which the same
+    holds of the rest of the matrix; so the rounds end."""
+    a, _, pivots = _hnf_core(m, transform=False)
+    while any(a[i][pc] for pr, pc in pivots for i in range(pr + 1, m.rows)):
+        m = IntMatrix(len(pivots), m.rows,
+                      tuple(row[pc] for _, pc in pivots for row in a))
+        a, _, pivots = _hnf_core(m, transform=False)
+    return divisibility_chain([a[pr][pc] for pr, pc in pivots])
 
 
 def divisibility_chain(ds: list[int]) -> list[int]:
@@ -267,10 +210,16 @@ def divisibility_chain(ds: list[int]) -> list[int]:
     return ds
 
 
-def _hnf_core(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+def _hnf_core(m: IntMatrix, transform: bool = True
+              ) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    """``(h, u, pivots)``: the rows of the Hermite form ``h = m @ u``, those
+    of ``u``, and the ``(row, column)`` of each pivot.  The rows of the
+    identity are stacked under ``m``, so each column operation builds both;
+    without ``transform`` they are left out and ``u`` is empty."""
     r, c = m.rows, m.cols
     a = m.to_rows()
-    u = _eye_rows(c)
+    if transform:
+        a += [[int(i == j) for j in range(c)] for i in range(c)]
     pivots: list[tuple[int, int]] = []
     col = 0
     for row in range(r):
@@ -290,10 +239,8 @@ def _hnf_core(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tupl
                         best = ax
             if j0 != col:
                 _swap_cols(a, col, j0)
-                _swap_cols(u, col, j0)
             if a[row][col] < 0:
                 _negate_col(a, col)
-                _negate_col(u, col)
             p = a[row][col]
             done = True
             for j in range(col + 1, c):
@@ -302,7 +249,6 @@ def _hnf_core(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tupl
                     q = x // p
                     if q:
                         _col_addmul(a, j, col, -q)
-                        _col_addmul(u, j, col, -q)
                     if a[row][j]:
                         done = False
             if done:
@@ -313,10 +259,9 @@ def _hnf_core(m: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tupl
             q = a[row][pc] // p
             if q:
                 _col_addmul(a, pc, col, -q)
-                _col_addmul(u, pc, col, -q)
         pivots.append((row, col))
         col += 1
-    return a, u, pivots
+    return a[:r], a[r:], pivots
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

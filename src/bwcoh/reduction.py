@@ -47,8 +47,9 @@ needs only one differential's log.
 
 Projection after lift is the identity on the residue, and both maps take
 cocycles to cocycles.  Invariants are read off the residue directly: the
-Smith diagonal (``smith_normal_form``, which builds no transforms, so a tall
-residue costs only its own entries) below the top, and for the top
+Smith diagonal (``smith_normal_form``, Hermite forms of the residue and of
+transposes taken without their transforms, so a tall or wide residue costs
+only its own entries) below the top, and for the top
 differential only its rank over Q, found by fraction-free elimination.  The
 free rank of ``H^n`` is ``dim T^n - rk ∂_n - rk ∂_{n-1}`` and its torsion is
 the elementary divisors of ``∂_{n-1}`` above 1.  Induced maps use ``ReducedCone.subquotient``,

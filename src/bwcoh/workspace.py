@@ -27,6 +27,10 @@ Grammar (line oriented; ``#`` starts a comment; indentation is free):
     end
 
     system NAME on CAT
+      hom: Z                   # G^Hom(x, y) at f: x -> y, where
+    end                        # (h, k) sends u to k∘u∘h
+
+    system NAME on CAT
       value f: Z + Z/2
       act f -| h: [[1,0],[0,1]]   # D(h,1): D(f) -> D(f∘h)
       act f |- k: [[1]]           # D(1,k): D(f) -> D(k∘f)
@@ -65,7 +69,8 @@ What is checked, and where:
   (``compose f g``, ``value f``, ``big:``, ``unit x``, ...) may appear once
   per block, where only ``objects:`` lines continue and a category's
   ``mor`` lines are checked as duplicate names; a system is constant,
-  bifunctor (``bifunctor:`` its first line) or explicit, never a mix;
+  hom, bifunctor (``bifunctor:`` its first line) or explicit, never a mix;
+  a group has at most ``MAX_GENERATORS`` generators;
   block names are unique per kind, localizations and colocalizations
   sharing one namespace; every cross-reference must resolve, the system of
   a task must live on its category or on the big category of its
@@ -102,10 +107,13 @@ from .intmat import IntMatrix
 from .localization import Colocalization, Localization, validate_adjoint_pair
 from .natsys import (
     AbFunctor, BifunctorInvalid, NaturalSystem, constant_system,
-    from_bifunctor, validate_natural_system,
+    from_bifunctor, hom_system, validate_natural_system,
 )
 
 HEADER = "bwcoh workspace v1"
+
+# every action on a group is a dense square matrix over its generators
+MAX_GENERATORS = 2048
 
 
 class ParseError(ValueError):
@@ -193,6 +201,10 @@ def parse_group(text: str, line_no: int) -> PresentedGroup:
                 raise ParseError(line_no, f"bad group token {part!r}")
         else:
             raise ParseError(line_no, f"bad group token {part!r}")
+    generators = rank + len(torsion)
+    if generators > MAX_GENERATORS:
+        raise ParseError(line_no, f"group has {generators} generators, "
+                         f"more than {MAX_GENERATORS}")
     return from_invariants(rank, tuple(torsion))
 
 
@@ -211,7 +223,7 @@ def parse_matrix(text: str, line_no: int) -> list[list[int]]:
     except (ValueError, SyntaxError):
         raise ParseError(line_no, "matrix is not a literal list of int lists")
     if not isinstance(value, list) or \
-            not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
+            not all(isinstance(r, list) and all(type(x) is int for x in r)
                     for r in value):
         raise ParseError(line_no, "matrix is not a list of int lists")
     return value
@@ -296,7 +308,7 @@ _FUNCTOR_LINES = {"obj ": ("->", "x -> y"), "mor ": ("->", "x -> y")}
 _NAT_LINES = {"at ": (":", "at x: f")}
 _SYSTEM_LINES = {"act ": (":", "act ...: MATRIX"),
                  "value ": (":", "value f: GROUP"),
-                 "constant:": None, "bifunctor": None}
+                 "constant:": None, "hom:": None, "bifunctor": None}
 _ADJOINT_LINES = {kind: {"big:": None, "small:": None, "phi:": None,
                          "psi:": None, f"{key} ": (":", f"{key} x: f")}
                   for kind, key in (("localization", "unit"),
@@ -423,7 +435,7 @@ def _parse_system(block: _Block, ws: Workspace) -> tuple[str, NaturalSystem]:
     for ln, prefix, key, text in _lines(block, _SYSTEM_LINES):
         if prefix == "bifunctor" and text not in ("", ":"):
             raise ParseError(ln, "expected 'bifunctor:'")
-        if prefix in ("constant:", "bifunctor"):
+        if prefix in ("constant:", "hom:", "bifunctor"):
             line_kind = prefix.rstrip(":")
         else:
             line_kind = "bifunctor" if kind == "bifunctor" else "explicit"
@@ -433,7 +445,7 @@ def _parse_system(block: _Block, ws: Workspace) -> tuple[str, NaturalSystem]:
         if kind is None:
             kind, since = line_kind, ln
         words = key.split()
-        if prefix == "constant:":
+        if prefix in ("constant:", "hom:"):
             group = parse_group(text, ln)
         elif prefix == "value ":
             if kind == "bifunctor":
@@ -463,6 +475,8 @@ def _parse_system(block: _Block, ws: Workspace) -> tuple[str, NaturalSystem]:
     ws.system_base[name] = catname
     if kind == "constant":
         return name, constant_system(cat, group)
+    if kind == "hom":
+        return name, hom_system(cat, group)
     subject = f"system {name}"
     if kind == "bifunctor":
         return name, _assemble_bifunctor(cat, values, acts, block.line_no,

@@ -33,4 +33,4 @@ def test_workspace_cohomology_matches_golden():
                              "--format", "machine", "--max-degree", "4"])
             assert code == 0, (path.name, system)
     assert out.getvalue().encode("utf-8") == GOLDEN.read_bytes()
-    assert out.getvalue().count("# workspaces/") == 13
+    assert out.getvalue().count("# workspaces/") == 15

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ import hypothesis.strategies as st
 import pytest
 
 from bwcoh.intmat import (
-    DimensionMismatch, IntMatrix, LatticeSolver, hermite_normal_form,
-    smith_normal_form,
+    DimensionMismatch, IntMatrix, LatticeSolver, _hnf_core,
+    divisibility_chain, hermite_normal_form, smith_normal_form,
 )
 from oracles import determinant, determinantal_divisors, is_unimodular, matvec
 
@@ -49,9 +50,8 @@ def test_smith_orders_coprime_pivots_by_divisibility():
     assert smith_normal_form(m) == [2, 2, 60]
 
 
-def test_smith_tall_matrix_needs_no_square_transform():
-    # [B; Q·B] has the row lattice of B, so the same invariants; a transform
-    # on the long side would be 2,000 x 2,000
+def _tall_rows():
+    # [B; Q·B] has the row lattice of B, so the same invariants
     b = [[2, 0, 4], [0, 6, 6], [4, 6, 14]]
     rng = random.Random(2024)
     rows = [list(r) for r in b]
@@ -59,15 +59,57 @@ def test_smith_tall_matrix_needs_no_square_transform():
         q = [rng.randint(-5, 5) for _ in b]
         rows.append([sum(qk * b[k][j] for k, qk in enumerate(q))
                      for j in range(3)])
-    m = mat(rows)
+    return rows
+
+
+def _traced_smith(m):
+    """The Smith invariants of ``m`` and the peak of traced allocations."""
     tracemalloc.start()
     try:
         diag = smith_normal_form(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return diag, peak
+
+
+def test_smith_tall_matrix_needs_no_square_transform():
+    # a transform on the long side would be 2,000 x 2,000
+    diag, peak = _traced_smith(mat(_tall_rows()))
     assert diag == [2, 6]
     assert peak < 16 * 2**20
+
+
+def test_smith_wide_matrix_needs_no_square_transform():
+    # the transpose of the tall case: the same invariants, and a Hermite
+    # transform of its 2,000 columns would be 2,000 x 2,000
+    rows = _tall_rows()
+    diag, peak = _traced_smith(mat([list(c) for c in zip(*rows)]))
+    assert diag == [2, 6]
+    assert peak < 16 * 2**20
+
+
+def test_smith_dense_60_by_60_is_quick():
+    # U·diag(D)·V for random elementary U and V with small multipliers;
+    # pivoting on the least entry across the whole matrix did not finish
+    # this in 100 s, one Hermite elimination per round takes hundredths
+    n = 60
+    rng = random.Random(7)
+    d = [(1, 1, 2, 2, 6, 12, 0, 0)[i % 8] for i in range(n)]
+    a = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(360):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        else:
+            for row in a:
+                row[i] += q * row[j]
+    assert max(abs(x) for row in a for x in row).bit_length() == 12
+    start = time.process_time()
+    diag = smith_normal_form(mat(a))
+    assert time.process_time() - start < 2
+    assert diag == divisibility_chain([x for x in d if x])
 
 
 def test_hermite_examples():
@@ -111,6 +153,14 @@ def test_hermite_properties(m):
         assert col[nz[0]] > 0
         for j2 in range(j):
             assert 0 <= h.at(nz[0], j2) < col[nz[0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_hermite_without_transform_is_the_same_form(m):
+    h, u, pivots = _hnf_core(m)
+    assert len(u) == m.cols
+    assert _hnf_core(m, transform=False) == (h, [], pivots)
 
 
 @settings(max_examples=100, deadline=None)

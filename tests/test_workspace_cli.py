@@ -9,8 +9,8 @@ import pytest
 
 from bwcoh.cli import main
 from bwcoh.workspace import (
-    HEADER, ParseError, load_workspace, load_workspace_file, parse_group,
-    group_text,
+    HEADER, MAX_GENERATORS, ParseError, load_workspace, load_workspace_file,
+    parse_group, group_text,
 )
 from bwcoh.abgroup import GroupInvariants
 
@@ -173,6 +173,18 @@ def test_negative_rank_is_a_parse_error(tmp_path, group):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, count", [
+    ("Z^30000000", 30000000), ("Z^2049", 2049), ("Z^2047 + Z/2 + Z/3", 2049)])
+def test_group_with_too_many_generators_is_refused(tmp_path, group, count):
+    # Z^30000000 used to end in a MemoryError while its relations were built
+    assert MAX_GENERATORS == 2048
+    assert parse_group("Z^2047 + Z/2", 1).generators == MAX_GENERATORS
+    _assert_refused(tmp_path, "arrow.bwcoh", "  constant: Z/4\n",
+                    f"  constant: {group}\n",
+                    f"line {{}}: group has {count} generators, more than 2048",
+                    f"  constant: {group}")
+
+
 @pytest.mark.parametrize("option", [
     "max-degree=banana", "max-degree=0", "max-degree=-2", "maxdegree=3",
     "max-degree=3 max-degree=4", "seed=1"])
@@ -228,10 +240,25 @@ LAST_ACT = "  act id_y -| f: [[1]]\n"
     # any line that began with "bifunctor" used to count as the marker
     ("cyclic.bwcoh", "  bifunctor:\n", "  bifunctorial nonsense\n",
      "line {}: expected 'bifunctor:'", ("  bifunctorial",)),
-], ids=["constant-first", "constant-last", "two-constants", "junk-marker"])
+    ("symmetric3.bwcoh", "  hom: Z\n", "  hom: Z\n  constant: Z/4\n",
+     "line {}: system kinds mix: hom on line {}, constant here",
+     ("  constant: Z/4", "  hom: Z\n")),
+    ("cyclic.bwcoh", "  hom: Z\n", "  hom: Z\n  hom: Z/2\n",
+     "line {}: 'hom:' repeats line {}", ("  hom: Z/2", "  hom: Z\n")),
+], ids=["constant-first", "constant-last", "two-constants", "junk-marker",
+        "hom-then-constant", "two-homs"])
 def test_system_kinds_are_exclusive(tmp_path, name, old, new, message,
                                     snippets):
     _assert_refused(tmp_path, name, old, new, message, *snippets)
+
+
+@pytest.mark.parametrize("entry", ["True", "False"])
+def test_boolean_matrix_entry_is_refused(tmp_path, entry):
+    # bool is a subclass of int, so [[True]] used to validate as [[1]]
+    _assert_refused(tmp_path, "arrow.bwcoh", LAST_ACT,
+                    LAST_ACT.replace("[[1]]", f"[[{entry}]]"),
+                    "line {}: matrix is not a list of int lists",
+                    f"[[{entry}]]")
 
 
 @pytest.mark.parametrize("old, added, message, snippets", [
