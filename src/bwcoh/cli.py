@@ -16,7 +16,7 @@ from .factorization import build_factorization
 from .fincat import Report, enumerate_sequences
 from .laws import LAW_NAMES, run_laws
 from .localization import (
-    CertificateError, NotLocal, validate_adjoint_pair,
+    CertificateError, NotLocal, transport_to_small, validate_adjoint_pair,
     verify_transport_theorem,
 )
 from .natsys import validate_natural_system
@@ -101,8 +101,16 @@ def cmd_cohomology(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     _require_ok(validate_natural_system(system))
-    # invariants only, so the normalized complex suffices
-    cx = build_complex(system, args.max_degree, normalized=True)
+    # by the (co)localization theorem H^*(C; D) is H^*(small; D∘F(psi)) for
+    # the skeleton and for a terminal or initial object when D is (co)local
+    # for them; otherwise small is C.  Only invariants are printed, so the
+    # normalized complex suffices, and the output names stay the user's
+    try:
+        small, _ = transport_to_small(system)
+    except CertificateError as exc:
+        sys.stdout.write(f"certificate-failure: {exc}\n")
+        return EXIT_CHECK_FAILED
+    cx = build_complex(small, args.max_degree, normalized=True)
     lines = []
     for n in range(args.max_degree):
         inv = cx.cohomology(n)

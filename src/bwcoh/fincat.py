@@ -94,13 +94,18 @@ class FiniteCategory:
         return [u for u in range(self.n_morphisms)
                 if self.mor_source[u] == x and self.mor_target[u] == y]
 
-    def is_invertible(self, f: int) -> bool:
+    def inverse(self, f: int) -> int | None:
+        """The inverse of f, or None when f is not invertible; it looks only
+        at the row of f and one entry of each candidate's row."""
         x, y = self.mor_source[f], self.mor_target[f]
         for g, gf in self.table[f].items():
             if self.mor_target[g] == x and gf == self.identity[x] \
                     and self.table[g][f] == self.identity[y]:
-                return True
-        return False
+                return g
+        return None
+
+    def is_invertible(self, f: int) -> bool:
+        return self.inverse(f) is not None
 
     def object_name(self, x: int) -> str:
         if self.object_names:

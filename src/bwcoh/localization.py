@@ -4,9 +4,11 @@ A localization is an explicit adjoint pair: a projection ``phi: C -> D`` and
 an inclusion ``psi: D -> C`` with ``phi∘psi`` the identity of D, the counit
 the identity, and the unit ``alpha: 1_C => psi∘phi`` supplied componentwise.
 Dually a colocalization carries a counit ``psi∘phi => 1_C`` and an identity
-unit.  Adjunction data is always given, never searched for, and the pair's
-type (``Localization`` or ``Colocalization``) fixes which side every check
-works on.
+unit.  The pair's type (``Localization`` or ``Colocalization``) fixes which
+side every check works on.  ``verify_transport_theorem`` takes the adjunction
+data as given.  Only ``transport_to_small`` searches for pairs, and only in
+two families that the category alone determines: its skeleton, and a
+terminal or initial object.
 
 Locality: a system D is local for a localization with unit alpha when its
 action along ``(1_X, f)`` is invertible for every f inverted by ``phi``
@@ -62,6 +64,16 @@ Each distinct piece of work is done once.  When ``D∘F(alpha)`` equals ``D``
 (compared with ``==``), one complex, with its reduction, serves both, and the
 statement map P is also P'.  Both two-morphisms of certificate (c) end at
 ``(alpha, 1)``, so its chain map ``F*(alpha, 1)`` is built and checked once.
+
+``transport_to_small`` is how ``cohomology`` uses the theorem: it moves a
+system to the skeleton of its category, and from there to the point when
+the category has a terminal (or else an initial) object, each step taken
+only when its pair passes ``validate_adjoint_pair`` and the system passes
+both tests of the (co)local characterization.  A skeleton step is skipped
+when no two distinct objects are isomorphic.  The search for isomorphisms
+costs at most two lookups per stored composable pair, the search for terminal
+and initial objects only the endpoints of morphisms, and neither builds a
+category, functor or pair when it finds nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +90,8 @@ from .bwcomplex import (
 from .factorization import factor_nat
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report,
-    compose_functors, identity_functor, identity_nat,
+    compose_functors, identity_functor, identity_nat, make_category,
+    terminal_category,
 )
 from .natsys import (
     AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem, TwoMorphismInvalid,
@@ -198,9 +211,19 @@ def _characterization(d: NaturalSystem, l: Localization | Colocalization
     (counit side) is invertible for every f that phi inverts.  Canonical:
     ``nu = 1_D * F(1, alpha)`` (unit side) or ``1_D * F(alpha, 1)``,
     ``D => D∘F(alpha)``, is a natural isomorphism.  The witness names the
-    first failure, pointwise first."""
+    first failure, pointwise first.  Both tests read actions of ``d``,
+    which systems share among many pairs, so each distinct map is decided
+    once; they are told apart by identity, as ``d`` keeps them alive."""
     unit_side = isinstance(l, Localization)
     c = d.base
+    verdicts: dict[int, bool] = {}
+
+    def invertible(h: GroupHom) -> bool:
+        ok = verdicts.get(id(h))
+        if ok is None:
+            ok = verdicts[id(h)] = is_iso(h)
+        return ok
+
     witness = ""
     for f in inverted_morphisms(l):
         if unit_side:
@@ -209,16 +232,17 @@ def _characterization(d: NaturalSystem, l: Localization | Colocalization
         else:
             e = c.identity[c.mor_target[f]]
             leg, action = f"({c.morphism_name(f)},1)", d.act_pair(e, f, f, e)
-        if not is_iso(action):
+        if not invertible(action):
             witness = f"action {leg} is not invertible"
             break
     pointwise = not witness
     one = identity_nat(identity_functor(c))
     nu = (act_by_two_morphism(d, one, one, l.unit) if unit_side
           else act_by_two_morphism(d, one, l.counit, one))
-    iso = nu.nat.is_natural_iso()
+    iso = all(map(invertible, nu.nat.components))
     if pointwise and not iso:
-        f = next(f for f, t in enumerate(nu.nat.components) if not is_iso(t))
+        f = next(f for f, t in enumerate(nu.nat.components)
+                 if not invertible(t))
         witness = (f"canonical component at {c.morphism_name(f)} "
                    f"is not invertible")
     return Characterization(pointwise, iso, witness, nu)
@@ -422,3 +446,133 @@ def _unit_one_morphism(d_prime: NaturalSystem, alpha: NaturalTransformation
     nat = AbNat(pulled.functor, d_prime.functor,
                 tuple(GroupHom.identity(v) for v in d_prime.functor.values))
     return NatSysMorphism(alpha, d_prime, d_prime, nat)
+
+
+# ---------------------------------------------------------------------------
+# the pairs ``cohomology`` answers through
+
+def transport_to_small(d: NaturalSystem) -> tuple[
+        NaturalSystem, tuple[Localization | Colocalization, ...]]:
+    """The system whose cohomology is that of ``d`` by the transport
+    theorem, and the pairs applied to reach it, in order: the skeleton of
+    the base, then the least terminal object or, failing that, the least
+    initial one.  Each step pulls the system back along its psi.  A pair
+    that fails ``validate_adjoint_pair`` raises ``CertificateError``; a
+    system that is not (co)local for a pair is not moved by it."""
+    applied = []
+    for step in ((_skeleton_localization,),
+                 (_terminal_localization, _initial_colocalization)):
+        for find in step:
+            pair = find(d.base)
+            if pair is not None and _transports(d, pair):
+                d = pullback_along_nat(d, identity_nat(pair.psi))
+                applied.append(pair)
+                break
+    return d, tuple(applied)
+
+
+def _transports(d: NaturalSystem, l: Localization | Colocalization) -> bool:
+    """Whether the theorem carries ``d`` along a pair: the pair must be
+    valid, and ``d`` must pass both (co)locality tests."""
+    rep = validate_adjoint_pair(l)
+    if not rep.ok:
+        raise CertificateError(f"{l.kind}: " + "; ".join(rep.violations))
+    # through the public names, which perfbench/spans.py wraps
+    char = (local_characterization(d, l) if isinstance(l, Localization)
+            else colocal_characterization(d, l))
+    return char.pointwise_local and char.canonical_map_iso
+
+
+def _skeleton_localization(c: FiniteCategory) -> Localization | None:
+    """C onto the full subcategory of the least object of each isomorphism
+    class, or None when no two distinct objects are isomorphic.  The unit
+    at x is the least isomorphism x -> r(x), an identity on the
+    representatives, phi(f) = alpha_y∘f∘alpha_x^-1 and psi is the
+    inclusion; names are kept."""
+    # x -> the least isomorphism to the least object isomorphic to x, for
+    # the objects that are not their own representative.  Morphisms come
+    # ascending, so the first invertible one to a smaller target wins
+    unit: dict[int, int] = {}
+    for f in range(c.n_morphisms):
+        x, y = c.mor_source[f], c.mor_target[f]
+        best = c.mor_target[unit[x]] if x in unit else x
+        if y < best and c.inverse(f) is not None:
+            unit[x] = f
+    if not unit:
+        return None
+    reps = [x for x in range(c.n_objects) if x not in unit]
+    obj = {x: i for i, x in enumerate(reps)}
+    mors = [f for f in range(c.n_morphisms)
+            if c.mor_source[f] in obj and c.mor_target[f] in obj]
+    mor = {f: i for i, f in enumerate(mors)}
+    small = make_category(
+        len(reps),
+        [(obj[c.mor_source[f]], obj[c.mor_target[f]]) for f in mors],
+        [mor[c.identity[x]] for x in reps],
+        {(mor[f], mor[g]): mor[gf]
+         for f in mors for g, gf in c.table[f].items() if g in mor},
+        object_names=[c.object_name(x) for x in reps],
+        morphism_names=[c.morphism_name(f) for f in mors])
+    alpha = [unit.get(x, c.identity[x]) for x in range(c.n_objects)]
+    back = [c.inverse(a) for a in alpha]
+    table, src, tgt = c.table, c.mor_source, c.mor_target
+    phi = Functor(c, small, tuple(obj[tgt[a]] for a in alpha), tuple(
+        mor[table[table[back[src[f]]][f]][alpha[tgt[f]]]]
+        for f in range(c.n_morphisms)))
+    psi = Functor(small, c, tuple(reps), tuple(mors))
+    return Localization(c, small, phi, psi, NaturalTransformation(
+        identity_functor(c), compose_functors(psi, phi), tuple(alpha)))
+
+
+def _sole_arrows(ends: tuple[int, ...], others: tuple[int, ...],
+                 n_objects: int) -> tuple[int, tuple[int, ...]] | None:
+    """The least object t that every object x meets by exactly one morphism
+    f with ``ends[f] == t`` and ``others[f] == x``, and those morphisms by
+    x; None when no object does.  Targets and sources give a terminal
+    object, sources and targets an initial one."""
+    count = [0] * n_objects
+    for t in ends:
+        count[t] += 1
+    # a candidate has one morphism per object, so its arrows are distinct
+    # exactly when they meet every object
+    arrows = {t: {} for t in range(n_objects) if count[t] == n_objects}
+    if not arrows:
+        return None
+    for f, t in enumerate(ends):
+        if t in arrows:
+            arrows[t][others[f]] = f
+    t = next((t for t, row in arrows.items() if len(row) == n_objects), None)
+    if t is None:
+        return None
+    return t, tuple(arrows[t][x] for x in range(n_objects))
+
+
+def _to_point(c: FiniteCategory, t: int) -> tuple[Functor, Functor]:
+    """phi: C -> point and psi: point -> C picking t."""
+    pt = terminal_category()
+    return (Functor(c, pt, (0,) * c.n_objects, (0,) * c.n_morphisms),
+            Functor(pt, c, (t,), (c.identity[t],)))
+
+
+def _terminal_localization(c: FiniteCategory) -> Localization | None:
+    """C onto the point at its least terminal object t; the unit at x is
+    the one morphism x -> t."""
+    found = _sole_arrows(c.mor_target, c.mor_source, c.n_objects)
+    if found is None:
+        return None
+    t, unit = found
+    phi, psi = _to_point(c, t)
+    return Localization(c, phi.target, phi, psi, NaturalTransformation(
+        identity_functor(c), compose_functors(psi, phi), unit))
+
+
+def _initial_colocalization(c: FiniteCategory) -> Colocalization | None:
+    """C onto the point at its least initial object i; the counit at x is
+    the one morphism i -> x."""
+    found = _sole_arrows(c.mor_source, c.mor_target, c.n_objects)
+    if found is None:
+        return None
+    i, counit = found
+    phi, psi = _to_point(c, i)
+    return Colocalization(c, phi.target, phi, psi, NaturalTransformation(
+        compose_functors(psi, phi), identity_functor(c), counit))

@@ -33,9 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .abgroup import (
-    GroupHom, PresentedGroup, direct_product, hom_compose, is_iso,
-)
+from .abgroup import GroupHom, PresentedGroup, direct_product, hom_compose
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, ShapeMismatch,
     horizontal_compose, identity_nat,
@@ -110,9 +108,6 @@ class AbNat:
             tuple(self.components[functor.obj_map[x]]
                   for x in range(functor.source.n_objects)),
         )
-
-    def is_natural_iso(self) -> bool:
-        return all(is_iso(t) for t in self.components)
 
     def equal_mod(self, other: "AbNat") -> bool:
         return all(a.equal_mod(b)

@@ -70,7 +70,8 @@ What is checked, and where:
   per block, where only ``objects:`` lines continue and a category's
   ``mor`` lines are checked as duplicate names; a system is constant,
   hom, bifunctor (``bifunctor:`` its first line) or explicit, never a mix;
-  a group has at most ``MAX_GENERATORS`` generators;
+  a group has at most ``MAX_GENERATORS`` generators, and so has each value
+  of a ``hom:`` system, the group times the largest Hom set;
   block names are unique per kind, localizations and colocalizations
   sharing one namespace; every cross-reference must resolve, the system of
   a task must live on its category or on the big category of its
@@ -92,6 +93,7 @@ What is checked, and where:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .abgroup import (
@@ -476,6 +478,14 @@ def _parse_system(block: _Block, ws: Workspace) -> tuple[str, NaturalSystem]:
     if kind == "constant":
         return name, constant_system(cat, group)
     if kind == "hom":
+        # D(f) is free over the group on Hom(source f, target f)
+        widest = max(Counter(zip(cat.mor_source, cat.mor_target)).values(),
+                     default=0)
+        if widest * group.generators > MAX_GENERATORS:
+            raise ParseError(since, f"hom values have "
+                             f"{widest * group.generators} generators "
+                             f"({widest} morphisms x {group.generators}), "
+                             f"more than {MAX_GENERATORS}")
         return name, hom_system(cat, group)
     subject = f"system {name}"
     if kind == "bifunctor":

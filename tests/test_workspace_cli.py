@@ -185,6 +185,18 @@ def test_group_with_too_many_generators_is_refused(tmp_path, group, count):
                     f"  constant: {group}")
 
 
+@pytest.mark.parametrize("group, count", [("Z^2048", 12288), ("Z^342", 2052)])
+def test_hom_system_with_too_many_generators_is_refused(tmp_path, group,
+                                                        count):
+    # hom: Z^2048 on s3 used to end in a MemoryError: every action is a
+    # dense square over |Hom| x 2048 = 12288 generators
+    _assert_refused(tmp_path, "symmetric3.bwcoh", "  hom: Z\n",
+                    f"  hom: {group}\n",
+                    f"line {{}}: hom values have {count} generators "
+                    f"(6 morphisms x {count // 6}), more than 2048",
+                    f"  hom: {group}")
+
+
 @pytest.mark.parametrize("option", [
     "max-degree=banana", "max-degree=0", "max-degree=-2", "maxdegree=3",
     "max-degree=3 max-degree=4", "seed=1"])
