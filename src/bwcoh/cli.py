@@ -77,7 +77,7 @@ def cmd_validate(args) -> int:
     return EXIT_INVALID if bad else EXIT_OK
 
 
-def _require(ws: Workspace, table: dict, kind: str, name: str):
+def _require(table: dict, kind: str, name: str):
     if name not in table:
         print(f"error: no {kind} named {name!r} in workspace", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
@@ -93,8 +93,8 @@ def _require_ok(rep: Report) -> None:
 
 def cmd_cohomology(args) -> int:
     ws = _load(args.file)
-    _require(ws, ws.categories, "category", args.category)
-    system = _require(ws, ws.systems, "system", args.system)
+    _require(ws.categories, "category", args.category)
+    system = _require(ws.systems, "system", args.system)
     if ws.system_base[args.system] != args.category:
         print(f"error: system {args.system!r} lives on "
               f"{ws.system_base[args.system]!r}, not {args.category!r}",
@@ -143,7 +143,7 @@ def cmd_check_laws(args) -> int:
 
 def cmd_localization_check(args) -> int:
     ws = _load(args.file)
-    system = _require(ws, ws.systems, "system", args.system)
+    system = _require(ws.systems, "system", args.system)
     name = args.localization
     loc = ws.localizations.get(name) or ws.colocalizations.get(name)
     if loc is None:
@@ -179,7 +179,7 @@ def cmd_export(args) -> int:
         if not args.category:
             print("error: --category required", file=sys.stderr)
             return EXIT_PARSE
-        cat = _require(ws, ws.categories, "category", args.category)
+        cat = _require(ws.categories, "category", args.category)
         fc = build_factorization(cat)
         text = category_text(f"factorization_of_{args.category}", fc.category)
         annot = ["# object annotations: factorization object -> base morphism"]
@@ -191,7 +191,7 @@ def cmd_export(args) -> int:
         if not args.category:
             print("error: --category required", file=sys.stderr)
             return EXIT_PARSE
-        cat = _require(ws, ws.categories, "category", args.category)
+        cat = _require(ws.categories, "category", args.category)
         out = [f"nerve of {args.category}, dimensions 0..{args.max_degree}"]
         for n in range(args.max_degree + 1):
             seqs = enumerate_sequences(cat, n)
@@ -216,8 +216,8 @@ def cmd_export(args) -> int:
             print("error: --max-degree must be at least 1 for a complex",
                   file=sys.stderr)
             return EXIT_PARSE
-        cat = _require(ws, ws.categories, "category", args.category)
-        system = _require(ws, ws.systems, "system", args.system)
+        cat = _require(ws.categories, "category", args.category)
+        system = _require(ws.systems, "system", args.system)
         if ws.system_base[args.system] != args.category:
             print("error: system does not live on the category",
                   file=sys.stderr)

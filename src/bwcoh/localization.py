@@ -87,7 +87,6 @@ from .bwcomplex import (
     build_complex, cohomology_map, homotopy_h, induced_map_2, induced_map_nat,
     is_cohomology_iso, require_vanishing,
 )
-from .factorization import factor_nat
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report,
     compose_functors, identity_functor, identity_nat, make_category,
@@ -301,18 +300,12 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
     cx_e = build_complex(e, max_degree)
 
     # statement map P: F*(C, D) -> F*(small, E), and its D' version P',
-    # which is P itself when D' = D
-    p_mor = morphism_from_functor(l.psi, d, e, AbNat.identity(e.functor))
+    # whose chain map is P's when D' = D
+    one_e = AbNat.identity(e.functor)
+    p_mor = morphism_from_functor(l.psi, d, e, one_e)
     p_map = induced_map_nat(p_mor, cx_d, cx_e)
-    if cx_dp is cx_d:
-        pp_mor, pp_map = p_mor, p_map
-    else:
-        pp_nat = AbNat(pullback_along_nat(d_prime,
-                                          identity_nat(l.psi)).functor,
-                       e.functor,
-                       tuple(GroupHom.identity(v) for v in e.functor.values))
-        pp_mor = NatSysMorphism(identity_nat(l.psi), d_prime, e, pp_nat)
-        pp_map = induced_map_nat(pp_mor, cx_dp, cx_e)
+    pp_mor = morphism_from_functor(l.psi, d_prime, e, one_e)
+    pp_map = p_map if cx_dp is cx_d else induced_map_nat(pp_mor, cx_dp, cx_e)
 
     # inverse-inducing map Q': F*(small, E) -> F*(C, D') from the unit
     # square: (alpha,1_xi) on the unit side, (1_xi,alpha) on the counit side,
@@ -320,10 +313,7 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
     one_xi = identity_nat(xi)
     u_mor = (act_by_two_morphism(d, one_xi, alpha, one_xi) if unit_side
              else act_by_two_morphism(d, one_xi, one_xi, alpha))
-    q_nat = AbNat(e.functor.pullback(
-        factor_nat(identity_nat(l.phi), d.fc, e.fc)),
-        d_prime.functor, u_mor.nat.components)
-    qp_mor = NatSysMorphism(identity_nat(l.phi), e, d_prime, q_nat)
+    qp_mor = NatSysMorphism(identity_nat(l.phi), e, d_prime, u_mor.nat)
     qp_map = induced_map_nat(qp_mor, cx_e, cx_dp)
 
     # certificate (c) first: it needs no cohomology, so no reduced cone or
@@ -352,8 +342,7 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
     nu_is_identity = cx_dp is cx_d and all(
         t == GroupHom.identity(t.source) for t in nu.nat.components)
     if not nu_is_identity:
-        nu_inv = AbNat(nu.nat.target, nu.nat.source,
-                       tuple(hom_inverse(t) for t in nu.nat.components))
+        nu_inv = AbNat(tuple(map(hom_inverse, nu.nat.components)))
         n_inv = induced_map_nat(
             NatSysMorphism(identity_nat(one_c), d_prime, d, nu_inv),
             cx_dp, cx_d)
@@ -392,9 +381,10 @@ def _homotopy_route(d_prime: NaturalSystem, l: Localization | Colocalization,
     alpha = l.unit if unit_side else l.counit
     one_c = identity_functor(l.big)
     one_xi = identity_nat(compose_functors(l.psi, l.phi))
-    one_mor_dp = NatSysMorphism(identity_nat(one_c), d_prime, d_prime,
-                                AbNat.identity(d_prime.functor))
-    alpha_mor = _unit_one_morphism(d_prime, alpha)
+    one_dp = AbNat.identity(d_prime.functor)
+    one_mor_dp = NatSysMorphism(identity_nat(one_c), d_prime, d_prime, one_dp)
+    # (alpha, 1): (C, D') -> (C, D'), using D'∘F(alpha) == D' exactly
+    alpha_mor = NatSysMorphism(alpha, d_prime, d_prime, one_dp)
     qp_pp_mor = compose_natsys_morphisms(qp_mor, pp_mor)
     if unit_side:
         two_a = NatFTwoMorphism(qp_pp_mor, alpha_mor, alpha, one_xi)
@@ -437,15 +427,6 @@ def _induces_identity(endo: CochainMap, n: int) -> bool:
     """Whether a chain endomorphism induces the identity on H^n."""
     h = cohomology_map(endo, n)
     return h.equal_mod(GroupHom.identity(h.source))
-
-
-def _unit_one_morphism(d_prime: NaturalSystem, alpha: NaturalTransformation
-                       ) -> NatSysMorphism:
-    """(alpha, 1): (C, D') -> (C, D'), using D'∘F(alpha) == D' exactly."""
-    pulled = pullback_along_nat(d_prime, alpha)
-    nat = AbNat(pulled.functor, d_prime.functor,
-                tuple(GroupHom.identity(v) for v in d_prime.functor.values))
-    return NatSysMorphism(alpha, d_prime, d_prime, nat)
 
 
 # ---------------------------------------------------------------------------

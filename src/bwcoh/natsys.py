@@ -25,7 +25,10 @@ Morphisms of pairs (C, D) -> (D', E) carry a natural transformation
 component family ``t: D∘F(alpha) => E`` over the factorization category of
 D'.  Keeping the anchor explicit turns the 2-categorical bookkeeping of
 whiskering, composition and two-morphism validation into checkable shape
-conditions instead of silent conventions.
+conditions instead of silent conventions.  A family (``AbNat``) is its
+components alone: its functors are those of the pair morphism that carries
+it, D∘F(alpha) from the anchor and the source system, E as the target
+system, so nothing is pulled back just to name them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from .abgroup import GroupHom, PresentedGroup, direct_product, hom_compose
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report, ShapeMismatch,
-    horizontal_compose, identity_nat,
+    horizontal_compose, identity_nat, vertical_compose,
 )
 from .factorization import (
     FactorizationCategory, build_factorization, factor_nat,
@@ -84,30 +87,27 @@ class AbFunctor:
 
 @dataclass(frozen=True)
 class AbNat:
-    """Natural transformation between group-valued functors on one category."""
-    source: AbFunctor
-    target: AbFunctor
+    """A family of group maps, one per object of a category: the components
+    of a transformation between group-valued functors.  The functors are not
+    stored; those of a pair morphism are D∘F(alpha) and E, which its anchor
+    and its systems fix."""
     components: tuple[GroupHom, ...]   # per object
 
     @staticmethod
     def identity(f: AbFunctor) -> "AbNat":
-        return AbNat(f, f, tuple(GroupHom.identity(v) for v in f.values))
+        return AbNat(tuple(GroupHom.identity(v) for v in f.values))
 
     def compose(self, first: "AbNat") -> "AbNat":
         """self ∘ first, componentwise."""
-        if first.target.values != self.source.values:
-            raise ShapeMismatch("component groups do not chain")
-        return AbNat(first.source, self.target, tuple(
+        if len(first.components) != len(self.components):
+            raise ShapeMismatch("component families have different lengths")
+        return AbNat(tuple(
             hom_compose(a, b) for a, b in zip(self.components, first.components)
         ))
 
     def pullback(self, functor: Functor) -> "AbNat":
-        return AbNat(
-            self.source.pullback(functor),
-            self.target.pullback(functor),
-            tuple(self.components[functor.obj_map[x]]
-                  for x in range(functor.source.n_objects)),
-        )
+        """The components reindexed along a functor into their category."""
+        return AbNat(tuple(self.components[y] for y in functor.obj_map))
 
     def equal_mod(self, other: "AbNat") -> bool:
         return all(a.equal_mod(b)
@@ -478,16 +478,14 @@ def act_by_two_morphism(d: NaturalSystem,
     """1_D * F(eps, gam): D∘F(alpha) => D∘F(beta) for (eps, gam): alpha => beta.
 
     The component at a morphism sigma: X -> Y of the anchor domain is the
-    action of D along the pair (eps_X, gam_Y).
+    action of D along the pair (eps_X, gam_Y).  The result is anchored at
+    beta with target system D∘F(beta); its family runs from D∘F(alpha).
     """
     beta = two_morphism_target(alpha, eps, gam)
     fc_dom = build_factorization(alpha.domain)
     ft = factor_two_morphism(alpha, beta, eps, gam, fc_dom, d.fc)
-    src = d.functor.pullback(ft.source_functor)
     dst = NaturalSystem(fc_dom, d.functor.pullback(ft.target_functor))
-    comps = tuple(d.act(ft.components[sigma])
-                  for sigma in range(alpha.domain.n_morphisms))
-    return NatSysMorphism(beta, d, dst, AbNat(src, dst.functor, comps))
+    return NatSysMorphism(beta, d, dst, AbNat(tuple(map(d.act, ft.components))))
 
 
 @dataclass(frozen=True)
@@ -542,8 +540,8 @@ def vertical_compose_two(b: NatFTwoMorphism, a: NatFTwoMorphism
     """(eps', gam')(eps, gam) = (eps∘eps', gam'∘gam), from a then b."""
     if a.dst is not b.src and a.dst.alpha != b.src.alpha:
         raise ShapeMismatch("two-morphisms do not stack")
-    from .fincat import vertical_compose as vc
-    return NatFTwoMorphism(a.src, b.dst, vc(a.eps, b.eps), vc(b.gam, a.gam))
+    return NatFTwoMorphism(a.src, b.dst, vertical_compose(a.eps, b.eps),
+                           vertical_compose(b.gam, a.gam))
 
 
 def horizontal_compose_two(b: NatFTwoMorphism, a: NatFTwoMorphism

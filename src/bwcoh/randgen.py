@@ -273,7 +273,7 @@ class InstanceGen:
         comps = tuple(
             GroupHom(v, v, IntMatrix.identity(v.generators).scale(u))
             for v in e_sys.functor.values)
-        w = AbNat(e_sys.functor, e_sys.functor, comps)
+        w = AbNat(comps)
         return (
             NatSysMorphism(t_mor.alpha, t_mor.source_system,
                            t_mor.target_system, w.compose(t_mor.nat)),

@@ -71,7 +71,10 @@ What is checked, and where:
   ``mor`` lines are checked as duplicate names; a system is constant,
   hom, bifunctor (``bifunctor:`` its first line) or explicit, never a mix;
   a group has at most ``MAX_GENERATORS`` generators, and so has each value
-  of a ``hom:`` system, the group times the largest Hom set;
+  of a ``hom:`` system, the group times the largest Hom set; the actions of
+  a ``hom:`` system, one per pair of morphisms, together hold at most
+  ``MAX_GENERATORS`` ** 2 entries; a ``compose`` line has spaces around its
+  ``=``, so names may contain ``=``;
   block names are unique per kind, localizations and colocalizations
   sharing one namespace; every cross-reference must resolve, the system of
   a task must live on its category or on the big category of its
@@ -114,7 +117,9 @@ from .natsys import (
 
 HEADER = "bwcoh workspace v1"
 
-# every action on a group is a dense square matrix over its generators
+# every action on a group is a dense square matrix over its generators, so
+# one action holds at most MAX_GENERATORS^2 entries; so do all the actions
+# of a ``hom:`` system together, one per pair of morphisms
 MAX_GENERATORS = 2048
 
 
@@ -303,7 +308,7 @@ def _positions(names) -> dict[str, int]:
 # The lines of each block kind, by prefix: ``(sep, usage)`` for a line
 # ``PREFIX KEY sep VALUE``, None for ``PREFIX VALUE``.  No prefix starts
 # another, so the order, most frequent first, only saves time
-_CATEGORY_LINES = {"compose ": ("=", "compose f g = h"),
+_CATEGORY_LINES = {"compose ": (" = ", "compose f g = h"),
                    "mor ": (":", "mor f: a -> b"),
                    "identity ": (":", "identity a: id_a"), "objects:": None}
 _FUNCTOR_LINES = {"obj ": ("->", "x -> y"), "mor ": ("->", "x -> y")}
@@ -358,7 +363,7 @@ def _parse_category(block: _Block, ws: Workspace) -> tuple[str, FiniteCategory]:
         else:
             pair = key.split()
             if len(pair) != 2:
-                raise ParseError(ln, "expected two morphisms before '='")
+                raise ParseError(ln, "expected two morphisms before ' = '")
             composes.append((ln, pair[0], pair[1], value))
     obj_index = _positions(objects)
     mor_index = _positions(m[1] for m in mors)
@@ -481,11 +486,17 @@ def _parse_system(block: _Block, ws: Workspace) -> tuple[str, NaturalSystem]:
         # D(f) is free over the group on Hom(source f, target f)
         widest = max(Counter(zip(cat.mor_source, cat.mor_target)).values(),
                      default=0)
-        if widest * group.generators > MAX_GENERATORS:
-            raise ParseError(since, f"hom values have "
-                             f"{widest * group.generators} generators "
+        width = widest * group.generators
+        if width > MAX_GENERATORS:
+            raise ParseError(since, f"hom values have {width} generators "
                              f"({widest} morphisms x {group.generators}), "
                              f"more than {MAX_GENERATORS}")
+        # one dense action per pair of morphisms, each at most width^2
+        entries = (cat.n_morphisms * width) ** 2
+        if entries > MAX_GENERATORS ** 2:
+            raise ParseError(since, f"hom actions have {entries} entries "
+                             f"({cat.n_morphisms}^2 actions of up to "
+                             f"{width}^2), more than {MAX_GENERATORS}^2")
         return name, hom_system(cat, group)
     subject = f"system {name}"
     if kind == "bifunctor":

@@ -18,7 +18,10 @@ from bwcoh.natsys import (
     from_bifunctor, pullback_along_nat, validate_bifunctor,
     validate_natural_system, whisker,
 )
-from bwcoh.localization import colocal_characterization, local_characterization
+from bwcoh.localization import (
+    Localization, colocal_characterization, local_characterization,
+    transport_to_small,
+)
 from bwcoh import natsys
 from bwcoh.randgen import InstanceGen
 from bwcoh.workspace import (
@@ -27,7 +30,8 @@ from bwcoh.workspace import (
 from oracles import (
     bifunctor_on_product, fullness_witness, identity_morphism, localization,
     op_pair_product, projection_to_pair, system_via_projection,
-    validate_bifunctor_full, validate_full_table, validate_pair_morphism,
+    validate_ab_nat, validate_bifunctor_full, validate_full_table,
+    validate_pair_morphism,
 )
 from test_workspace_cli import run_cli
 
@@ -462,6 +466,58 @@ def test_fullness_witness():
         assert ordinary.alpha.source_functor == ordinary.alpha.target_functor
         assert validate_pair_morphism(ordinary).ok
         assert connecting.validate().ok
+
+
+def _natural_from(d, alpha, m):
+    """The family of ``m`` runs from D∘F(alpha), recomputed from ``d`` and
+    ``alpha``, to ``m``'s target system, and is natural."""
+    return validate_ab_nat(m.nat, pullback_along_nat(d, alpha).functor,
+                           m.target_system.functor)
+
+
+def _canonical_map(d, l):
+    """The pair's canonical map nu: D => D∘F(alpha)."""
+    char = (local_characterization(d, l) if isinstance(l, Localization)
+            else colocal_characterization(d, l))
+    return char.canonical_map
+
+
+def test_library_pair_morphisms_are_natural_against_recomputed_source():
+    # a family stores only its components: its source D∘F(alpha) is
+    # recomputed from the anchor and the source system, its target is the
+    # target system.  Each result of act_by_two_morphism, the canonical
+    # maps among them, runs from D∘F(alpha) of the anchor it was given
+    for seed in range(20):
+        gen = InstanceGen(seed)
+        h, _, _ = gen.h_instance()
+        va, vb, _, _ = gen.vertical_instance()
+        ha, hb, _, _, _ = gen.horizontal_instance()
+        twos = (h, va, vb, ha, hb)
+        morphisms = [m for two in twos for m in (two.src, two.dst)]
+        morphisms += [compose_natsys_morphisms(hb.src, ha.src),
+                      compose_natsys_morphisms(hb.dst, ha.dst),
+                      whisker(ha.src, hb.src.alpha),
+                      whisker(ha.dst, hb.dst.alpha)]
+        morphisms += [fullness_witness(two.src)[0] for two in twos]
+        for m in morphisms:
+            assert validate_pair_morphism(m).ok, (seed, m.alpha)
+        for two in twos:
+            d, alpha = two.src.source_system, two.src.alpha
+            act = act_by_two_morphism(d, alpha, two.eps, two.gam)
+            assert _natural_from(d, alpha, act).ok, seed
+    ws = load_workspace_file(str(WORKSPACES / "arrow.bwcoh"))
+    pairs = [*ws.localizations.values(), *ws.colocalizations.values()]
+    maps = [(d, _canonical_map(d, l)) for d in ws.systems.values()
+            for l in pairs]
+    for path in sorted(WORKSPACES.glob("*.bwcoh")):
+        for d in load_workspace_file(str(path)).systems.values():
+            for l in transport_to_small(d)[1]:
+                maps.append((d, _canonical_map(d, l)))
+                d = pullback_along_nat(d, identity_nat(l.psi))
+    assert len(maps) >= 11   # 4 systems x 2 arrow pairs, 3 transports
+    for d, nu in maps:
+        one = identity_nat(identity_functor(d.base))
+        assert _natural_from(d, one, nu).ok
 
 
 def test_is_local_examples():

@@ -393,7 +393,7 @@ def test_induced_maps_match_dense(seed):
 def scalar_endomorphism(d, k, max_degree):
     """The chain endomorphism induced by multiplication by k on D."""
     cx = build_complex(d, max_degree)
-    nat = AbNat(d.functor, d.functor, tuple(
+    nat = AbNat(tuple(
         GroupHom(v, v, IntMatrix.identity(v.generators).scale(k))
         for v in d.functor.values))
     m = dataclasses.replace(identity_morphism(d), nat=nat)

@@ -9,10 +9,15 @@ import pytest
 
 from bwcoh.cli import main
 from bwcoh.workspace import (
-    HEADER, MAX_GENERATORS, ParseError, load_workspace, load_workspace_file,
-    parse_group, group_text,
+    HEADER, MAX_GENERATORS, ParseError, category_text, load_workspace,
+    load_workspace_file, parse_group, group_text,
 )
 from bwcoh.abgroup import GroupInvariants
+from bwcoh.fincat import (
+    arrow_category, cyclic_group_category, discrete_category,
+    indiscrete_category, product, pseudo_circle_category, terminal_category,
+    total_order_category,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKSPACES = ROOT / "workspaces"
@@ -197,6 +202,20 @@ def test_hom_system_with_too_many_generators_is_refused(tmp_path, group,
                     f"  hom: {group}")
 
 
+@pytest.mark.parametrize("group, entries, width", [
+    ("Z^341", 150700176, 2046), ("Z^57", 4210704, 342)])
+def test_hom_system_with_too_many_action_entries_is_refused(tmp_path, group,
+                                                            entries, width):
+    # hom: Z^341 on s3 used to end in a MemoryError under a 400 MB address
+    # space: its values pass the generator limit, but its 36 dense actions
+    # hold 36 x 2046^2 entries
+    _assert_refused(tmp_path, "symmetric3.bwcoh", "  hom: Z\n",
+                    f"  hom: {group}\n",
+                    f"line {{}}: hom actions have {entries} entries "
+                    f"(6^2 actions of up to {width}^2), more than 2048^2",
+                    f"  hom: {group}")
+
+
 @pytest.mark.parametrize("option", [
     "max-degree=banana", "max-degree=0", "max-degree=-2", "maxdegree=3",
     "max-degree=3 max-degree=4", "seed=1"])
@@ -364,8 +383,11 @@ def test_duplicate_block_names_are_refused(tmp_path, new, message, snippets):
      "task cohomology_z:",
      "line {}: system 'pz' does not live on the big category of 'loc_y'",
      ("task pz_transport",)),
+    # a compose line is cut at ' = ', so names may contain '='
+    ("  compose id_y id_y = id_y\n", "  compose id_y id_y=id_y\n",
+     "line {}: expected 'compose f g = h'", ("  compose id_y id_y=id_y",)),
 ], ids=["act-shape", "mor-object", "identity-object",
-        "localization-check-task"])
+        "localization-check-task", "compose-spacing"])
 def test_errors_name_the_offending_line(tmp_path, old, new, message, snippets):
     _assert_refused(tmp_path, "arrow.bwcoh", old, new, message, *snippets)
 
@@ -410,6 +432,27 @@ def test_non_composable_compose_line_exits_2(tmp_path):
         assert "category arrow: 1 violation(s)" in out
         assert "composite defined for non-composable (1,2)" in out
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", [
+    terminal_category(), discrete_category(2), arrow_category(),
+    indiscrete_category(3), cyclic_group_category(3),
+    pseudo_circle_category(), total_order_category(3),
+    product(arrow_category(), cyclic_group_category(2)).category,
+], ids=["terminal", "discrete", "arrow", "indiscrete", "cyclic", "pc",
+        "total-order", "product"])
+def test_category_text_round_trips(c):
+    # the pseudo-circle's morphisms are named a<=c; their compose lines used
+    # to be cut at the first '=' and refused
+    (loaded,) = load_workspace(
+        f"{HEADER}\n{category_text('c', c)}").categories.values()
+    assert (loaded.n_objects, loaded.mor_source, loaded.mor_target,
+            loaded.identity, loaded.table) == \
+        (c.n_objects, c.mor_source, c.mor_target, c.identity, c.table)
+    assert [loaded.object_name(x) for x in range(c.n_objects)] == \
+        [c.object_name(x) for x in range(c.n_objects)]
+    assert [loaded.morphism_name(f) for f in range(c.n_morphisms)] == \
+        [c.morphism_name(f) for f in range(c.n_morphisms)]
 
 
 def test_localization_check_validates_the_system(tmp_path):
