@@ -12,11 +12,12 @@ terminal or initial object.
 
 Locality: a system D is local for a localization with unit alpha when its
 action along ``(1_X, f)`` is invertible for every f inverted by ``phi``
-(colocal: along ``(f, 1_Y)``, with the counit), and the canonical comparison
-``D => D∘F(alpha)`` is the executable counterpart.  The library's
-constructors produce systems for which both tests agree;
-``local_characterization`` and ``colocal_characterization`` compute them
-independently, by one body, and report them side by side with a witness.
+(colocal: along ``(f, 1_Y)``, with the counit), and the canonical comparison,
+the pair morphism (1, nu): (C, D) -> (C, D∘F(alpha)) anchored at the
+identity, is the executable counterpart.  The library's constructors
+produce systems for which both tests agree; ``local_characterization`` and
+``colocal_characterization`` compute them independently, by one body, and
+report them side by side with a witness.
 
 ``verify_transport_theorem`` certifies that the inclusion induces
 isomorphisms on cohomology with a local (colocal) coefficient system, three
@@ -67,13 +68,14 @@ statement map P is also P'.  Both two-morphisms of certificate (c) end at
 
 ``transport_to_small`` is how ``cohomology`` uses the theorem: it moves a
 system to the skeleton of its category, and from there to the point when
-the category has a terminal (or else an initial) object, each step taken
-only when its pair passes ``validate_adjoint_pair`` and the system passes
-both tests of the (co)local characterization.  A skeleton step is skipped
-when no two distinct objects are isomorphic.  The search for isomorphisms
-costs at most two lookups per stored composable pair, the search for terminal
-and initial objects only the endpoints of morphisms, and neither builds a
-category, functor or pair when it finds nothing.
+the category has a terminal (or else an initial) object and is not the
+point, each step taken only when its pair passes ``validate_adjoint_pair``
+and the system passes both tests of the (co)local characterization.  A
+skeleton step is skipped when no two distinct objects are isomorphic.  The
+search for isomorphisms costs at most two lookups per stored composable
+pair, the search for terminal and initial objects only the endpoints of
+morphisms, and neither builds a category, functor or pair when it finds
+nothing.
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ from .fincat import (
 )
 from .natsys import (
     AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem, TwoMorphismInvalid,
-    act_by_two_morphism, compose_natsys_morphisms, morphism_from_functor,
-    pullback_along_nat,
+    act_by_two_morphism, compose_natsys_morphisms, pullback_along_nat,
 )
 
 
@@ -189,7 +190,7 @@ class Characterization:
     pointwise_local: bool
     canonical_map_iso: bool
     witness: str
-    canonical_map: NatSysMorphism = field(repr=False)   # nu: D => D∘F(alpha)
+    canonical_map: NatSysMorphism = field(repr=False)   # (1, nu): D => D∘F(alpha)
 
 
 def local_characterization(d: NaturalSystem, l: Localization) -> Characterization:
@@ -209,7 +210,8 @@ def _characterization(d: NaturalSystem, l: Localization | Colocalization
     """Pointwise: the action ``D(1_X, f)`` (unit side) or ``D(f, 1_Y)``
     (counit side) is invertible for every f that phi inverts.  Canonical:
     ``nu = 1_D * F(1, alpha)`` (unit side) or ``1_D * F(alpha, 1)``,
-    ``D => D∘F(alpha)``, is a natural isomorphism.  The witness names the
+    ``D => D∘F(alpha)``, is a natural isomorphism; it is returned as the
+    pair morphism (1, nu): (C, D) -> (C, D∘F(alpha)).  The witness names the
     first failure, pointwise first.  Both tests read actions of ``d``,
     which systems share among many pairs, so each distinct map is decided
     once; they are told apart by identity, as ``d`` keeps them alive."""
@@ -236,15 +238,16 @@ def _characterization(d: NaturalSystem, l: Localization | Colocalization
             break
     pointwise = not witness
     one = identity_nat(identity_functor(c))
-    nu = (act_by_two_morphism(d, one, one, l.unit) if unit_side
-          else act_by_two_morphism(d, one, l.counit, one))
-    iso = all(map(invertible, nu.nat.components))
+    alpha = l.unit if unit_side else l.counit
+    nu = (act_by_two_morphism(d, one, one, alpha) if unit_side
+          else act_by_two_morphism(d, one, alpha, one))
+    iso = all(map(invertible, nu.components))
     if pointwise and not iso:
-        f = next(f for f, t in enumerate(nu.nat.components)
-                 if not invertible(t))
+        f = next(f for f, t in enumerate(nu.components) if not invertible(t))
         witness = (f"canonical component at {c.morphism_name(f)} "
                    f"is not invertible")
-    return Characterization(pointwise, iso, witness, nu)
+    canonical = NatSysMorphism(one, d, pullback_along_nat(d, alpha), nu)
+    return Characterization(pointwise, iso, witness, canonical)
 
 
 @dataclass(frozen=True)
@@ -301,19 +304,18 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
 
     # statement map P: F*(C, D) -> F*(small, E), and its D' version P',
     # whose chain map is P's when D' = D
-    one_e = AbNat.identity(e.functor)
-    p_mor = morphism_from_functor(l.psi, d, e, one_e)
-    p_map = induced_map_nat(p_mor, cx_d, cx_e)
-    pp_mor = morphism_from_functor(l.psi, d_prime, e, one_e)
+    one_psi, one_e = identity_nat(l.psi), AbNat.identity(e.functor)
+    p_map = induced_map_nat(NatSysMorphism(one_psi, d, e, one_e), cx_d, cx_e)
+    pp_mor = NatSysMorphism(one_psi, d_prime, e, one_e)
     pp_map = p_map if cx_dp is cx_d else induced_map_nat(pp_mor, cx_dp, cx_e)
 
     # inverse-inducing map Q': F*(small, E) -> F*(C, D') from the unit
     # square: (alpha,1_xi) on the unit side, (1_xi,alpha) on the counit side,
     # both 1_xi => alpha
     one_xi = identity_nat(xi)
-    u_mor = (act_by_two_morphism(d, one_xi, alpha, one_xi) if unit_side
+    u_nat = (act_by_two_morphism(d, one_xi, alpha, one_xi) if unit_side
              else act_by_two_morphism(d, one_xi, one_xi, alpha))
-    qp_mor = NatSysMorphism(identity_nat(l.phi), e, d_prime, u_mor.nat)
+    qp_mor = NatSysMorphism(identity_nat(l.phi), e, d_prime, u_nat)
     qp_map = induced_map_nat(qp_mor, cx_e, cx_dp)
 
     # certificate (c) first: it needs no cohomology, so no reduced cone or
@@ -437,12 +439,15 @@ def transport_to_small(d: NaturalSystem) -> tuple[
     """The system whose cohomology is that of ``d`` by the transport
     theorem, and the pairs applied to reach it, in order: the skeleton of
     the base, then the least terminal object or, failing that, the least
-    initial one.  Each step pulls the system back along its psi.  A pair
-    that fails ``validate_adjoint_pair`` raises ``CertificateError``; a
-    system that is not (co)local for a pair is not moved by it."""
+    initial one, until the base is the point.  Each step pulls the system
+    back along its psi.  A pair that fails ``validate_adjoint_pair`` raises
+    ``CertificateError``; a system that is not (co)local for a pair is not
+    moved by it."""
     applied = []
     for step in ((_skeleton_localization,),
                  (_terminal_localization, _initial_colocalization)):
+        if d.base.n_morphisms == 1:   # the point: no step moves anything
+            break
         for find in step:
             pair = find(d.base)
             if pair is not None and _transports(d, pair):

@@ -28,7 +28,10 @@ whiskering, composition and two-morphism validation into checkable shape
 conditions instead of silent conventions.  A family (``AbNat``) is its
 components alone: its functors are those of the pair morphism that carries
 it, D∘F(alpha) from the anchor and the source system, E as the target
-system, so nothing is pulled back just to name them.
+system, so nothing is pulled back just to name them.  A two-morphism
+(eps, gam): alpha => beta acts on D by a family, D∘F(alpha) => D∘F(beta),
+not by a pair morphism: ``act_by_two_morphism`` returns that family, and a
+caller that needs a pair morphism anchors it.
 """
 
 from __future__ import annotations
@@ -431,12 +434,6 @@ class NatSysMorphism:
         return self.nat.components[sigma]
 
 
-def morphism_from_functor(phi: Functor, d: NaturalSystem,
-                          target: NaturalSystem, nat: AbNat) -> NatSysMorphism:
-    """The embedded ordinary morphism (phi, t), anchored at the identity of phi."""
-    return NatSysMorphism(identity_nat(phi), d, target, nat)
-
-
 def whisker(t: NatSysMorphism, beta: NaturalTransformation) -> NatSysMorphism:
     """t * 1_{F(beta)}: components reindexed along F(beta).
 
@@ -474,18 +471,18 @@ def compose_natsys_morphisms(s: NatSysMorphism, t: NatSysMorphism
 def act_by_two_morphism(d: NaturalSystem,
                         alpha: NaturalTransformation,
                         eps: NaturalTransformation,
-                        gam: NaturalTransformation) -> NatSysMorphism:
+                        gam: NaturalTransformation) -> AbNat:
     """1_D * F(eps, gam): D∘F(alpha) => D∘F(beta) for (eps, gam): alpha => beta.
 
     The component at a morphism sigma: X -> Y of the anchor domain is the
-    action of D along the pair (eps_X, gam_Y).  The result is anchored at
-    beta with target system D∘F(beta); its family runs from D∘F(alpha).
+    action of D along the pair (eps_X, gam_Y).  The family runs from
+    D∘F(alpha) to D∘F(beta), with beta = gam∘alpha∘eps; it is no pair
+    morphism, and a caller that needs one anchors it.
     """
     beta = two_morphism_target(alpha, eps, gam)
     fc_dom = build_factorization(alpha.domain)
     ft = factor_two_morphism(alpha, beta, eps, gam, fc_dom, d.fc)
-    dst = NaturalSystem(fc_dom, d.functor.pullback(ft.target_functor))
-    return NatSysMorphism(beta, d, dst, AbNat(tuple(map(d.act, ft.components))))
+    return AbNat(tuple(map(d.act, ft.components)))
 
 
 @dataclass(frozen=True)
@@ -516,9 +513,7 @@ class NatFTwoMorphism:
             return rep
         action = act_by_two_morphism(self.src.source_system, alpha,
                                      self.eps, self.gam)
-        lhs = self.src.nat
-        rhs = self.dst.nat.compose(action.nat)
-        if not lhs.equal_mod(rhs):
+        if not self.src.nat.equal_mod(self.dst.nat.compose(action)):
             rep.violations.append("coherence t == s∘(1_D*F(eps,gam)) fails")
         return rep
 

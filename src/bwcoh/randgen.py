@@ -40,6 +40,7 @@ from .intmat import IntMatrix
 from .natsys import (
     AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
     act_by_two_morphism, constant_system, free_system, hom_system,
+    pullback_along_nat,
 )
 from .factorization import two_morphism_target
 from .localization import Colocalization, Localization
@@ -296,14 +297,13 @@ class InstanceGen:
         eps2, eps, alpha, gam, gam2 = chain.nats
         d = self.system(chain.target)
         alpha_p = two_morphism_target(alpha, eps, gam)
+        beta = two_morphism_target(alpha_p, eps2, gam2)
+        e_sys = pullback_along_nat(d, beta)
+        s_mor = NatSysMorphism(beta, d, e_sys, AbNat.identity(e_sys.functor))
         act_b = act_by_two_morphism(d, alpha_p, eps2, gam2)
-        e_sys = act_b.target_system
-        s_mor = NatSysMorphism(act_b.alpha, d, e_sys,
-                               AbNat.identity(e_sys.functor))
-        tp_mor = NatSysMorphism(alpha_p, d, e_sys, act_b.nat)
+        tp_mor = NatSysMorphism(alpha_p, d, e_sys, act_b)
         act_a = act_by_two_morphism(d, alpha, eps, gam)
-        t_mor = NatSysMorphism(alpha, d, e_sys,
-                               tp_mor.nat.compose(act_a.nat))
+        t_mor = NatSysMorphism(alpha, d, e_sys, act_b.compose(act_a))
         two_a = NatFTwoMorphism(t_mor, tp_mor, eps, gam)
         two_b = NatFTwoMorphism(tp_mor, s_mor, eps2, gam2)
         return two_a, two_b, d, e_sys
@@ -311,11 +311,11 @@ class InstanceGen:
     def _two_from_chain(self, chain: ChainData, d: NaturalSystem
                         ) -> tuple[NatFTwoMorphism, NaturalSystem]:
         eps, alpha, gam = chain.nats
-        act = act_by_two_morphism(d, alpha, eps, gam)
-        e_sys = act.target_system
-        t_mor = NatSysMorphism(alpha, d, e_sys, act.nat)
-        s_mor = NatSysMorphism(act.alpha, d, e_sys,
-                               AbNat.identity(e_sys.functor))
+        beta = two_morphism_target(alpha, eps, gam)
+        e_sys = pullback_along_nat(d, beta)
+        t_mor = NatSysMorphism(alpha, d, e_sys,
+                               act_by_two_morphism(d, alpha, eps, gam))
+        s_mor = NatSysMorphism(beta, d, e_sys, AbNat.identity(e_sys.functor))
         return NatFTwoMorphism(t_mor, s_mor, eps, gam), e_sys
 
     def horizontal_instance(self):

@@ -854,7 +854,7 @@ def fullness_witness(m: NatSysMorphism
     one_phi = identity_nat(phi)
     corr = act_by_two_morphism(m.source_system, one_phi, one_phi, m.alpha)
     ordinary = NatSysMorphism(one_phi, m.source_system, m.target_system,
-                              m.nat.compose(corr.nat))
+                              m.nat.compose(corr))
     two = NatFTwoMorphism(ordinary, m, one_phi, m.alpha)
     return ordinary, two
 

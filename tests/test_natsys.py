@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bwcoh.abgroup import GroupHom, Z, cyclic, is_iso, trivial_group
-from bwcoh.factorization import build_factorization
+from bwcoh.factorization import build_factorization, two_morphism_target
 from bwcoh.fincat import (
     arrow_category, cyclic_group_category, identity_functor, identity_nat,
     indiscrete_category, terminal_category, total_order_category,
@@ -15,8 +15,8 @@ from bwcoh.intmat import IntMatrix
 from bwcoh.natsys import (
     AbFunctor, AbNat, BifunctorInvalid, NatSysMorphism, NaturalSystem,
     act_by_two_morphism, compose_natsys_morphisms, constant_system,
-    from_bifunctor, pullback_along_nat, validate_bifunctor,
-    validate_natural_system, whisker,
+    from_bifunctor, identity_two_morphism, pullback_along_nat,
+    validate_bifunctor, validate_natural_system, vertical_compose_two, whisker,
 )
 from bwcoh.localization import (
     Localization, colocal_characterization, local_characterization,
@@ -30,7 +30,7 @@ from bwcoh.workspace import (
 from oracles import (
     bifunctor_on_product, fullness_witness, identity_morphism, localization,
     op_pair_product, projection_to_pair, system_via_projection,
-    validate_ab_nat, validate_bifunctor_full, validate_full_table,
+    validate_bifunctor_full, validate_full_table,
     validate_pair_morphism,
 )
 from test_workspace_cli import run_cli
@@ -436,7 +436,7 @@ def test_act_by_two_morphism_identity_and_constant():
     one_s = identity_nat(alpha.source_functor)
     one_t = identity_nat(alpha.target_functor)
     act = act_by_two_morphism(d, alpha, one_s, one_t)
-    for comp in act.nat.components:
+    for comp in act.components:
         assert comp.equal_mod(GroupHom.identity(comp.source))
     # constant coefficients: all action components are identities
     const = constant_system(chain.target, cyclic(4))
@@ -444,8 +444,22 @@ def test_act_by_two_morphism_identity_and_constant():
     eps, a4, gam = chain4.nats
     const4 = constant_system(chain4.target, cyclic(4))
     act2 = act_by_two_morphism(const4, a4, eps, gam)
-    for comp in act2.nat.components:
+    for comp in act2.components:
         assert comp.equal_mod(GroupHom.identity(comp.source))
+    # functorial in the two-morphism: a vertical composite acts by the
+    # composite family, and the identity square by the identity of D∘F(alpha)
+    for seed in range(40):
+        a, b, d, _ = InstanceGen(seed).vertical_instance()
+        assert _family(vertical_compose_two(b, a)).equal_mod(
+            _family(b).compose(_family(a))), seed
+        assert _family(identity_two_morphism(a.src)).equal_mod(AbNat.identity(
+            pullback_along_nat(d, a.src.alpha).functor)), seed
+
+
+def _family(two):
+    """The family 1_D * F(eps, gam) by which a two-morphism acts."""
+    return act_by_two_morphism(two.src.source_system, two.src.alpha,
+                               two.eps, two.gam)
 
 
 def test_two_morphism_validation():
@@ -468,15 +482,8 @@ def test_fullness_witness():
         assert connecting.validate().ok
 
 
-def _natural_from(d, alpha, m):
-    """The family of ``m`` runs from D∘F(alpha), recomputed from ``d`` and
-    ``alpha``, to ``m``'s target system, and is natural."""
-    return validate_ab_nat(m.nat, pullback_along_nat(d, alpha).functor,
-                           m.target_system.functor)
-
-
 def _canonical_map(d, l):
-    """The pair's canonical map nu: D => D∘F(alpha)."""
+    """The pair's canonical map (1, nu): (C, D) -> (C, D∘F(alpha))."""
     char = (local_characterization(d, l) if isinstance(l, Localization)
             else colocal_characterization(d, l))
     return char.canonical_map
@@ -485,8 +492,9 @@ def _canonical_map(d, l):
 def test_library_pair_morphisms_are_natural_against_recomputed_source():
     # a family stores only its components: its source D∘F(alpha) is
     # recomputed from the anchor and the source system, its target is the
-    # target system.  Each result of act_by_two_morphism, the canonical
-    # maps among them, runs from D∘F(alpha) of the anchor it was given
+    # target system.  Every pair morphism below is checked alike: those of
+    # seeded instances, the family of each two-morphism anchored at alpha
+    # with target D∘F(beta), and the canonical maps (1, nu)
     for seed in range(20):
         gen = InstanceGen(seed)
         h, _, _ = gen.h_instance()
@@ -499,25 +507,25 @@ def test_library_pair_morphisms_are_natural_against_recomputed_source():
                       whisker(ha.src, hb.src.alpha),
                       whisker(ha.dst, hb.dst.alpha)]
         morphisms += [fullness_witness(two.src)[0] for two in twos]
+        for two in (*twos, vertical_compose_two(vb, va)):
+            d, alpha = two.src.source_system, two.src.alpha
+            beta = two_morphism_target(alpha, two.eps, two.gam)
+            morphisms.append(NatSysMorphism(
+                alpha, d, pullback_along_nat(d, beta), _family(two)))
         for m in morphisms:
             assert validate_pair_morphism(m).ok, (seed, m.alpha)
-        for two in twos:
-            d, alpha = two.src.source_system, two.src.alpha
-            act = act_by_two_morphism(d, alpha, two.eps, two.gam)
-            assert _natural_from(d, alpha, act).ok, seed
     ws = load_workspace_file(str(WORKSPACES / "arrow.bwcoh"))
     pairs = [*ws.localizations.values(), *ws.colocalizations.values()]
-    maps = [(d, _canonical_map(d, l)) for d in ws.systems.values()
-            for l in pairs]
+    maps = [_canonical_map(d, l) for d in ws.systems.values() for l in pairs]
     for path in sorted(WORKSPACES.glob("*.bwcoh")):
         for d in load_workspace_file(str(path)).systems.values():
             for l in transport_to_small(d)[1]:
-                maps.append((d, _canonical_map(d, l)))
+                maps.append(_canonical_map(d, l))
                 d = pullback_along_nat(d, identity_nat(l.psi))
     assert len(maps) >= 11   # 4 systems x 2 arrow pairs, 3 transports
-    for d, nu in maps:
-        one = identity_nat(identity_functor(d.base))
-        assert _natural_from(d, one, nu).ok
+    for nu in maps:
+        assert nu.alpha == identity_nat(identity_functor(nu.source_system.base))
+        assert validate_pair_morphism(nu).ok
 
 
 def test_is_local_examples():

@@ -113,13 +113,12 @@ WORKSPACE_ROUTES = {
 BENCHMARK_ROUTES = {
     "z4_const_z": [], "z4_sign_z": [], "z5_const_z5": [],
     "total_order8_const_z": ["terminal"],
-    "indiscrete4_const_z": ["skeleton", "terminal"],
+    "indiscrete4_const_z": ["skeleton"],
 }
 
 
 def test_standard_routes():
-    assert route(constant_system(indiscrete_category(4), Z)) == \
-        ["skeleton", "terminal"]
+    assert route(constant_system(indiscrete_category(4), Z)) == ["skeleton"]
     assert route(constant_system(total_order_category(8), Z)) == ["terminal"]
     assert route(constant_system(p20(), Z)) == []
     d = constant_system(s3_on_three_points(), cyclic(2))
