@@ -102,9 +102,10 @@ def cmd_cohomology(args) -> int:
         return EXIT_INVALID
     _require_ok(validate_natural_system(system))
     # by the (co)localization theorem H^*(C; D) is H^*(small; D∘F(psi)) for
-    # the skeleton and for a terminal or initial object when D is (co)local
-    # for them; otherwise small is C.  Only invariants are printed, so the
-    # normalized complex suffices, and the output names stay the user's
+    # each (co)reflection onto a full subcategory for which D is (co)local:
+    # the point at a terminal or initial object, or C without one peeled
+    # object.  Only invariants are printed, so the normalized complex
+    # suffices, and the output names stay the user's
     try:
         small, _ = transport_to_small(system)
     except CertificateError as exc:

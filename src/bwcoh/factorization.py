@@ -16,7 +16,8 @@ realizes F(C) as a named ``FiniteCategory`` for export.
 
 On top of the category itself this module provides the action of the
 factorization construction on functors (``factor_functor``), on natural
-transformations regarded as generalized morphisms (``factor_nat``), and on
+transformations regarded as generalized morphisms (``factor_nat``, whose
+object map ``nat_object_map`` serves callers that need no functor), and on
 commuting squares of natural transformations (``factor_two_morphism``).
 The functor F(C) -> C^op x C, f: X -> Y to (X, Y) and (h, k) to (h, k),
 through which a bifunctor gives a natural system, is never built:
@@ -168,32 +169,38 @@ def factor_functor(phi: Functor,
     return Functor(fc_src, fc_dst, obj_map, mor_map)
 
 
+def nat_object_map(alpha: NaturalTransformation) -> tuple[int, ...]:
+    """The object map of F(alpha): f: X -> Y to the common value
+    psi(f)∘a_X == a_Y∘phi(f); raises ``NaturalityBroken`` where they differ."""
+    phi, psi = alpha.source_functor, alpha.target_functor
+    a, table = alpha.domain, alpha.codomain.table
+    obj_map = []
+    for f, (x, y) in enumerate(zip(a.mor_source, a.mor_target)):
+        left = table[phi.mor_map[f]][alpha.components[y]]
+        if left != table[alpha.components[x]][psi.mor_map[f]]:
+            raise NaturalityBroken(f"naturality fails at morphism {f}")
+        obj_map.append(left)
+    return tuple(obj_map)
+
+
 def factor_nat(alpha: NaturalTransformation,
                fc_src: FactorizationCategory,
                fc_dst: FactorizationCategory) -> Functor:
     """The functor FA -> FB induced by alpha: phi => psi with phi, psi: A -> B.
 
-    On an object f: X -> Y it is the common value psi(f)∘a_X == a_Y∘phi(f);
-    on a pair (h, k) it is (phi(h), psi(k)).
+    On an object f it is ``nat_object_map(alpha)[f]``; on a pair (h, k) it
+    is (phi(h), psi(k)).
     """
     phi, psi = alpha.source_functor, alpha.target_functor
-    a, b = alpha.domain, alpha.codomain
-    if fc_src.base != a or fc_dst.base != b:
+    if fc_src.base != alpha.domain or fc_dst.base != alpha.codomain:
         raise ShapeMismatch("factorization categories do not match the transformation")
-    obj_map = []
-    for f in range(a.n_morphisms):
-        x, y = a.mor_source[f], a.mor_target[f]
-        left = b.table[phi.mor_map[f]][alpha.components[y]]
-        right = b.table[alpha.components[x]][psi.mor_map[f]]
-        if left != right:
-            raise NaturalityBroken(f"naturality fails at morphism {f}")
-        obj_map.append(left)
+    obj_map = nat_object_map(alpha)
     mor_map = tuple(
         fc_dst.pair_id(obj_map[p.src], obj_map[p.dst],
                        phi.mor_map[p.h], psi.mor_map[p.k])
         for p in fc_src.pairs
     )
-    return Functor(fc_src, fc_dst, tuple(obj_map), mor_map)
+    return Functor(fc_src, fc_dst, obj_map, mor_map)
 
 
 def two_morphism_target(alpha: NaturalTransformation,

@@ -6,15 +6,13 @@ the identity, and the unit ``alpha: 1_C => psi∘phi`` supplied componentwise.
 Dually a colocalization carries a counit ``psi∘phi => 1_C`` and an identity
 unit.  The pair's type (``Localization`` or ``Colocalization``) fixes which
 side every check works on.  ``verify_transport_theorem`` takes the adjunction
-data as given.  Only ``transport_to_small`` searches for pairs, and only in
-two families that the category alone determines: its skeleton, and a
-terminal or initial object.
+data as given.  Only ``transport_to_small`` searches for pairs.
 
 Locality: a system D is local for a localization with unit alpha when its
 action along ``(1_X, f)`` is invertible for every f inverted by ``phi``
-(colocal: along ``(f, 1_Y)``, with the counit), and the canonical comparison,
-the pair morphism (1, nu): (C, D) -> (C, D∘F(alpha)) anchored at the
-identity, is the executable counterpart.  The library's constructors
+(colocal: along ``(f, 1_Y)``, with the counit), and the canonical comparison
+nu: D => D∘F(alpha), the family of the pair morphism (1, nu) anchored at
+the identity, is the executable counterpart.  The library's constructors
 produce systems for which both tests agree; ``local_characterization`` and
 ``colocal_characterization`` compute them independently, by one body, and
 report them side by side with a witness.
@@ -66,21 +64,22 @@ Each distinct piece of work is done once.  When ``D∘F(alpha)`` equals ``D``
 statement map P is also P'.  Both two-morphisms of certificate (c) end at
 ``(alpha, 1)``, so its chain map ``F*(alpha, 1)`` is built and checked once.
 
-``transport_to_small`` is how ``cohomology`` uses the theorem: it moves a
-system to the skeleton of its category, and from there to the point when
-the category has a terminal (or else an initial) object and is not the
-point, each step taken only when its pair passes ``validate_adjoint_pair``
-and the system passes both tests of the (co)local characterization.  A
-skeleton step is skipped when no two distinct objects are isomorphic.  The
-search for isomorphisms costs at most two lookups per stored composable
-pair, the search for terminal and initial objects only the endpoints of
-morphisms, and neither builds a category, functor or pair when it finds
-nothing.
+``transport_to_small`` is how ``cohomology`` uses the theorem.  Each pair
+it tries is a (co)reflection of C onto the full subcategory of the objects
+that its unit (counit) does not key, built by one constructor.  The terminal
+and initial steps go to the point; a peel removes one object x along a unit
+x -> y or a counit y -> x, as Stong's beat points do on a poset, and an
+isomorphism to another object is always one, so peels reach the skeleton.
+Each step takes the first pair that passes ``validate_adjoint_pair`` and
+both tests of the (co)local characterization, until the base is the point
+or no pair applies.  The finders read only endpoints and adjacency lists,
+and build no category, functor or pair for a step they cannot take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import ClassVar
 
 from .abgroup import GroupHom, GroupInvariants, hom_inverse, is_iso
@@ -92,7 +91,6 @@ from .bwcomplex import (
 from .fincat import (
     FiniteCategory, Functor, NaturalTransformation, Report,
     compose_functors, identity_functor, identity_nat, make_category,
-    terminal_category,
 )
 from .natsys import (
     AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem, TwoMorphismInvalid,
@@ -190,7 +188,7 @@ class Characterization:
     pointwise_local: bool
     canonical_map_iso: bool
     witness: str
-    canonical_map: NatSysMorphism = field(repr=False)   # (1, nu): D => D∘F(alpha)
+    nu: AbNat = field(repr=False)   # D => D∘F(alpha), anchored at 1_C
 
 
 def local_characterization(d: NaturalSystem, l: Localization) -> Characterization:
@@ -211,8 +209,8 @@ def _characterization(d: NaturalSystem, l: Localization | Colocalization
     (counit side) is invertible for every f that phi inverts.  Canonical:
     ``nu = 1_D * F(1, alpha)`` (unit side) or ``1_D * F(alpha, 1)``,
     ``D => D∘F(alpha)``, is a natural isomorphism; it is returned as the
-    pair morphism (1, nu): (C, D) -> (C, D∘F(alpha)).  The witness names the
-    first failure, pointwise first.  Both tests read actions of ``d``,
+    family, and no D∘F(alpha) is built.  The witness names the first
+    failure, pointwise first.  Both tests read actions of ``d``,
     which systems share among many pairs, so each distinct map is decided
     once; they are told apart by identity, as ``d`` keeps them alive."""
     unit_side = isinstance(l, Localization)
@@ -246,8 +244,7 @@ def _characterization(d: NaturalSystem, l: Localization | Colocalization
         f = next(f for f, t in enumerate(nu.components) if not invertible(t))
         witness = (f"canonical component at {c.morphism_name(f)} "
                    f"is not invertible")
-    canonical = NatSysMorphism(one, d, pullback_along_nat(d, alpha), nu)
-    return Characterization(pointwise, iso, witness, canonical)
+    return Characterization(pointwise, iso, witness, nu)
 
 
 @dataclass(frozen=True)
@@ -293,8 +290,8 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
         kind = "local" if unit_side else "colocal"
         raise NotLocal(f"coefficient system is not {kind}: {char.witness}")
 
-    nu = char.canonical_map
-    d_prime = nu.target_system                    # D∘F(alpha)
+    # the canonical map (1, nu): (C, D) -> (C, D∘F(alpha))
+    nu, d_prime = char.nu, pullback_along_nat(d, alpha)
     e = pullback_along_nat(d, identity_nat(l.psi))  # D∘F(psi) on the small side
 
     # D∘F(alpha) often equals D, and then one complex serves both
@@ -342,9 +339,9 @@ def _theorem_certificates(d: NaturalSystem, l: Localization | Colocalization,
     # identity, so is N^-1: the round trips through it are then the two
     # composites certified above, and are not checked again
     nu_is_identity = cx_dp is cx_d and all(
-        t == GroupHom.identity(t.source) for t in nu.nat.components)
+        t == GroupHom.identity(t.source) for t in nu.components)
     if not nu_is_identity:
-        nu_inv = AbNat(tuple(map(hom_inverse, nu.nat.components)))
+        nu_inv = AbNat(tuple(map(hom_inverse, nu.components)))
         n_inv = induced_map_nat(
             NatSysMorphism(identity_nat(one_c), d_prime, d, nu_inv),
             cx_dp, cx_d)
@@ -437,23 +434,18 @@ def _induces_identity(endo: CochainMap, n: int) -> bool:
 def transport_to_small(d: NaturalSystem) -> tuple[
         NaturalSystem, tuple[Localization | Colocalization, ...]]:
     """The system whose cohomology is that of ``d`` by the transport
-    theorem, and the pairs applied to reach it, in order: the skeleton of
-    the base, then the least terminal object or, failing that, the least
-    initial one, until the base is the point.  Each step pulls the system
-    back along its psi.  A pair that fails ``validate_adjoint_pair`` raises
-    ``CertificateError``; a system that is not (co)local for a pair is not
-    moved by it."""
+    theorem, and the pairs applied to reach it, in order; each step pulls
+    the system back along its psi.  A pair that fails
+    ``validate_adjoint_pair`` raises ``CertificateError``; a system that is
+    not (co)local for a pair is not moved by it."""
     applied = []
-    for step in ((_skeleton_localization,),
-                 (_terminal_localization, _initial_colocalization)):
-        if d.base.n_morphisms == 1:   # the point: no step moves anything
+    while d.base.n_morphisms > 1:
+        pair = next((l for l in chain(_end_pairs(d.base), _peels(d.base))
+                     if _transports(d, l)), None)
+        if pair is None:
             break
-        for find in step:
-            pair = find(d.base)
-            if pair is not None and _transports(d, pair):
-                d = pullback_along_nat(d, identity_nat(pair.psi))
-                applied.append(pair)
-                break
+        d = pullback_along_nat(d, identity_nat(pair.psi))
+        applied.append(pair)
     return d, tuple(applied)
 
 
@@ -469,96 +461,84 @@ def _transports(d: NaturalSystem, l: Localization | Colocalization) -> bool:
     return char.pointwise_local and char.canonical_map_iso
 
 
-def _skeleton_localization(c: FiniteCategory) -> Localization | None:
-    """C onto the full subcategory of the least object of each isomorphism
-    class, or None when no two distinct objects are isomorphic.  The unit
-    at x is the least isomorphism x -> r(x), an identity on the
-    representatives, phi(f) = alpha_y∘f∘alpha_x^-1 and psi is the
-    inclusion; names are kept."""
-    # x -> the least isomorphism to the least object isomorphic to x, for
-    # the objects that are not their own representative.  Morphisms come
-    # ascending, so the first invertible one to a smaller target wins
-    unit: dict[int, int] = {}
-    for f in range(c.n_morphisms):
-        x, y = c.mor_source[f], c.mor_target[f]
-        best = c.mor_target[unit[x]] if x in unit else x
-        if y < best and c.inverse(f) is not None:
-            unit[x] = f
-    if not unit:
-        return None
-    reps = [x for x in range(c.n_objects) if x not in unit]
-    obj = {x: i for i, x in enumerate(reps)}
+def _reflection(c: FiniteCategory, unit: dict[int, int], co: bool
+                ) -> Localization | Colocalization:
+    """C onto the full subcategory of the objects that ``unit`` does not
+    key, names kept.  ``unit[x]`` is the unit x -> r(x) at x, or with
+    ``co`` the counit r(x) -> x, and an identity at the kept objects.  For
+    f: x -> z, phi(f) is the g of the subcategory with
+    g∘unit_x == unit_z∘f (with ``co``, unit_z∘g == f∘unit_x), and psi is
+    the inclusion."""
+    src, tgt, table = c.mor_source, c.mor_target, c.table
+    keep = [x for x in range(c.n_objects) if x not in unit]
+    obj = {x: i for i, x in enumerate(keep)}
     mors = [f for f in range(c.n_morphisms)
-            if c.mor_source[f] in obj and c.mor_target[f] in obj]
+            if src[f] in obj and tgt[f] in obj]
     mor = {f: i for i, f in enumerate(mors)}
     small = make_category(
-        len(reps),
-        [(obj[c.mor_source[f]], obj[c.mor_target[f]]) for f in mors],
-        [mor[c.identity[x]] for x in reps],
+        len(keep), [(obj[src[f]], obj[tgt[f]]) for f in mors],
+        [mor[c.identity[x]] for x in keep],
         {(mor[f], mor[g]): mor[gf]
-         for f in mors for g, gf in c.table[f].items() if g in mor},
-        object_names=[c.object_name(x) for x in reps],
+         for f in mors for g, gf in table[f].items() if g in mor},
+        object_names=[c.object_name(x) for x in keep],
         morphism_names=[c.morphism_name(f) for f in mors])
-    alpha = [unit.get(x, c.identity[x]) for x in range(c.n_objects)]
-    back = [c.inverse(a) for a in alpha]
-    table, src, tgt = c.table, c.mor_source, c.mor_target
-    phi = Functor(c, small, tuple(obj[tgt[a]] for a in alpha), tuple(
-        mor[table[table[back[src[f]]][f]][alpha[tgt[f]]]]
-        for f in range(c.n_morphisms)))
-    psi = Functor(small, c, tuple(reps), tuple(mors))
-    return Localization(c, small, phi, psi, NaturalTransformation(
-        identity_functor(c), compose_functors(psi, phi), tuple(alpha)))
+    eta = [unit.get(x, c.identity[x]) for x in range(c.n_objects)]
+    # r(x) is ends[unit_x]; lift takes g∘unit_x (unit_x∘g) back to g for
+    # each g of the subcategory out of (into) r(x), and leaves a morphism
+    # of the subcategory as it is
+    ends, starts = (src, tgt) if co else (tgt, src)
+    lift = {table[g][a] if co else table[a][g]: g
+            for a in unit.values() for g in mors if starts[g] == ends[a]}
+    image = [table[eta[src[f]]][f] if co else table[f][eta[tgt[f]]]
+             for f in range(c.n_morphisms)]     # f∘unit_x or unit_z∘f
+    phi = Functor(c, small, tuple(obj[ends[a]] for a in eta),
+                  tuple(mor[lift.get(h, h)] for h in image))
+    psi = Functor(small, c, tuple(keep), tuple(mors))
+    xi, one = compose_functors(psi, phi), identity_functor(c)
+    if co:
+        return Colocalization(c, small, phi, psi,
+                              NaturalTransformation(xi, one, tuple(eta)))
+    return Localization(c, small, phi, psi,
+                        NaturalTransformation(one, xi, tuple(eta)))
 
 
-def _sole_arrows(ends: tuple[int, ...], others: tuple[int, ...],
-                 n_objects: int) -> tuple[int, tuple[int, ...]] | None:
-    """The least object t that every object x meets by exactly one morphism
-    f with ``ends[f] == t`` and ``others[f] == x``, and those morphisms by
-    x; None when no object does.  Targets and sources give a terminal
-    object, sources and targets an initial one."""
-    count = [0] * n_objects
-    for t in ends:
-        count[t] += 1
-    # a candidate has one morphism per object, so its arrows are distinct
-    # exactly when they meet every object
-    arrows = {t: {} for t in range(n_objects) if count[t] == n_objects}
-    if not arrows:
-        return None
-    for f, t in enumerate(ends):
-        if t in arrows:
-            arrows[t][others[f]] = f
-    t = next((t for t, row in arrows.items() if len(row) == n_objects), None)
-    if t is None:
-        return None
-    return t, tuple(arrows[t][x] for x in range(n_objects))
+def _end_pairs(c: FiniteCategory):
+    """The terminal step, then the initial step: C onto its least object t
+    that every object x meets by exactly one morphism x -> t (t -> x), with
+    that morphism as the unit (counit) at x."""
+    n = c.n_objects
+    for ends, others, co in ((c.mor_target, c.mor_source, False),
+                             (c.mor_source, c.mor_target, True)):
+        arrows: list[list[int]] = [[] for _ in range(n)]
+        for f, t in enumerate(ends):
+            arrows[t].append(f)
+        t = next((t for t, fs in enumerate(arrows) if len(fs) == n
+                  and len({others[f] for f in fs}) == n), None)
+        if t is not None:
+            yield _reflection(
+                c, {others[f]: f for f in arrows[t] if others[f] != t}, co)
 
 
-def _to_point(c: FiniteCategory, t: int) -> tuple[Functor, Functor]:
-    """phi: C -> point and psi: point -> C picking t."""
-    pt = terminal_category()
-    return (Functor(c, pt, (0,) * c.n_objects, (0,) * c.n_morphisms),
-            Functor(pt, c, (t,), (c.identity[t],)))
-
-
-def _terminal_localization(c: FiniteCategory) -> Localization | None:
-    """C onto the point at its least terminal object t; the unit at x is
-    the one morphism x -> t."""
-    found = _sole_arrows(c.mor_target, c.mor_source, c.n_objects)
-    if found is None:
-        return None
-    t, unit = found
-    phi, psi = _to_point(c, t)
-    return Localization(c, phi.target, phi, psi, NaturalTransformation(
-        identity_functor(c), compose_functors(psi, phi), unit))
-
-
-def _initial_colocalization(c: FiniteCategory) -> Colocalization | None:
-    """C onto the point at its least initial object i; the counit at x is
-    the one morphism i -> x."""
-    found = _sole_arrows(c.mor_source, c.mor_target, c.n_objects)
-    if found is None:
-        return None
-    i, counit = found
-    phi, psi = _to_point(c, i)
-    return Colocalization(c, phi.target, phi, psi, NaturalTransformation(
-        compose_functors(psi, phi), identity_functor(c), counit))
+def _peels(c: FiniteCategory):
+    """C onto C without one object x, the greatest x first, by a reflection
+    and then by a coreflection.  u: x -> y with y != x is the unit of one
+    exactly when g -> g∘u maps the morphisms out of y that do not end at x
+    one to one onto those out of x that do not end at x; dually u: y -> x
+    is a counit when g -> u∘g does so on the morphisms into y and into x
+    that do not start at x.  Only the first u of each side is tried, as
+    reflections onto one subcategory invert the same morphisms."""
+    src, tgt, table = c.mor_source, c.mor_target, c.table
+    out: list[list[int]] = [[] for _ in range(c.n_objects)]
+    into: list[list[int]] = [[] for _ in range(c.n_objects)]
+    for f in range(c.n_morphisms):
+        out[src[f]].append(f)
+        into[tgt[f]].append(f)
+    for x in reversed(range(c.n_objects)):
+        for near, far, co in ((out, tgt, False), (into, src, True)):
+            hs = [h for h in near[x] if far[h] != x]
+            for u in hs:
+                gs = [g for g in near[far[u]] if far[g] != x]
+                if len(gs) == len(hs) == len(
+                        {table[g][u] if co else table[u][g] for g in gs}):
+                    yield _reflection(c, {x: u}, co)
+                    break

@@ -45,8 +45,8 @@ from .fincat import (
     horizontal_compose, identity_nat, vertical_compose,
 )
 from .factorization import (
-    FactorizationCategory, build_factorization, factor_nat,
-    factor_two_morphism, two_morphism_target,
+    FactorizationCategory, build_factorization, factor_nat, nat_object_map,
+    two_morphism_target,
 )
 from .intmat import IntMatrix
 
@@ -475,14 +475,20 @@ def act_by_two_morphism(d: NaturalSystem,
     """1_D * F(eps, gam): D∘F(alpha) => D∘F(beta) for (eps, gam): alpha => beta.
 
     The component at a morphism sigma: X -> Y of the anchor domain is the
-    action of D along the pair (eps_X, gam_Y).  The family runs from
-    D∘F(alpha) to D∘F(beta), with beta = gam∘alpha∘eps; it is no pair
-    morphism, and a caller that needs one anchors it.
+    action of D along the pair (eps_X, gam_Y), read off the object maps of
+    F(alpha) and F(beta), beta = gam∘alpha∘eps.  The family runs from
+    D∘F(alpha) to D∘F(beta); it is no pair morphism, and a caller that
+    needs one anchors it.
     """
-    beta = two_morphism_target(alpha, eps, gam)
-    fc_dom = build_factorization(alpha.domain)
-    ft = factor_two_morphism(alpha, beta, eps, gam, fc_dom, d.fc)
-    return AbNat(tuple(map(d.act, ft.components)))
+    if alpha.codomain != d.base:
+        raise ShapeMismatch("transformation does not land in the system's base")
+    a = alpha.domain
+    src = nat_object_map(alpha)
+    dst = nat_object_map(two_morphism_target(alpha, eps, gam))
+    return AbNat(tuple(
+        d.act_pair(src[f], dst[f], eps.components[a.mor_source[f]],
+                   gam.components[a.mor_target[f]])
+        for f in range(a.n_morphisms)))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,10 @@ from bwcoh.fincat import (
     cyclic_group_category, identity_functor, identity_nat, product,
 )
 from bwcoh.intmat import DimensionMismatch, IntMatrix
-from bwcoh.localization import Colocalization, Localization
+from bwcoh.localization import (
+    Colocalization, Localization, colocal_characterization,
+    local_characterization,
+)
 from bwcoh.natsys import (
     AbFunctor, AbNat, NatFTwoMorphism, NatSysMorphism, NaturalSystem,
     act_by_two_morphism, constant_system, pullback_along_nat,
@@ -910,6 +913,17 @@ def identity_morphism(d: NaturalSystem) -> NatSysMorphism:
 
 # ---------------------------------------------------------------------------
 # seeded (co)localizations and (co)local systems, drawn from an InstanceGen
+
+def canonical_map(d: NaturalSystem, l: Localization | Colocalization
+                  ) -> NatSysMorphism:
+    """The pair's canonical map (1, nu): (C, D) -> (C, D∘F(alpha)), its
+    family nu anchored at the identity of C."""
+    char = (local_characterization(d, l) if isinstance(l, Localization)
+            else colocal_characterization(d, l))
+    alpha = l.unit if isinstance(l, Localization) else l.counit
+    return NatSysMorphism(identity_nat(identity_functor(d.base)), d,
+                          pullback_along_nat(d, alpha), char.nu)
+
 
 def localization(gen: InstanceGen) -> Localization:
     roll = gen.rng.random()

@@ -27,7 +27,8 @@ from bwcoh.natsys import (
 )
 from bwcoh.randgen import InstanceGen
 from oracles import (
-    colocal_system, colocalization, local_system, localization, opposite,
+    canonical_map, colocal_system, colocalization, local_system, localization,
+    opposite,
 )
 
 ARROW = str(Path(__file__).resolve().parent.parent / "workspaces"
@@ -307,15 +308,15 @@ def test_one_complex_per_distinct_system(monkeypatch, kind, seed):
     gen = InstanceGen(f"conjugated-{seed}")
     if kind == "localization":
         loc = gen._chain_closure(3)
-        alpha, char = loc.unit, local_characterization
+        alpha = loc.unit
     else:
         loc = gen._chain_interior(3)
-        alpha, char = loc.counit, colocal_characterization
+        alpha = loc.counit
     d = sign_conjugated(pullback_along_nat(gen.system(loc.big), alpha),
                         [gen.rng.choice([1, -1])
                          for _ in range(loc.big.n_morphisms)])
     assert validate_natural_system(d).ok
-    shared = char(d, loc).canonical_map.target_system == d
+    shared = canonical_map(d, loc).target_system == d
     assert shared == (seed not in DIFFERING[kind])
     builds = counted(monkeypatch, "build_complex", localization_module)
     rep = verify_transport_theorem(d, loc, 3)
@@ -346,7 +347,7 @@ def test_certificate_b_skips_the_identity_conjugation(monkeypatch, conjugate,
     if conjugate:
         d = sign_conjugated(d, [gen.rng.choice([1, -1])
                                 for _ in range(loc.big.n_morphisms)])
-    nu = local_characterization(d, loc).canonical_map
+    nu = canonical_map(d, loc)
     assert (nu.target_system != d) == conjugate
     assert all(t == GroupHom.identity(t.source)
                for t in nu.nat.components) != conjugate

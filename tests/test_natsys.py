@@ -19,8 +19,7 @@ from bwcoh.natsys import (
     validate_bifunctor, validate_natural_system, vertical_compose_two, whisker,
 )
 from bwcoh.localization import (
-    Localization, colocal_characterization, local_characterization,
-    transport_to_small,
+    colocal_characterization, local_characterization, transport_to_small,
 )
 from bwcoh import natsys
 from bwcoh.randgen import InstanceGen
@@ -28,10 +27,9 @@ from bwcoh.workspace import (
     HEADER, category_text, group_text, load_workspace_file, parse_group,
 )
 from oracles import (
-    bifunctor_on_product, fullness_witness, identity_morphism, localization,
-    op_pair_product, projection_to_pair, system_via_projection,
-    validate_bifunctor_full, validate_full_table,
-    validate_pair_morphism,
+    bifunctor_on_product, canonical_map, fullness_witness, identity_morphism,
+    localization, op_pair_product, projection_to_pair, system_via_projection,
+    validate_bifunctor_full, validate_full_table, validate_pair_morphism,
 )
 from test_workspace_cli import run_cli
 
@@ -482,13 +480,6 @@ def test_fullness_witness():
         assert connecting.validate().ok
 
 
-def _canonical_map(d, l):
-    """The pair's canonical map (1, nu): (C, D) -> (C, D∘F(alpha))."""
-    char = (local_characterization(d, l) if isinstance(l, Localization)
-            else colocal_characterization(d, l))
-    return char.canonical_map
-
-
 def test_library_pair_morphisms_are_natural_against_recomputed_source():
     # a family stores only its components: its source D∘F(alpha) is
     # recomputed from the anchor and the source system, its target is the
@@ -516,11 +507,11 @@ def test_library_pair_morphisms_are_natural_against_recomputed_source():
             assert validate_pair_morphism(m).ok, (seed, m.alpha)
     ws = load_workspace_file(str(WORKSPACES / "arrow.bwcoh"))
     pairs = [*ws.localizations.values(), *ws.colocalizations.values()]
-    maps = [_canonical_map(d, l) for d in ws.systems.values() for l in pairs]
+    maps = [canonical_map(d, l) for d in ws.systems.values() for l in pairs]
     for path in sorted(WORKSPACES.glob("*.bwcoh")):
         for d in load_workspace_file(str(path)).systems.values():
             for l in transport_to_small(d)[1]:
-                maps.append(_canonical_map(d, l))
+                maps.append(canonical_map(d, l))
                 d = pullback_along_nat(d, identity_nat(l.psi))
     assert len(maps) >= 11   # 4 systems x 2 arrow pairs, 3 transports
     for nu in maps:
@@ -562,7 +553,7 @@ def test_is_local_examples():
         pulled = pullback_along_nat(e0, unit)
         ch = local_characterization(pulled, loc)
         assert ch.pointwise_local
-        assert all(map(is_iso, ch.canonical_map.nat.components))
+        assert all(map(is_iso, ch.nu.components))
 
 
 def __colocalization_on_source(c, pt):
@@ -583,4 +574,4 @@ def test_loc3_equivalence_both_directions(seed):
     d = gen.system(loc.big)
     ch = local_characterization(d, loc)
     assert ch.pointwise_local == all(map(is_iso,
-                                         ch.canonical_map.nat.components))
+                                         ch.nu.components))
